@@ -6,8 +6,9 @@ exception Hook_error of string * string
 type t = {
   target : string;
   catalog : Vega_tdlang.Catalog.t;
-  sources : (string * Vega_srclang.Ast.func) list;
-  env : Interp.env;  (** rebuilt on override *)
+  table : (string, Vega_srclang.Ast.func) Hashtbl.t;
+      (** hook name -> implementation; the first binding in [sources] *)
+  env : Interp.env;
 }
 
 let build_env catalog sources =
@@ -47,21 +48,18 @@ let build_env catalog sources =
 let create vfs ~target ~sources =
   let dirs = Vega_tdlang.Vfs.llvmdirs @ Vega_tdlang.Vfs.tgtdirs target in
   let catalog = Vega_tdlang.Catalog.build vfs dirs in
-  { target; catalog; sources; env = build_env catalog sources }
+  let table = Hashtbl.create (2 * List.length sources) in
+  List.iter
+    (fun (fname, fn) ->
+      if not (Hashtbl.mem table fname) then Hashtbl.add table fname fn)
+    sources;
+  { target; catalog; table; env = build_env catalog sources }
 
 let target t = t.target
-let has t fname = List.mem_assoc fname t.sources
-
-let override t fname fn =
-  let sources = (fname, fn) :: List.remove_assoc fname t.sources in
-  { t with sources; env = build_env t.catalog sources }
-
-let remove t fname =
-  let sources = List.remove_assoc fname t.sources in
-  { t with sources; env = build_env t.catalog sources }
+let has t fname = Hashtbl.mem t.table fname
 
 let call t fname args =
-  match List.assoc_opt fname t.sources with
+  match Hashtbl.find_opt t.table fname with
   | None -> raise (Hook_error (fname, "hook not implemented"))
   | Some fn -> (
       match Interp.call t.env fn args with

@@ -18,16 +18,11 @@ val create :
   sources:(string * Vega_srclang.Ast.func) list ->
   t
 (** [sources] maps interface-function names to their implementations;
-    siblings are callable from hook bodies as free functions. *)
+    siblings are callable from hook bodies as free functions. Where a
+    name is bound twice, the first binding is the one {!call} runs. *)
 
 val target : t -> string
 val has : t -> string -> bool
-
-val override : t -> string -> Vega_srclang.Ast.func -> t
-(** Functional update replacing one hook's implementation. *)
-
-val remove : t -> string -> t
-(** Drop a hook (models a generated function that failed to parse). *)
 
 val call : t -> string -> Vega_srclang.Interp.value list -> Vega_srclang.Interp.value
 (** @raise Hook_error on any failure. *)

@@ -26,7 +26,9 @@ let schedule_block conv (b : I.mblock) =
   let insts = Array.of_list b.I.minsts in
   let n = Array.length insts in
   let out = ref [] in
-  let fuse_enabled = Hooks.has conv.Conv.hooks "shouldScheduleAdjacent" in
+  let hooks = conv.Conv.hooks in
+  let fuse_enabled = Hooks.has hooks "shouldScheduleAdjacent" in
+  let high_latency_enabled = Hooks.has hooks "isHighLatencyDef" in
   let region lo hi =
     (* schedule insts[lo, hi) *)
     let m = hi - lo in
@@ -35,80 +37,90 @@ let schedule_block conv (b : I.mblock) =
         out := insts.(k) :: !out
       done
     else begin
-      let deps = Array.make m [] in
-      (* data deps: def -> later use/def of same register; memory ordered *)
+      let du = Array.init m (fun a -> Regalloc.def_use conv.Conv.tab insts.(lo + a)) in
+      let mem = Array.init m (fun a -> is_mem conv insts.(lo + a)) in
+      (* data deps: def -> later use/def of same register; memory ordered.
+         Each edge a -> b (a < b) is stored once, as a successor of a:
+         succ.(succ_start.(a) .. succ_start.(a + 1) - 1), ascending. *)
+      let succ_start = Array.make (m + 1) 0 in
+      let succ = ref (Array.make (2 * m) 0) and n_edges = ref 0 in
+      let indeg = Array.make m 0 in
+      let overlap l1 l2 = List.exists (fun r -> List.mem r l2) l1 in
       for a = 0 to m - 1 do
-        let ia = insts.(lo + a) in
-        let da, ua = Regalloc.def_use conv.Conv.tab ia in
+        succ_start.(a) <- !n_edges;
+        let da, ua = du.(a) in
         for b' = a + 1 to m - 1 do
-          let ib = insts.(lo + b') in
-          let db, ub = Regalloc.def_use conv.Conv.tab ib in
-          let overlap l1 l2 = List.exists (fun r -> List.mem r l2) l1 in
+          let db, ub = du.(b') in
           if
             overlap da ub (* RAW *) || overlap da db (* WAW *)
             || overlap ua db (* WAR *)
-            || (is_mem conv ia && is_mem conv ib)
-          then deps.(b') <- a :: deps.(b')
+            || (mem.(a) && mem.(b'))
+          then begin
+            if !n_edges = Array.length !succ then begin
+              let grown = Array.make (2 * !n_edges) 0 in
+              Array.blit !succ 0 grown 0 !n_edges;
+              succ := grown
+            end;
+            !succ.(!n_edges) <- b';
+            incr n_edges;
+            indeg.(b') <- indeg.(b') + 1
+          end
         done
       done;
+      succ_start.(m) <- !n_edges;
+      let succ = !succ in
       (* fusion pairs: keep adjacent when the hook asks for it *)
       let fused_with = Array.make m (-1) in
       if fuse_enabled then
         for a = 0 to m - 2 do
           let ia = insts.(lo + a) and ib = insts.(lo + a + 1) in
           if
-            Hooks.call_bool conv.Conv.hooks "shouldScheduleAdjacent"
+            Hooks.call_bool hooks "shouldScheduleAdjacent"
               [ Hooks.vint ia.I.opcode; Hooks.vint ib.I.opcode ]
           then fused_with.(a) <- a + 1
         done;
-      (* critical-path priority, boosted for high-latency defs *)
+      (* critical-path priority, boosted for high-latency defs; per
+         instruction, isHighLatencyDef is asked before getInstrLatency *)
       let prio = Array.make m 0 in
-      let high_latency opc =
-        Hooks.has conv.Conv.hooks "isHighLatencyDef"
-        && Hooks.call_bool conv.Conv.hooks "isHighLatencyDef" [ Hooks.vint opc ]
-      in
       for a = m - 1 downto 0 do
-        let lat =
-          latency conv insts.(lo + a)
-          + if high_latency insts.(lo + a).I.opcode then 2 else 0
+        let inst = insts.(lo + a) in
+        let boost =
+          if
+            high_latency_enabled
+            && Hooks.call_bool hooks "isHighLatencyDef" [ Hooks.vint inst.I.opcode ]
+          then 2
+          else 0
         in
+        let lat = latency conv inst + boost in
         prio.(a) <- lat;
-        for b' = a + 1 to m - 1 do
-          if List.mem a deps.(b') then prio.(a) <- max prio.(a) (lat + prio.(b'))
+        for e = succ_start.(a) to succ_start.(a + 1) - 1 do
+          prio.(a) <- max prio.(a) (lat + prio.(succ.(e)))
         done
       done;
-      (* greedy list scheduling *)
+      (* greedy list scheduling: highest priority ready instruction, lowest
+         index on ties. Edges only point forward, so the lowest unemitted
+         index is always ready and every pick succeeds. *)
       let emitted = Array.make m false in
-      let indeg = Array.make m 0 in
-      Array.iteri (fun b' ds -> indeg.(b') <- List.length ds) deps;
       let remaining = ref m in
+      let emit_one a =
+        emitted.(a) <- true;
+        decr remaining;
+        out := insts.(lo + a) :: !out;
+        for e = succ_start.(a) to succ_start.(a + 1) - 1 do
+          indeg.(succ.(e)) <- indeg.(succ.(e)) - 1
+        done
+      in
       while !remaining > 0 do
         let best = ref (-1) in
         for a = 0 to m - 1 do
           if (not emitted.(a)) && indeg.(a) = 0 then
             if !best = -1 || prio.(a) > prio.(!best) then best := a
         done;
-        let emit_one a =
-          emitted.(a) <- true;
-          decr remaining;
-          out := insts.(lo + a) :: !out;
-          for b' = 0 to m - 1 do
-            if List.mem a deps.(b') then indeg.(b') <- indeg.(b') - 1
-          done
-        in
-        if !best = -1 then begin
-          (* cycle should not happen; fall back to original order *)
-          for a = 0 to m - 1 do
-            if not emitted.(a) then emit_one a
-          done
-        end
-        else begin
-          let a = !best in
-          emit_one a;
-          (* pull the fusion partner right behind, if ready *)
-          let p = fused_with.(a) in
-          if p >= 0 && (not emitted.(p)) && indeg.(p) = 0 then emit_one p
-        end
+        let a = !best in
+        emit_one a;
+        (* pull the fusion partner right behind, if ready *)
+        let p = fused_with.(a) in
+        if p >= 0 && (not emitted.(p)) && indeg.(p) = 0 then emit_one p
       done
     end
   in

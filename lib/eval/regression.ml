@@ -107,10 +107,22 @@ let reference_artifacts vfs p ?(cases = default_cases) () =
         (Printf.sprintf "reference backend for %s failed on %s: %s"
            p.Vega_target.Profile.name f.f_case f.f_reason)
 
+(* VIR interpreter print streams by case name, computed once per process;
+   the lock makes the table safe to share between domains. *)
+let goldens : (string, int list option) Hashtbl.t = Hashtbl.create 64
+let goldens_lock = Mutex.create ()
+
+let golden_of name =
+  Mutex.protect goldens_lock (fun () ->
+      match Hashtbl.find_opt goldens name with
+      | Some g -> g
+      | None ->
+          let g = Option.map P.golden (P.find name) in
+          Hashtbl.add goldens name g;
+          g)
+
 let compare_artifacts (got : case_artifacts) (want : case_artifacts) =
-  let golden =
-    match P.find want.ca_case with Some c -> P.golden c | None -> want.ca_output
-  in
+  let golden = Option.value (golden_of want.ca_case) ~default:want.ca_output in
   if got.ca_output <> golden then Error "program output differs from golden run"
   else if got.ca_text <> want.ca_text then Error "encoded text section differs"
   else if got.ca_data <> want.ca_data then Error "data section differs"

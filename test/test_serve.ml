@@ -276,6 +276,28 @@ let test_serve_basic () =
         && h.S.Health.h_completed = 2
         && h.S.Health.h_journal_lag = 0)
 
+(* A worker counts a job before delivering its reply, so [health] read
+   as soon as [request] returns already shows it settled. *)
+let test_health_settled_on_reply () =
+  let t = Lazy.force pipeline in
+  let decoder = V.Pipeline.retrieval_decoder t in
+  match S.Server.create ~config:tcfg t ~target ~decoder with
+  | Error e -> Alcotest.failf "create failed: %s" e
+  | Ok srv ->
+      let names = Array.of_list (fnames t) in
+      for i = 1 to 200 do
+        expect_done (S.Server.request srv (mk names.(i mod 3)));
+        let h = S.Server.health srv in
+        if
+          h.S.Health.h_journal_lag <> 0
+          || h.S.Health.h_busy <> 0
+          || h.S.Health.h_completed <> i
+        then
+          Alcotest.failf "after request %d: lag %d, busy %d, completed %d" i
+            h.S.Health.h_journal_lag h.S.Health.h_busy h.S.Health.h_completed
+      done;
+      S.Server.drain srv
+
 let test_queue_full_shedding () =
   let t = Lazy.force pipeline in
   let decoder = V.Pipeline.retrieval_decoder t in
@@ -616,6 +638,8 @@ let suite =
     Alcotest.test_case "protocol version skew" `Quick test_proto_version_skew;
     Alcotest.test_case "health wire format" `Quick test_health_wire;
     Alcotest.test_case "serve basic + idempotent" `Quick test_serve_basic;
+    Alcotest.test_case "health settled on reply" `Quick
+      test_health_settled_on_reply;
     Alcotest.test_case "queue-full shedding" `Quick test_queue_full_shedding;
     Alcotest.test_case "per-client budget" `Quick test_budget_exhausted;
     Alcotest.test_case "deadline degrades via ladder" `Quick
