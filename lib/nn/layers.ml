@@ -140,65 +140,18 @@ let dec_block_params b =
   @ norm_params b.dn2 @ norm_params b.dn3 @ linear_params b.dff1
   @ linear_params b.dff2
 
-(* Raw row primitives for the incremental decode path (KV cache). Each
-   mirrors the corresponding tensor op bit-for-bit: same accumulation
+(* {1 Batched decode engine}
+
+   Zero-allocation kernels that advance a whole batch of decode rows at
+   once over preallocated float32 scratch. Each kernel mirrors the
+   tensor ops of {!decoder_fwd} bit-for-bit: the same accumulation
    order, the same zero-skip as {!Tensor.matmul}, and [T.round32] at
-   exactly the store points where the tensor op writes into float32
-   storage (see DESIGN.md "Float32 storage"). A cached decode therefore
-   reproduces a full re-decode exactly. Nothing here touches the tape. *)
-
-let row_linear l (x : float array) =
-  let w = l.w in
-  let k = w.T.rows and n = w.T.cols in
-  if Array.length x <> k then
-    fail "row_linear"
-      (Printf.sprintf "row of %d values into a %dx%d weight" (Array.length x) k
-         n);
-  let acc = Array.make n 0.0 in
-  for p = 0 to k - 1 do
-    let av = x.(p) in
-    if av <> 0.0 then begin
-      let brow = p * n in
-      for j = 0 to n - 1 do
-        acc.(j) <- acc.(j) +. (av *. T.get_flat w (brow + j))
-      done
-    end
-  done;
-  for j = 0 to n - 1 do
-    (* two store points: the matmul result, then the bias add *)
-    acc.(j) <- T.round32 (T.round32 acc.(j) +. T.get_flat l.b j)
-  done;
-  acc
-
-let row_add a b =
-  Array.init (Array.length a) (fun j -> T.round32 (a.(j) +. b.(j)))
-
-let row_gelu x =
-  let k = sqrt (2.0 /. Float.pi) in
-  Array.map
-    (fun v ->
-      let t = tanh (k *. (v +. (0.044715 *. v *. v *. v))) in
-      T.round32 (0.5 *. v *. (1.0 +. t)))
-    x
-
-let row_norm nrm (x : float array) =
-  let n = Array.length x in
-  let eps = 1e-5 in
-  let mu = ref 0.0 in
-  for j = 0 to n - 1 do
-    mu := !mu +. x.(j)
-  done;
-  let mu = !mu /. float_of_int n in
-  let var = ref 0.0 in
-  for j = 0 to n - 1 do
-    let d = x.(j) -. mu in
-    var := !var +. (d *. d)
-  done;
-  let sigma = sqrt ((!var /. float_of_int n) +. eps) in
-  Array.init n (fun j ->
-      T.round32
-        ((T.get_flat nrm.gain j *. ((x.(j) -. mu) /. sigma))
-        +. T.get_flat nrm.bias j))
+   exactly the store points where a tensor op writes into float32
+   storage (DESIGN.md "Float32 storage"). [batch_linear] streams each
+   weight row past every active request row, but accumulates each
+   output row independently, so every per-row result is bit-identical
+   to a full re-decode regardless of which other slots are active.
+   Nothing here touches the tape. *)
 
 (* One query row attending over [len] cached key/value rows stored
    contiguously in [keys]/[values] starting at flat offset [base] (rows
@@ -217,7 +170,7 @@ let attention_core at ~(q_all : float array) ~(keys : T.buf)
     let off = h * dh in
     (* one key row per score, read contiguously; the per-score sum still
        accumulates in ascending-p order with the matmul's zero-skip, so
-       the result is bit-identical to the row-at-a-time path *)
+       each score is bit-identical to the tensor path's *)
     for j = 0 to len - 1 do
       let krow = base + (j * d) + off in
       let sum = ref 0.0 in
@@ -263,85 +216,6 @@ let attention_core at ~(q_all : float array) ~(keys : T.buf)
         (T.round32 (Array.unsafe_get merged (off + j)))
     done
   done
-
-type dec_cache = {
-  cblk : dec_block;
-  cd : int;  (* d_model *)
-  cap : int;
-  self_k : T.buf;  (* capacity x d, rows appended as positions are fed *)
-  self_v : T.buf;
-  mutable used : int;
-  cross_k : T.buf;  (* cross_len x d, projected once at creation *)
-  cross_v : T.buf;
-  cross_len : int;
-  c_merged : float array;  (* d scratch *)
-  c_scores : float array;  (* max(capacity, cross_len) scratch *)
-}
-
-let dec_cache blk ~memory ~capacity =
-  let d = memory.T.cols in
-  let mrow i = Array.init d (fun j -> T.get_flat memory ((i * d) + j)) in
-  let mrows = memory.T.rows in
-  let cross_k = T.buf_create (mrows * d) and cross_v = T.buf_create (mrows * d) in
-  for i = 0 to mrows - 1 do
-    let r = mrow i in
-    let kr = row_linear blk.cross_att.wk r and vr = row_linear blk.cross_att.wv r in
-    for j = 0 to d - 1 do
-      A1.set cross_k ((i * d) + j) kr.(j);
-      A1.set cross_v ((i * d) + j) vr.(j)
-    done
-  done;
-  {
-    cblk = blk;
-    cd = d;
-    cap = capacity;
-    self_k = T.buf_create (capacity * d);
-    self_v = T.buf_create (capacity * d);
-    used = 0;
-    cross_k;
-    cross_v;
-    cross_len = mrows;
-    c_merged = Array.make d 0.0;
-    c_scores = Array.make (max 1 (max capacity mrows)) 0.0;
-  }
-
-let dec_cache_len c = c.used
-
-let dec_cache_step c x_row =
-  let b = c.cblk and d = c.cd in
-  if c.used >= c.cap then
-    fail "dec_cache_step"
-      (Printf.sprintf "KV cache capacity %d exhausted" c.cap);
-  let q = row_linear b.self_att.wq x_row in
-  let kr = row_linear b.self_att.wk x_row in
-  let vr = row_linear b.self_att.wv x_row in
-  let kv = c.used * d in
-  for j = 0 to d - 1 do
-    A1.set c.self_k (kv + j) kr.(j);
-    A1.set c.self_v (kv + j) vr.(j)
-  done;
-  c.used <- c.used + 1;
-  attention_core b.self_att ~q_all:q ~keys:c.self_k ~values:c.self_v ~base:0
-    ~len:c.used ~merged:c.c_merged ~scores:c.c_scores;
-  let a = row_linear b.self_att.wo c.c_merged in
-  let x1 = row_norm b.dn1 (row_add x_row a) in
-  let q2 = row_linear b.cross_att.wq x1 in
-  attention_core b.cross_att ~q_all:q2 ~keys:c.cross_k ~values:c.cross_v
-    ~base:0 ~len:c.cross_len ~merged:c.c_merged ~scores:c.c_scores;
-  let cr = row_linear b.cross_att.wo c.c_merged in
-  let x2 = row_norm b.dn2 (row_add x1 cr) in
-  let ff = row_linear b.dff2 (row_gelu (row_linear b.dff1 x2)) in
-  row_norm b.dn3 (row_add x2 ff)
-
-(* {1 Batched decode engine}
-
-   Zero-allocation kernels that advance a whole batch of decode rows at
-   once over preallocated float32 scratch. [batch_linear] streams each
-   weight row past every active request row (the bandwidth win batching
-   buys), but accumulates each output row independently in ascending-p
-   order with the same zero-skip and the same two store points as
-   [row_linear] — so every per-row result is bit-identical to the
-   sequential path regardless of which other slots are active. *)
 
 let batch_linear l ~(active : int array) ~(src : T.buf) ~(dst : T.buf)
     ~(acc : float array) =
@@ -392,7 +266,7 @@ let batch_linear l ~(active : int array) ~(src : T.buf) ~(dst : T.buf)
     for j = 0 to n - 1 do
       (* round the matmul result (first store point), add the bias, and
          let the float32 store round again — the same two roundings as
-         [row_linear], without the store-read-store round trip *)
+         [linear_fwd], without the store-read-store round trip *)
       A1.unsafe_set dst (dbase + j)
         (T.round32 (Array.unsafe_get acc (abase + j)) +. A1.unsafe_get bd j)
     done
@@ -466,8 +340,6 @@ let batch_dec_cache blk ~slots ~capacity ~cross_capacity =
     bcross_len = Array.make slots 0;
   }
 
-let batch_slot_used c ~slot = c.bused.(slot)
-
 let batch_slot_load c ~slot ~memory =
   let d = c.bd in
   if not (slot >= 0 && slot < c.bslots) then
@@ -480,22 +352,24 @@ let batch_slot_load c ~slot ~memory =
     fail "batch_slot_load"
       (Printf.sprintf "%d memory rows exceed slot capacity %d" memory.T.rows
          c.bcross_cap);
+  let rows = memory.T.rows in
   c.bused.(slot) <- 0;
-  c.bcross_len.(slot) <- memory.T.rows;
-  let base = slot * c.bcross_cap * d in
-  for i = 0 to memory.T.rows - 1 do
-    let r = Array.init d (fun j -> T.get_flat memory ((i * d) + j)) in
-    let kr = row_linear c.bblk.cross_att.wk r in
-    let vr = row_linear c.bblk.cross_att.wv r in
-    for j = 0 to d - 1 do
-      A1.set c.bcross_k (base + (i * d) + j) kr.(j);
-      A1.set c.bcross_v (base + (i * d) + j) vr.(j)
-    done
+  c.bcross_len.(slot) <- rows;
+  (* memory row i projects into row i of the slot's cross K/V region,
+     one row at a time: a rows x d accumulator would go straight to the
+     major heap at every join *)
+  let region buf = A1.sub buf (slot * c.bcross_cap * d) (rows * d) in
+  let kdst = region c.bcross_k and vdst = region c.bcross_v in
+  let active = [| 0 |] and acc = Array.make d 0.0 in
+  for i = 0 to rows - 1 do
+    active.(0) <- i;
+    batch_linear c.bblk.cross_att.wk ~active ~src:memory.T.data ~dst:kdst ~acc;
+    batch_linear c.bblk.cross_att.wv ~active ~src:memory.T.data ~dst:vdst ~acc
   done
 
 (* Fused residual-add + layernorm over the active rows: the add rounds
-   once per element ([row_add]'s store) and the normalized output rounds
-   once per element into [dst] ([row_norm]'s store). *)
+   once per element ([T.add]'s store) and the normalized output rounds
+   once per element into [dst] ([T.layernorm]'s store). *)
 let add_norm nrm ~(active : int array) ~(x : T.buf) ~(y : T.buf)
     ~(dst : T.buf) ~(row : float array) ~d =
   let gd = nrm.gain.T.data and bd = nrm.bias.T.data in
@@ -585,7 +459,7 @@ let batch_dec_step c scr ~(active : int array) ~(x : T.buf) ~(out : T.buf) =
     for j = 0 to d_ff - 1 do
       let v = A1.unsafe_get scr.s_ff (base + j) in
       let t = tanh (kg *. (v +. (0.044715 *. v *. v *. v))) in
-      (* the store rounds: same single store point as [row_gelu] *)
+      (* the store rounds: same single store point as [T.gelu] *)
       A1.unsafe_set scr.s_ff (base + j) (0.5 *. v *. (1.0 +. t))
     done
   done;

@@ -43,42 +43,18 @@ val decoder_fwd : dec_block -> x:Tensor.t -> memory:Tensor.t -> Tensor.t
 
 val dec_block_params : dec_block -> Tensor.t list
 
-(** {1 Incremental decode (KV cache)}
-
-    Raw float-array row primitives that mirror the tensor ops
-    bit-for-bit: same accumulation order, same zero-skip as
-    {!Tensor.matmul}, and {!Tensor.round32} at exactly the tensor ops'
-    float32 store points. None of them records onto the autodiff tape. *)
-
-val row_linear : linear -> float array -> float array
-(** [linear_fwd] applied to a single row. *)
-
-type dec_cache
-(** Per-layer decoder cache over flat float32 buffers: self-attention
-    key/value rows accumulate one position at a time; cross-attention
-    keys/values are projected from the encoder memory once at
-    creation. *)
-
-val dec_cache : dec_block -> memory:Tensor.t -> capacity:int -> dec_cache
-(** Fresh cache for one decode; at most [capacity] positions. *)
-
-val dec_cache_step : dec_cache -> float array -> float array
-(** Feed this layer's input row for the next position and return the
-    layer's output row — bit-identical to the corresponding row of
-    [decoder_fwd] over the full prefix. Raises
-    [Fault (Tensor_fault _)] past capacity. *)
-
-val dec_cache_len : dec_cache -> int
-(** Number of positions fed so far. *)
-
 (** {1 Batched decode engine}
 
     Zero-allocation kernels advancing a whole batch of decode rows per
-    step over preallocated float32 scratch. Weight matrices stream past
-    all active rows once per step, but each row is accumulated
-    independently in the same order as the sequential path, so per-row
-    outputs are bit-identical for {e any} composition of active slots
-    (see DESIGN.md "Continuous batched decode"). *)
+    step over preallocated float32 scratch. They mirror the tensor ops
+    bit-for-bit: the same accumulation order, the same zero-skip as
+    {!Tensor.matmul}, and {!Tensor.round32} at exactly the tensor ops'
+    float32 store points; none of them records onto the autodiff tape.
+    Weight matrices stream past all active rows once per step, but each
+    row is accumulated independently, so per-row outputs are
+    bit-identical to {!decoder_fwd} over the full prefix for {e any}
+    composition of active slots (see DESIGN.md "Continuous batched
+    decode"). *)
 
 val batch_linear :
   linear ->
@@ -90,8 +66,8 @@ val batch_linear :
 (** Project row [slot] of [src] (stride d_in) into row [slot] of [dst]
     (stride d_out) for every active slot, streaming each weight row past
     all rows once. [acc] is a float64 accumulator of at least
-    [|active| * d_out]. Per-row results are bit-identical to
-    {!row_linear}. *)
+    [|active| * d_out]. Per-row results are bit-identical to the
+    matching rows of {!linear_fwd}. *)
 
 type batch_scratch
 (** Reusable per-step scratch shared by all layers of one engine. *)
@@ -115,9 +91,6 @@ val batch_slot_load : batch_dec_cache -> slot:int -> memory:Tensor.t -> unit
     region — the join half of the continuous-batching join/leave
     protocol. A slot is free for reuse the moment its request finishes;
     no explicit leave is needed at this layer. *)
-
-val batch_slot_used : batch_dec_cache -> slot:int -> int
-(** Self-attention positions fed to [slot] so far. *)
 
 val batch_dec_step :
   batch_dec_cache ->

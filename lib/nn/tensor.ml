@@ -19,8 +19,8 @@ let fail op detail =
   raise (Vega_robust.Fault.Fault (Vega_robust.Fault.Tensor_fault { op; detail }))
 
 (* Round a float64 to the nearest float32 (round-to-nearest-even), the
-   same conversion a store into [buf] performs. The raw row primitives
-   in {!Layers} use it to mirror the tensor ops' store points exactly. *)
+   same conversion a store into [buf] performs. The decode kernels in
+   {!Layers} use it to mirror the tensor ops' store points exactly. *)
 let round32 v = Int32.float_of_bits (Int32.bits_of_float v)
 
 let buf_make n =
@@ -100,7 +100,7 @@ let params_count ps = List.fold_left (fun a p -> a + numel p) 0 ps
 
 let out rows cols = zeros rows cols
 
-(* Numeric discipline, shared with the raw row kernels in {!Layers}:
+(* Numeric discipline, shared with the decode kernels in {!Layers}:
    reads widen float32 exactly to float64, all arithmetic runs in
    float64, and each output element is rounded to float32 exactly once
    per store point (reductions accumulate in a float64 scratch first).
@@ -294,8 +294,8 @@ let softmax_rows ?mask a =
       if allowed i j then mx := Float.max !mx (A1.get a.data (row + j))
     done;
     (* [sum] accumulates the unrounded float64 [e] while the stored
-       numerator is the float32-rounded [e]; the row kernels replicate
-       this exact split *)
+       numerator is the float32-rounded [e]; the decode kernels
+       replicate this exact split *)
     let sum = ref 0.0 in
     for j = 0 to n - 1 do
       if allowed i j then begin

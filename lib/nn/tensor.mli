@@ -11,10 +11,9 @@
     Numeric discipline: storage is float32, arithmetic is float64.
     Reads widen exactly; every op rounds each output element to float32
     exactly once per store point (reductions accumulate in float64
-    scratch first). The raw row kernels in {!Layers} mirror those store
-    points with {!round32}, which makes the cached decode path — and the
-    batched decode engine, for any batch composition — bit-identical to
-    these ops. Invariant violations raise
+    scratch first). The batched decode kernels in {!Layers} mirror those
+    store points with {!round32}, which makes the decode engine
+    bit-identical to these ops for any batch composition. Invariant violations raise
     [Vega_robust.Fault.Fault (Tensor_fault _)] (decoder class) so the
     degradation ladder absorbs them instead of an [Assert_failure]
     killing the process. *)
@@ -35,8 +34,8 @@ val buf_create : int -> buf
 
 val round32 : float -> float
 (** Round a float64 to the nearest float32 — the exact conversion a
-    store into {!buf} performs. Row kernels use it to mirror tensor-op
-    store points bit-for-bit. *)
+    store into {!buf} performs. The decode kernels use it to mirror
+    tensor-op store points bit-for-bit. *)
 
 val create : int -> int -> float array -> t
 (** Constant (no-grad-needed leaf); array length must be rows*cols.

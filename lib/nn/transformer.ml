@@ -91,68 +91,25 @@ let train_step t opt batch =
   Adam.step opt;
   !total /. float_of_int (max 1 !count)
 
-(* Incremental decoding: one KV cache per decoder layer. [decode_step]
-   advances one position and returns that position's logits row,
-   bit-identical to the last row of [decode_logits] over the prefix. *)
-
-type cache = {
-  model : t;
-  cache_layers : Layers.dec_cache array;
-  mutable pos : int;
-}
-
-let new_cache t ~memory =
-  {
-    model = t;
-    cache_layers =
-      Array.map
-        (fun b -> Layers.dec_cache b ~memory ~capacity:t.cfg.max_len)
-        t.dec;
-    pos = 0;
-  }
-
-let cache_len c = c.pos
-
-let embed_row t ~id ~pos j =
-  (* the tensor path stores the rounded sum of token and positional
-     embedding (add_rows_positional's store point) *)
-  T.round32
-    (T.get_flat t.tok_emb ((id * t.cfg.d_model) + j)
-    +. T.get_flat t.pos_emb ((pos * t.cfg.d_model) + j))
-
-let decode_step c id =
-  let t = c.model in
-  let d = t.cfg.d_model in
-  if not (id >= 0 && id < t.cfg.vocab_size) then
-    fail "decode_step"
-      (Printf.sprintf "token id %d outside vocabulary of %d" id
-         t.cfg.vocab_size);
-  if c.pos >= t.cfg.max_len then
-    fail "decode_step"
-      (Printf.sprintf "decode past max_len %d" t.cfg.max_len);
-  let x0 = Array.init d (fun j -> embed_row t ~id ~pos:c.pos j) in
-  c.pos <- c.pos + 1;
-  let x =
-    Array.fold_left (fun x lc -> Layers.dec_cache_step lc x) x0 c.cache_layers
-  in
-  Layers.row_linear t.out_proj x
-
-(* softmax + argmax over one logits row; strict [>] keeps the first of
-   tied maxima, as the original full-decode loop did *)
-let greedy row =
-  let n = Array.length row in
+(* Softmax + argmax over the [n] logits at [off] in [logits], read in
+   place: nothing the size of the vocabulary is allocated per token. The
+   denominator sums the exponentials in ascending order, and strict [>]
+   keeps the first of tied maxima. *)
+let greedy (logits : T.buf) ~off ~n =
   let mx = ref neg_infinity in
   for j = 0 to n - 1 do
-    mx := Float.max !mx row.(j)
+    mx := Float.max !mx (A1.get logits (off + j))
   done;
-  let sum = ref 0.0 in
-  let es = Array.init n (fun j -> exp (row.(j) -. !mx)) in
-  Array.iter (fun e -> sum := !sum +. e) es;
-  let best = ref 0 in
-  for j = 1 to n - 1 do
-    if es.(j) > es.(!best) then best := j
+  let sum = ref 0.0 and best = ref 0 and best_e = ref 0.0 in
+  for j = 0 to n - 1 do
+    let e = exp (A1.get logits (off + j) -. !mx) in
+    sum := !sum +. e;
+    if j = 0 || e > !best_e then begin
+      best := j;
+      best_e := e
+    end
   done;
-  (!best, es.(!best) /. !sum)
+  (!best, !best_e /. !sum)
 
 (* {1 Batched decode engine}
 
@@ -160,10 +117,11 @@ let greedy row =
    buffers; [batch_step] advances every fed slot one position through
    all decoder layers at once over {!Layers.batch_dec_step}'s
    zero-allocation kernels. Per-slot rows are accumulated independently
-   in the sequential path's order, so each slot's logits are
-   bit-identical to a lone [decode_step] run whatever the batch
-   composition — joins and leaves between steps never perturb other
-   requests (DESIGN.md "Continuous batched decode"). *)
+   in the tensor path's order, so each slot's logits are bit-identical
+   to the last row of [decode_logits] over its prefix whatever the
+   batch composition — joins and leaves between steps never perturb
+   other requests (DESIGN.md "Continuous batched decode"). This engine
+   is the only incremental decoder; [generate] runs it with one slot. *)
 
 type batch = {
   bm : t;
@@ -208,16 +166,18 @@ let batch_free_slot b =
   done;
   !free
 
-let batch_join b ~src =
+(* claim a free slot for an already-encoded source *)
+let batch_load b ~memory =
   let slot = batch_free_slot b in
   if slot < 0 then fail "batch_join" "no free request slot";
-  (* the encoder runs off-tape here: outside [with_tape] the tensor ops
-     record nothing, so joins are safe from server worker domains *)
-  let memory = encode b.bm src in
   Array.iter (fun c -> Layers.batch_slot_load c ~slot ~memory) b.bcaches;
   b.bpos.(slot) <- 0;
   b.bfree.(slot) <- false;
   slot
+
+(* the encoder runs off-tape: outside [with_tape] the tensor ops record
+   nothing, so encoding is safe from server worker domains *)
+let batch_join b ~src = batch_load b ~memory:(encode b.bm src)
 
 let batch_leave b ~slot =
   if not (slot >= 0 && slot < b.bslots) then
@@ -247,7 +207,7 @@ let batch_step b feeds =
       let base = slot * d in
       for j = 0 to d - 1 do
         (* the float32 store rounds the f64 sum — add_rows_positional's
-           store point, same as [decode_step]'s input row *)
+           store point *)
         A1.set b.bx (base + j)
           (T.get_flat t.tok_emb ((id * d) + j)
           +. T.get_flat t.pos_emb ((b.bpos.(slot) * d) + j))
@@ -268,9 +228,15 @@ let batch_logits b ~slot =
   let v = b.bm.cfg.vocab_size in
   Array.init v (fun j -> A1.get b.blogits ((slot * v) + j))
 
+(* greedy pick over [slot]'s logits from the last step, read in place *)
+let batch_greedy b ~slot =
+  let v = b.bm.cfg.vocab_size in
+  greedy b.blogits ~off:(slot * v) ~n:v
+
 (* Continuous batched greedy decode over a fixed source list: requests
    are admitted in input order as slots free up, so results are
-   deterministic (and, per-request, bit-identical to [generate]). *)
+   deterministic (and, per-request, bit-identical to
+   [generate_uncached]). *)
 let generate_batch t ?(slots = 4) ~srcs ?(max_out = 48) () =
   let max_out = min max_out (t.cfg.max_len - 2) in
   let n = Array.length srcs in
@@ -311,7 +277,7 @@ let generate_batch t ?(slots = 4) ~srcs ?(max_out = 48) () =
       Array.iter
         (fun (slot, _) ->
           let req = slot_req.(slot) in
-          let best, p = greedy (batch_logits b ~slot) in
+          let best, p = batch_greedy b ~slot in
           if best = Vocab.eos then finish slot
           else begin
             outs.(req) <- best :: outs.(req);
@@ -331,15 +297,17 @@ let generate_batch t ?(slots = 4) ~srcs ?(max_out = 48) () =
 (* {1 Concurrent batcher}
 
    Coalesces decode calls arriving from concurrent domains (the serve
-   worker pool) into shared [batch_step]s. One caller at a time elects
-   itself driver ([bt_driving]), admits queued requests into free slots
-   under the lock, releases the lock for the compute step, then applies
-   the results and broadcasts. Because per-slot results are
+   worker pool) into shared [batch_step]s. Each caller encodes its own
+   source before queueing it, so a malformed source faults its owner
+   and never the driver. One caller at a time elects itself driver
+   ([bt_driving]), admits queued requests into free slots under the
+   lock, releases the lock for the compute step, then applies the
+   results and broadcasts. Because per-slot results are
    batch-composition-invariant, the nondeterministic interleaving of
    arrivals never changes any request's output. *)
 
 type breq = {
-  q_src : int array;
+  q_memory : T.t;
   q_max_out : int;
   mutable q_slot : int;
   mutable q_cur : int;
@@ -383,7 +351,7 @@ let drive bt =
     if batch_free_slot eng < 0 then continue_admit := false
     else begin
       let q = Queue.pop bt.bt_pending in
-      let slot = batch_join eng ~src:q.q_src in
+      let slot = batch_load eng ~memory:q.q_memory in
       q.q_slot <- slot;
       bt.bt_slot_req.(slot) <- Some q
     end
@@ -401,15 +369,15 @@ let drive bt =
     let result =
       try
         batch_step eng feeds;
-        Ok (Array.map (fun (slot, _) -> (slot, batch_logits eng ~slot)) feeds)
+        Ok (Array.map (fun (slot, _) -> (slot, batch_greedy eng ~slot)) feeds)
       with e -> Error e
     in
     Mutex.lock bt.bt_m;
     match result with
     | Error e -> raise e
-    | Ok rows ->
+    | Ok picks ->
         Array.iter
-          (fun (slot, row) ->
+          (fun (slot, (best, p)) ->
             match bt.bt_slot_req.(slot) with
             | None -> ()
             | Some q ->
@@ -418,7 +386,6 @@ let drive bt =
                   bt.bt_slot_req.(slot) <- None;
                   batch_leave eng ~slot
                 in
-                let best, p = greedy row in
                 if best = Vocab.eos then finish ()
                 else begin
                   q.q_ids <- best :: q.q_ids;
@@ -427,14 +394,14 @@ let drive bt =
                   q.q_nout <- q.q_nout + 1;
                   if q.q_nout >= q.q_max_out then finish ()
                 end)
-          rows
+          picks
   end
 
 let batcher_decode bt ~src ~max_out =
   let max_out = min max_out (bt.bt_model.cfg.max_len - 2) in
   let r =
     {
-      q_src = src;
+      q_memory = encode bt.bt_model src;
       q_max_out = max_out;
       q_slot = -1;
       q_cur = Vocab.e2d;
@@ -472,28 +439,7 @@ let generate t ~src ?(max_out = 48) ?batch () =
       if not (bt.bt_model == t) then
         fail "generate" "batcher belongs to a different model";
       batcher_decode bt ~src ~max_out
-  | None ->
-      let max_out = min max_out (t.cfg.max_len - 2) in
-      T.with_tape (fun () ->
-          (* the encoder records a tape we never replay; with_tape keeps
-             memory bounded by discarding it afterwards *)
-          let memory = encode t src in
-          let c = new_cache t ~memory in
-          let out = ref [] and probs = ref [] in
-          let n_out = ref 0 in
-          let cur = ref Vocab.e2d in
-          let continue_ = ref true in
-          while !continue_ && !n_out < max_out do
-            let best, p = greedy (decode_step c !cur) in
-            if best = Vocab.eos then continue_ := false
-            else begin
-              out := best :: !out;
-              probs := p :: !probs;
-              cur := best;
-              incr n_out
-            end
-          done;
-          (Array.of_list (List.rev !out), Array.of_list (List.rev !probs)))
+  | None -> (generate_batch t ~slots:1 ~srcs:[| src |] ~max_out ()).(0)
 
 let generate_uncached t ~src ?(max_out = 48) () =
   let max_out = min max_out (t.cfg.max_len - 2) in
@@ -505,9 +451,10 @@ let generate_uncached t ~src ?(max_out = 48) () =
       while !continue_ && !n_out < max_out do
         let dec_in = Array.of_list (Vocab.e2d :: List.rev !out) in
         let logits = decode_logits t ~memory dec_in in
-        let last = logits.T.rows - 1 in
-        let row = Array.init logits.T.cols (fun j -> T.get logits last j) in
-        let best, p = greedy row in
+        let n = logits.T.cols in
+        let best, p =
+          greedy logits.T.data ~off:((logits.T.rows - 1) * n) ~n
+        in
         if best = Vocab.eos then continue_ := false
         else begin
           out := best :: !out;

@@ -43,22 +43,22 @@ val generate :
   unit ->
   int array * float array
 (** Greedy decode: output ids (without EOS) and per-token probabilities.
-    Uses the incremental KV cache; bit-identical to
-    {!generate_uncached}. With [?batch] the call is routed through the
-    given concurrent batcher (which must belong to this model):
-    concurrent callers' steps coalesce into shared batched decode
-    steps, and each caller still gets the same bit-identical result —
-    per-slot rows are accumulated independently of the batch
-    composition. Do not call the batched path under
-    {!Tensor.with_tape}. *)
+    Runs the batched engine with one slot ([generate_batch ~slots:1]);
+    bit-identical to {!generate_uncached}. With [?batch] the call is
+    routed through the given concurrent batcher (which must belong to
+    this model): concurrent callers' steps coalesce into shared batched
+    decode steps, and each caller still gets the same bit-identical
+    result — per-slot rows are accumulated independently of the batch
+    composition. The source is encoded in the caller's domain, so an
+    out-of-vocabulary id raises [Fault (Tensor_fault _)] in the caller
+    alone. Do not call under {!Tensor.with_tape}: the encoder would
+    record onto the caller's tape. *)
 
 val generate_uncached :
   t -> src:int array -> ?max_out:int -> unit -> int array * float array
 (** Reference greedy decode that re-runs [decode_logits] on the whole
     prefix every step (O(L²·layers) per token); kept for equivalence
     testing and benchmarking against {!generate}. *)
-
-(** {1 Incremental decoding} *)
 
 val encode : t -> int array -> Tensor.t
 (** Encoder memory for [src] (clipped to [max_len]). *)
@@ -67,28 +67,14 @@ val decode_logits : t -> memory:Tensor.t -> int array -> Tensor.t
 (** Full-prefix decoder forward: logits for every position of
     [dec_ids]. *)
 
-type cache
-(** Per-layer KV cache for one decode: self-attention key/value rows
-    accumulate as positions are fed; cross-attention keys/values are
-    projected from [memory] once at creation. *)
-
-val new_cache : t -> memory:Tensor.t -> cache
-
-val decode_step : cache -> int -> float array
-(** Feed the next token id and return the logits row for its position —
-    bit-identical to the last row of {!decode_logits} over the same
-    prefix. At most [max_len] positions per cache. *)
-
-val cache_len : cache -> int
-(** Number of positions fed so far. *)
-
 (** {1 Batched decode}
 
     A fixed pool of request slots advanced together: one [batch_step]
     moves every fed slot one position through all decoder layers over
     preallocated float32 buffers. Requests join and leave between steps
-    (continuous batching); per-slot results are bit-identical to a lone
-    {!decode_step} run for any batch composition. *)
+    (continuous batching); each slot's logits are bit-identical to the
+    last row of {!decode_logits} over its prefix for any batch
+    composition. At most [max_len] positions per slot. *)
 
 type batch
 
@@ -101,7 +87,9 @@ val batch_leave : batch -> slot:int -> unit
 (** Release a slot for reuse by a later {!batch_join}. *)
 
 val batch_step : batch -> (int * int) array -> unit
-(** [(slot, token)] feeds: advance each fed slot one position. *)
+(** [(slot, token)] feeds: advance each fed slot one position. Raises
+    [Fault (Tensor_fault _)] for a free slot, an out-of-vocabulary
+    token or a slot already [max_len] positions deep. *)
 
 val batch_logits : batch -> slot:int -> float array
 (** Logits row for [slot] from the last {!batch_step} that fed it;
@@ -116,7 +104,7 @@ val generate_batch :
   (int array * float array) array
 (** Continuous batched greedy decode of [srcs] (admission in input
     order as slots free up). Result [i] is bit-identical to
-    [generate t ~src:srcs.(i)]. *)
+    [generate_uncached t ~src:srcs.(i)]. *)
 
 val batcher : t -> slots:int -> batcher
 (** Thread-safe coalescing front-end over one {!batch} engine, for use

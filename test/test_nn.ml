@@ -270,12 +270,14 @@ let test_gru_overfits () =
   let m = Vega.Codebe.train ~arch:Vega.Codebe.Rnn cfg pairs in
   Alcotest.(check (float 1e-9)) "rnn exact match" 1.0 (Vega.Codebe.exact_match m pairs)
 
-(* KV cache: stepping the cache must reproduce the last row of a full
-   re-decode bit-for-bit, for every prefix length up to max_len. *)
+(* KV cache: stepping a one-slot engine must reproduce the last row of
+   a full re-decode bit-for-bit, for every prefix length up to max_len;
+   one step more must fault. *)
 let test_kv_cache_bitident () =
+  let module NN = Vega_nn.Transformer in
   let cfg =
     {
-      Vega_nn.Transformer.d_model = 16;
+      NN.d_model = 16;
       heads = 4;
       d_ff = 32;
       n_layers = 2;
@@ -283,19 +285,21 @@ let test_kv_cache_bitident () =
       vocab_size = 30;
     }
   in
-  let m = Vega_nn.Transformer.create ~seed:42 cfg in
+  let m = NN.create ~seed:42 cfg in
   let src = Array.init 10 (fun i -> ((i * 5) + 1) mod cfg.vocab_size) in
-  let memory = Vega_nn.Transformer.encode m src in
-  let c = Vega_nn.Transformer.new_cache m ~memory in
+  let memory = NN.encode m src in
+  let b = NN.new_batch m ~slots:1 in
+  let slot = NN.batch_join b ~src in
   let prefix = ref [] in
   for k = 0 to cfg.max_len - 1 do
     let id =
       if k = 0 then Vega_nn.Vocab.e2d else ((k * 7) + 3) mod cfg.vocab_size
     in
     prefix := id :: !prefix;
-    let row = Vega_nn.Transformer.decode_step c id in
+    NN.batch_step b [| (slot, id) |];
+    let row = NN.batch_logits b ~slot in
     let dec_in = Array.of_list (List.rev !prefix) in
-    let logits = Vega_nn.Transformer.decode_logits m ~memory dec_in in
+    let logits = NN.decode_logits m ~memory dec_in in
     let last = logits.T.rows - 1 in
     Array.iteri
       (fun j v ->
@@ -304,33 +308,9 @@ let test_kv_cache_bitident () =
           Alcotest.failf "step %d col %d: cached %h <> full %h" k j v full)
       row
   done;
-  Alcotest.(check int) "cache length" cfg.max_len
-    (Vega_nn.Transformer.cache_len c)
-
-let test_generate_cached_equals_uncached () =
-  let cfg =
-    {
-      Vega_nn.Transformer.d_model = 16;
-      heads = 2;
-      d_ff = 32;
-      n_layers = 2;
-      max_len = 32;
-      vocab_size = 26;
-    }
-  in
-  let m = Vega_nn.Transformer.create ~seed:5 cfg in
-  let src = Array.init 8 (fun i -> ((i * 3) + 2) mod cfg.vocab_size) in
-  let ids_c, probs_c = Vega_nn.Transformer.generate m ~src ~max_out:30 () in
-  let ids_u, probs_u =
-    Vega_nn.Transformer.generate_uncached m ~src ~max_out:30 ()
-  in
-  Alcotest.(check (array int)) "same ids" ids_u ids_c;
-  Alcotest.(check int) "same count" (Array.length probs_u) (Array.length probs_c);
-  Array.iteri
-    (fun i p ->
-      if Int64.bits_of_float p <> Int64.bits_of_float probs_u.(i) then
-        Alcotest.failf "prob %d: cached %h <> uncached %h" i p probs_u.(i))
-    probs_c
+  match NN.batch_step b [| (slot, 3) |] with
+  | () -> Alcotest.fail "step past max_len accepted"
+  | exception Vega_robust.Fault.Fault (Vega_robust.Fault.Tensor_fault _) -> ()
 
 (* Shared small model for the batched-decode tests. *)
 let batch_cfg =
@@ -344,6 +324,31 @@ let batch_cfg =
   }
 
 let batch_model = lazy (Vega_nn.Transformer.create ~seed:5 batch_cfg)
+
+(* [generate] runs the batch engine with one slot; for several sources
+   and output budgets (up to and past max_len) it must be bit-identical
+   to the uncached reference decode. *)
+let test_generate_cached_equals_uncached () =
+  let m = Lazy.force batch_model in
+  List.iter
+    (fun (len, max_out) ->
+      let src =
+        Array.init len (fun i -> ((i * 3) + len) mod batch_cfg.vocab_size)
+      in
+      let ids_u, probs_u =
+        Vega_nn.Transformer.generate_uncached m ~src ~max_out ()
+      in
+      let ids_c, probs_c = Vega_nn.Transformer.generate m ~src ~max_out () in
+      Alcotest.(check (array int)) "same ids" ids_u ids_c;
+      Alcotest.(check int) "same count" (Array.length probs_u)
+        (Array.length probs_c);
+      Array.iteri
+        (fun i p ->
+          if Int64.bits_of_float p <> Int64.bits_of_float probs_u.(i) then
+            Alcotest.failf "src %d prob %d: cached %h <> uncached %h" len i p
+              probs_u.(i))
+        probs_c)
+    [ (1, 5); (8, 30); (12, 40) ]
 
 (* batch=1 through the batch engine must be bit-identical to the
    uncached reference decode. *)
@@ -367,11 +372,10 @@ let test_generate_batch1_bitident () =
 
 (* Property: for every batch composition (request count, slot count —
    including fewer slots than requests, which forces join/leave churn),
-   continuous batched decode matches per-request sequential decode
-   within the documented float32 tolerance (DESIGN.md: <= 1e-6 per
-   token probability; ids exactly). *)
+   continuous batched decode matches the per-request reference decode
+   bit for bit: ids and every token probability. *)
 let batch_composition_prop =
-  QCheck.Test.make ~name:"batched decode = sequential decode" ~count:15
+  QCheck.Test.make ~name:"batched decode = sequential decode" ~count:60
     QCheck.(
       triple (int_range 1 6) (int_range 1 4) (int_range 0 999))
     (fun (n, slots, seed) ->
@@ -384,7 +388,9 @@ let batch_composition_prop =
       in
       let max_out = 6 + (seed mod 20) in
       let expected =
-        Array.map (fun src -> Vega_nn.Transformer.generate m ~src ~max_out ()) srcs
+        Array.map
+          (fun src -> Vega_nn.Transformer.generate_uncached m ~src ~max_out ())
+          srcs
       in
       let got = Vega_nn.Transformer.generate_batch m ~slots ~srcs ~max_out () in
       Array.for_all2
@@ -392,12 +398,12 @@ let batch_composition_prop =
           eids = gids
           && Array.length eprobs = Array.length gprobs
           && Array.for_all2
-               (fun (e : float) g -> Float.abs (e -. g) <= 1e-6)
+               (fun e g -> Int64.bits_of_float e = Int64.bits_of_float g)
                eprobs gprobs)
         expected got)
 
 (* Concurrent callers through one batcher coalesce into shared steps
-   and must each still get the sequential path's exact result. *)
+   and must each still get the reference decode's exact result. *)
 let test_batcher_concurrent () =
   let m = Lazy.force batch_model in
   let srcs =
@@ -407,7 +413,9 @@ let test_batcher_concurrent () =
           (fun j -> ((i * 7) + (j * 3) + 2) mod batch_cfg.vocab_size))
   in
   let expected =
-    Array.map (fun src -> Vega_nn.Transformer.generate m ~src ~max_out:24 ()) srcs
+    Array.map
+      (fun src -> Vega_nn.Transformer.generate_uncached m ~src ~max_out:24 ())
+      srcs
   in
   let bt = Vega_nn.Transformer.batcher m ~slots:3 in
   Alcotest.(check int) "batcher slots" 3 (Vega_nn.Transformer.batcher_slots bt);
@@ -426,10 +434,77 @@ let test_batcher_concurrent () =
       Array.iteri
         (fun k p ->
           if Int64.bits_of_float p <> Int64.bits_of_float eprobs.(k) then
-            Alcotest.failf "req %d prob %d: batched %h <> sequential %h" i k p
+            Alcotest.failf "req %d prob %d: batched %h <> reference %h" i k p
               eprobs.(k))
         gprobs)
     got
+
+(* A bad source from one batcher caller faults that caller only: a
+   second caller looping on a valid source keeps getting the reference
+   result, and the batcher stays usable afterwards. Every wait is
+   bounded, so a wedged batcher fails the test instead of hanging it. *)
+let test_batcher_bad_source () =
+  let module NN = Vega_nn.Transformer in
+  let m = Lazy.force batch_model in
+  let bt = NN.batcher m ~slots:2 in
+  let good = Array.init 6 (fun j -> ((j * 5) + 1) mod batch_cfg.vocab_size) in
+  let expected = NN.generate_uncached m ~src:good ~max_out:24 () in
+  let bits (ids, probs) = (ids, Array.map Int64.bits_of_float probs) in
+  let decode () =
+    match NN.generate m ~src:good ~max_out:24 ~batch:bt () with
+    | got when bits got = bits expected -> None
+    | _ -> Some "output differs from generate_uncached"
+    | exception e -> Some (Printexc.to_string e)
+  in
+  let within_10s ready =
+    let deadline = Unix.gettimeofday () +. 10.0 in
+    while (not (ready ())) && Unix.gettimeofday () < deadline do
+      Unix.sleepf 0.005
+    done;
+    ready ()
+  in
+  let stop = Atomic.make false and a_runs = Atomic.make 0 in
+  let a_error = Atomic.make None in
+  let a =
+    Domain.spawn (fun () ->
+        while not (Atomic.get stop) do
+          (match decode () with
+          | Some e -> ignore (Atomic.compare_and_set a_error None (Some e))
+          | None -> ());
+          Atomic.incr a_runs
+        done)
+  in
+  if not (within_10s (fun () -> Atomic.get a_runs > 0)) then
+    Alcotest.fail "valid caller never completed a decode";
+  (* several submissions, so at least one is queued while the valid
+     caller is driving the engine *)
+  let b_result = Atomic.make None in
+  let b =
+    Domain.spawn (fun () ->
+        let outcome () =
+          match NN.generate m ~src:[| 1; 2; 999 |] ~max_out:24 ~batch:bt () with
+          | _ -> "returned"
+          | exception Vega_robust.Fault.Fault (Vega_robust.Fault.Tensor_fault _)
+            ->
+              "tensor fault"
+          | exception e -> Printexc.to_string e
+        in
+        Atomic.set b_result (Some (List.init 5 (fun _ -> outcome ()))))
+  in
+  if not (within_10s (fun () -> Atomic.get b_result <> None)) then
+    Alcotest.fail "bad-source caller did not return within 10 s";
+  let runs = Atomic.get a_runs in
+  if not (within_10s (fun () -> Atomic.get a_runs > runs)) then
+    Alcotest.fail "valid caller stalled after the bad source";
+  Atomic.set stop true;
+  Domain.join a;
+  Domain.join b;
+  Alcotest.(check (option string)) "valid caller unaffected" None
+    (Atomic.get a_error);
+  Alcotest.(check (list string)) "bad caller gets its own fault"
+    (List.init 5 (fun _ -> "tensor fault"))
+    (Option.get (Atomic.get b_result));
+  Alcotest.(check (option string)) "batcher usable afterwards" None (decode ())
 
 (* Concurrent with_tape calls in separate domains must not interleave:
    each domain's losses and accumulated gradients must match the
@@ -489,5 +564,7 @@ let suite =
     QCheck_alcotest.to_alcotest batch_composition_prop;
     Alcotest.test_case "batcher coalesces concurrent decodes" `Quick
       test_batcher_concurrent;
+    Alcotest.test_case "batcher bad source faults only its caller" `Quick
+      test_batcher_bad_source;
     Alcotest.test_case "tape domain-safe" `Quick test_tape_domain_safety;
   ]
