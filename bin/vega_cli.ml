@@ -3021,19 +3021,8 @@ let serve_cmd =
              over $(docv) request slots (requires $(b,--model); per-request \
              outputs are unchanged). 0 or 1 disables.")
   in
-  let evloop_flag =
-    Arg.(
-      value & flag
-      & info [ "evloop" ]
-          ~doc:
-            "Serve on the single-threaded poll event loop instead of the \
-             thread-per-connection front end: framed streaming replies, \
-             cancel frames, bounded per-connection buffers, slow-loris and \
-             slow-reader shedding, deterministic tick-clock deadlines. \
-             $(b,--queue-cap) bounds the admitted-but-waiting streams.")
-  in
   let run socket target model domains queue_cap deadline_ms run_dir resume
-      kill_at batch_slots evloop =
+      kill_at batch_slots =
     let t, decoder = mk_pipeline ~model in
     let decoder =
       if model && batch_slots > 1 then
@@ -3056,7 +3045,7 @@ let serve_cmd =
     | Error e ->
         Printf.eprintf "vega-serve: %s\n" e;
         exit 1
-    | Ok server when evloop -> (
+    | Ok server -> (
         let cfg =
           {
             S.Evloop.default_config with
@@ -3066,8 +3055,13 @@ let serve_cmd =
         in
         let h = S.Evloop.start ~cfg server ~path:socket in
         Printf.printf
-          "vega-serve: target %s on %s (event loop, %d slot(s), wait cap %d%s)\n%!"
+          "vega-serve: target %s on %s (%d slot(s), wait cap %d%s%s%s)\n%!"
           target socket cfg.S.Evloop.ev_slots cfg.S.Evloop.ev_wait_cap
+          (if model && batch_slots > 1 then
+             Printf.sprintf ", batch slots %d" batch_slots
+           else "")
+          (if deadline_ms > 0 then Printf.sprintf ", deadline %dms" deadline_ms
+           else "")
           (match run_dir with
           | Some d ->
               Printf.sprintf ", journal %s%s" d
@@ -3086,47 +3080,21 @@ let serve_cmd =
                restart with --resume\n"
               n;
             exit 2)
-    | Ok server -> (
-        let l = S.Sock.start server ~path:socket in
-        Printf.printf
-          "vega-serve: target %s on %s (%d domain(s), queue cap %d%s%s%s)\n%!"
-          target socket config.S.Server.domains config.S.Server.queue_cap
-          (if model && batch_slots > 1 then
-             Printf.sprintf ", batch slots %d" batch_slots
-           else "")
-          (if deadline_ms > 0 then Printf.sprintf ", deadline %dms" deadline_ms
-           else "")
-          (match run_dir with
-          | Some d ->
-              Printf.sprintf ", journal %s%s" d
-                (if resume then
-                   Printf.sprintf " (resumed %d function(s))"
-                     (S.Server.resumed_functions server)
-                 else "")
-          | None -> "");
-        match S.Sock.wait l with
-        | () ->
-            Printf.printf "vega-serve: drained — %s\n"
-              (S.Health.summary (S.Server.health server))
-        | exception Vega_robust.Journal.Killed n ->
-            Printf.eprintf
-              "vega-serve: simulated crash after %d journal record(s); \
-               restart with --resume\n"
-              n;
-            exit 2)
   in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
-         "Run the resilient serving daemon: bounded admission with explicit \
-          load-shedding, per-request deadlines, per-client retry budgets, \
-          health snapshots, graceful checkpointing drain; with \
-          $(b,--evloop), a single-threaded poll event loop with framed \
-          streaming and cancellation")
+         "Run the resilient serving daemon on a poll event loop: bounded \
+          admission with explicit load-shedding, per-request deadlines, \
+          per-client retry budgets, framed streaming with cancellation, \
+          health snapshots, graceful checkpointing drain that lets \
+          in-flight requests finish. $(b,--domains) sets the concurrent \
+          decode slots, stepped in parallel on one domain each, and \
+          $(b,--queue-cap) bounds the requests waiting for one")
     Term.(
       const run $ socket_arg $ target_arg $ model_flag $ domains_arg
       $ queue_cap_arg $ deadline_arg $ run_dir_arg $ resume_flag $ kill_at_arg
-      $ batch_slots_arg $ evloop_flag)
+      $ batch_slots_arg)
 
 let request_cmd =
   let fname_arg =
@@ -3170,7 +3138,7 @@ let request_cmd =
           ~doc:
             "Stream the reply: one frame per statement as it decodes \
              (rung, confidence, tokens), terminated by the final verdict \
-             frame. Requires a daemon started with $(b,--evloop).")
+             frame. A router relays the owning shard's frames live.")
   in
   let cancel_after_arg =
     Arg.(
@@ -3428,7 +3396,7 @@ let route_cmd =
           (match run_dir with
           | Some d -> Printf.sprintf ", journals %s/shard-*" d
           | None -> "");
-        match Sh.Rsock.wait l with
+        match S.Evloop.wait l with
         | () ->
             let c = Sh.Router.counters router in
             Printf.printf
@@ -3449,7 +3417,10 @@ let route_cmd =
          "Run the sharded serving tier: a consistent-hash router over N \
           worker shards with per-shard circuit breakers, deterministic \
           reroute-or-shed degrade, and an optional content-addressed \
-          result cache; speaks the same socket protocol as $(b,serve)")
+          result cache; speaks the same socket protocol as $(b,serve), on \
+          the same event loop (default slots and wait cap; $(b,--domains) \
+          and $(b,--queue-cap) size each shard), relaying streams live \
+          from the owning shard")
     Term.(
       const run $ socket_arg $ target_arg $ model_flag $ domains_arg
       $ shards_arg $ policy_arg $ cache_dir_arg $ run_dir_arg $ queue_cap_arg)

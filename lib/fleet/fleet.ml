@@ -377,13 +377,6 @@ let request t req =
   tick t;
   Router.route t.router req
 
-(* Streaming front door: one probe/respawn tick, then the router relays
-   frames from the owning shard; cancellation propagates through
-   [cancelled] exactly as on the socket path. *)
-let stream t req ~emit ~cancelled =
-  tick t;
-  Router.route_stream t.router req ~emit ~cancelled
-
 let health t =
   tick t;
   Router.health t.router
@@ -406,11 +399,7 @@ let request_line t line =
       (* one line in, one line out: the harness's line API cannot carry
          a frame stream, so answer with the terminal frame only (the
          shape a cache hit streams anyway) *)
-      Proto.encode_frame
-        (Proto.Ffinal
-           (stream t req
-              ~emit:(fun _ -> Proto.Wrote)
-              ~cancelled:(fun () -> false)))
+      Proto.encode_frame (Proto.Ffinal (request t req))
   | Proto.Decoded Proto.Ccancel ->
       Proto.encode_reply
         (Proto.Rejected (Proto.Bad_request "cancel outside a stream"))

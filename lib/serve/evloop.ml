@@ -1,7 +1,9 @@
-(* Streaming event loop: a single-threaded, tick-driven engine that
-   interleaves many connections' decodes one statement boundary at a
-   time, plus a thin select() front-end that feeds real sockets into
-   the same engine.
+(* Streaming event loop: a tick-driven engine that decides on one
+   thread and interleaves many connections' decodes one statement
+   boundary at a time, plus a thin select() front-end that feeds real
+   sockets into the same engine. It is the only socket server: a
+   [Server] daemon ({!start}) and a router (vega.shard's [Rsock]) are
+   both a {!Service.t} behind this loop.
 
    The split is deliberate (sans-IO): everything that *decides* —
    admission, slot scheduling, idle and slow-loris deadlines,
@@ -13,15 +15,22 @@
    translates readiness into the same calls.
 
    Scheduling: at most [ev_slots] streams decode concurrently
-   (interleaved round-robin in accept order, [ev_steps_per_tick]
-   statement boundaries each per tick); admitted streams beyond that
-   wait in FIFO accept order up to [ev_wait_cap], past which the
-   request is shed with a typed [Queue_full] — the same shape the
-   worker-queue path produces, so clients cannot tell which engine
-   rejected them.
+   ([ev_steps_per_tick] statement boundaries each per tick, applied in
+   accept order); admitted streams beyond that wait in FIFO accept
+   order up to [ev_wait_cap], past which the request is shed with a
+   typed [Queue_full] — the same shape the worker-queue path produces,
+   so clients cannot tell which engine rejected them. A waiting request
+   whose deadline passes is expired by the service when its slot comes,
+   as the worker queue does. A scripted engine steps its active streams
+   one after another; a socket daemon steps them in parallel, one
+   domain per slot, which is where a daemon's decode parallelism lives.
+
+   Drain: the gate closes at once (new requests are rejected as
+   [Draining]); the service drains and the drain reply goes out once
+   every admitted stream, active or waiting, has settled.
 
    Cancellation: a [cancel] frame, an input EOF (half-close) or a peer
-   reset all funnel into {!Server.stream_cancel}; the decode observes
+   reset all funnel into the stream's [st_cancel]; the decode observes
    the token at its next statement boundary, settles as [Cancelled],
    and the slot frees the same tick. A stream cancelled before it ever
    got a slot is aborted without journalling a byte.
@@ -64,7 +73,7 @@ type mode = Mplain | Mframed
 type cstate = {
   cs_conn : Conn.t;
   mutable cs_mode : mode;
-  mutable cs_stream : Server.stream option;
+  mutable cs_stream : Service.stream option;
   mutable cs_index : int;  (* statement frames produced so far *)
   mutable cs_active : bool;  (* holds a decode slot *)
   mutable cs_shed : bool;  (* slow-reader shed: typed final already sent *)
@@ -85,13 +94,22 @@ type stats = {
 
 type t = {
   e_cfg : config;
-  e_server : Server.t;
+  e_service : Service.t;
+  e_steps :
+    (unit -> Server.stream_event list) list -> Server.stream_event list list;
+      (* runs one tick's stream steps: in order for a scripted engine,
+         in parallel for a socket daemon (see [advance]) *)
   mutable e_tick : int;
   mutable e_conns : cstate list;  (* accept order — scheduling order *)
   mutable e_next_id : int;
   mutable e_active : int;  (* slots in use *)
-  e_log : Buffer.t;  (* decision/event log: the determinism witness *)
-  mutable e_stopping : bool;
+  e_log : Buffer.t option;
+      (* decision/event log, the determinism witness of scripted
+         engines; a socket daemon keeps none, since nothing reads it
+         and it would grow for as long as the daemon lives *)
+  mutable e_stopping : bool;  (* drain requested: the gate is closed *)
+  mutable e_drained : bool;  (* the service itself has drained *)
+  mutable e_drain_waiters : cstate list;  (* awaiting the drain reply *)
   mutable e_reap : int list;  (* closed ids the front-end must collect *)
   mutable e_conns_accepted : int;
   mutable e_streams : int;
@@ -102,16 +120,19 @@ type t = {
   mutable e_dropped : int;
 }
 
-let create ?(cfg = default_config) server =
+let make ~cfg ~log ~steps service =
   {
     e_cfg = cfg;
-    e_server = server;
+    e_service = service;
+    e_steps = steps;
     e_tick = 0;
     e_conns = [];
     e_next_id = 0;
     e_active = 0;
-    e_log = Buffer.create 1024;
+    e_log = log;
     e_stopping = false;
+    e_drained = false;
+    e_drain_waiters = [];
     e_reap = [];
     e_conns_accepted = 0;
     e_streams = 0;
@@ -122,9 +143,14 @@ let create ?(cfg = default_config) server =
     e_dropped = 0;
   }
 
-let tick_count t = t.e_tick
-let stopping t = t.e_stopping
-let log t = Buffer.contents t.e_log
+(* A scripted engine over a server, logging every decision. *)
+let create ?(cfg = default_config) server =
+  make ~cfg
+    ~log:(Some (Buffer.create 1024))
+    ~steps:(List.map (fun run -> run ()))
+    (Service.of_server server)
+
+let log t = match t.e_log with Some b -> Buffer.contents b | None -> ""
 
 let stats t =
   {
@@ -144,8 +170,11 @@ let stats t =
 let logf t cs fmt =
   Printf.ksprintf
     (fun s ->
-      Buffer.add_string t.e_log
-        (Printf.sprintf "t%d c%d %s\n" t.e_tick (Conn.id cs.cs_conn) s))
+      Option.iter
+        (fun b ->
+          Buffer.add_string b
+            (Printf.sprintf "t%d c%d %s\n" t.e_tick (Conn.id cs.cs_conn) s))
+        t.e_log)
     fmt
 
 let reply_label = function
@@ -164,14 +193,18 @@ let waiting_count t =
 
 (* ---- replies ---- *)
 
-(* Queue the terminal answer in the connection's negotiated framing and
-   start draining. *)
-let respond_final t cs reply =
-  (match cs.cs_mode with
-  | Mplain -> Conn.push cs.cs_conn (Proto.encode_reply reply)
-  | Mframed -> Conn.push cs.cs_conn (Proto.encode_frame (Proto.Ffinal reply)));
+(* Queue the connection's last line and start draining. *)
+let answer t cs line =
+  Conn.push cs.cs_conn line;
   Conn.set_phase cs.cs_conn Conn.Draining;
   Conn.mark_draining_at cs.cs_conn t.e_tick
+
+(* The terminal answer, in the connection's negotiated framing. *)
+let respond_final t cs reply =
+  answer t cs
+    (match cs.cs_mode with
+    | Mplain -> Proto.encode_reply reply
+    | Mframed -> Proto.encode_frame (Proto.Ffinal reply))
 
 let close_conn t cs tag =
   if Conn.phase cs.cs_conn <> Conn.Closed then begin
@@ -222,14 +255,13 @@ let cancel_stream t cs ~why =
         if not cs.cs_cancel_sent then begin
           cs.cs_cancel_sent <- true;
           logf t cs "cancel %s" why;
-          Server.stream_cancel t.e_server s
+          s.Service.st_cancel ()
         end
       end
       else begin
         (* waiting: settle as cancelled without ever decoding *)
         logf t cs "cancel-waiting %s" why;
-        Server.stream_abort t.e_server s ~cancelled:true
-          (Proto.Cancelled { at_stmt = 0 });
+        s.Service.st_abort ~cancelled:true (Proto.Cancelled { at_stmt = 0 });
         release_slot t cs;
         t.e_cancelled <- t.e_cancelled + 1;
         respond_final t cs (Proto.Rejected (Proto.Cancelled { at_stmt = 0 }))
@@ -285,7 +317,10 @@ let admit t cs (req : Proto.request) =
   logf t cs "%s %s"
     (match cs.cs_mode with Mplain -> "req" | Mframed -> "stream")
     req.Proto.rq_fname;
-  match Server.stream_start t.e_server req with
+  match
+    if t.e_stopping then Error Proto.Draining
+    else t.e_service.sv_start ~plain:(cs.cs_mode = Mplain) req
+  with
   | Error r ->
       logf t cs "reject %s" (Proto.reject_label r);
       respond_final t cs (Proto.Rejected r)
@@ -298,7 +333,7 @@ let admit t cs (req : Proto.request) =
         if depth >= t.e_cfg.ev_wait_cap then begin
           (* same typed shape the worker queue produces *)
           let r = Proto.Queue_full { depth; cap = t.e_cfg.ev_wait_cap } in
-          Server.stream_abort t.e_server s r;
+          s.Service.st_abort ~cancelled:false r;
           (* aborted before starting: never held a slot, never ran *)
           cs.cs_stream <- None;
           t.e_streams <- t.e_streams - 1;
@@ -310,6 +345,25 @@ let admit t cs (req : Proto.request) =
           logf t cs "wait"
         end
       end
+
+(* Drain lets in-flight work finish: the gate closes at once (new
+   requests are rejected as [Draining]), but the service drains — final
+   checkpoint, journal closed — and the drain reply goes out only once
+   no connection holds a stream, active or waiting. *)
+let finish_drain t =
+  if
+    t.e_stopping && (not t.e_drained)
+    && not (List.exists (fun cs -> cs.cs_stream <> None) t.e_conns)
+  then begin
+    t.e_drained <- true;
+    t.e_service.sv_drain ();
+    List.iter
+      (fun cs ->
+        if Conn.phase cs.cs_conn <> Conn.Closed then
+          answer t cs (Health.encode (t.e_service.sv_health ())))
+      (List.rev t.e_drain_waiters);
+    t.e_drain_waiters <- []
+  end
 
 let handle_command t cs line =
   match Proto.decode_command line with
@@ -334,27 +388,25 @@ let handle_command t cs line =
         (Proto.Rejected (Proto.Bad_request "cancel outside a stream"))
   | Proto.Decoded Proto.Chealth ->
       logf t cs "health";
-      Conn.push cs.cs_conn (Health.encode (Server.health t.e_server));
-      Conn.set_phase cs.cs_conn Conn.Draining;
-      Conn.mark_draining_at cs.cs_conn t.e_tick
+      answer t cs (Health.encode (t.e_service.sv_health ()))
   | Proto.Decoded Proto.Cping ->
       logf t cs "ping";
-      Conn.push cs.cs_conn (Wire.encode_line [ "pong" ]);
-      Conn.set_phase cs.cs_conn Conn.Draining;
-      Conn.mark_draining_at cs.cs_conn t.e_tick
-  | Proto.Decoded Proto.Cshards ->
+      answer t cs (Wire.encode_line [ "pong" ])
+  | Proto.Decoded Proto.Cshards -> (
       logf t cs "shards";
-      respond_final t cs
-        (Proto.Rejected (Proto.Bad_request "not a router: no shard table"))
+      match t.e_service.sv_shards with
+      | Some table -> answer t cs (table ())
+      | None ->
+          respond_final t cs
+            (Proto.Rejected (Proto.Bad_request "not a router: no shard table")))
   | Proto.Decoded Proto.Cdrain ->
       logf t cs "drain";
       t.e_stopping <- true;
-      (* stops the gate: in-flight streams finish, new requests are
-         rejected as Draining *)
-      Server.drain t.e_server;
-      Conn.push cs.cs_conn (Health.encode (Server.health t.e_server));
-      Conn.set_phase cs.cs_conn Conn.Draining;
-      Conn.mark_draining_at cs.cs_conn t.e_tick
+      (* admitted, waiting for the in-flight streams like a stream
+         waits for its slot *)
+      Conn.set_phase cs.cs_conn Conn.Admitted;
+      t.e_drain_waiters <- cs :: t.e_drain_waiters;
+      finish_drain t
 
 let handle_line t cs line =
   match Conn.phase cs.cs_conn with
@@ -500,58 +552,77 @@ let promote t =
       then activate t cs)
     t.e_conns
 
-(* One statement boundary for one active stream. *)
-let step_stream t cs =
-  match cs.cs_stream with
-  | None -> ()
-  | Some s -> (
-      match Server.stream_step t.e_server s with
-      | Server.Sstmt st ->
-          if
-            cs.cs_mode = Mframed && (not cs.cs_shed)
-            && not (Conn.peer_gone cs.cs_conn)
-          then
-            Conn.push cs.cs_conn
-              (Proto.encode_frame (Server.stmt_frame ~index:cs.cs_index st));
-          logf t cs "f%d" cs.cs_index;
-          cs.cs_index <- cs.cs_index + 1
-      | Server.Sdone reply ->
-          release_slot t cs;
-          logf t cs "done %s" (reply_label reply);
-          if cs.cs_shed || Conn.peer_gone cs.cs_conn then begin
-            Conn.set_phase cs.cs_conn Conn.Draining;
-            Conn.mark_draining_at cs.cs_conn t.e_tick
-          end
-          else respond_final t cs reply
-      | Server.Scancelled { at_stmt } ->
-          release_slot t cs;
-          t.e_cancelled <- t.e_cancelled + 1;
-          logf t cs "cancelled@%d" at_stmt;
-          if cs.cs_shed || Conn.peer_gone cs.cs_conn then begin
-            Conn.set_phase cs.cs_conn Conn.Draining;
-            Conn.mark_draining_at cs.cs_conn t.e_tick
-          end
-          else
-            respond_final t cs
-              (Proto.Rejected (Proto.Cancelled { at_stmt })))
+(* Up to [ev_steps_per_tick] statement boundaries of one stream; its
+   final ends the run early. *)
+let run_steps t (s : Service.stream) () =
+  let rec go n =
+    if n = 0 then []
+    else
+      match s.st_step () with
+      | Server.Sstmt _ as ev -> ev :: go (n - 1)
+      | final -> [ final ]
+  in
+  go t.e_cfg.ev_steps_per_tick
 
+(* The stream settled: free its slot and send its final, unless a shed
+   or a vanished peer has already settled the connection. *)
+let settled t cs reply =
+  release_slot t cs;
+  if cs.cs_shed || Conn.peer_gone cs.cs_conn then begin
+    Conn.set_phase cs.cs_conn Conn.Draining;
+    Conn.mark_draining_at cs.cs_conn t.e_tick
+  end
+  else respond_final t cs reply
+
+(* Ship one step's event on its connection. *)
+let apply_event t cs = function
+  | Server.Sstmt st ->
+      if
+        cs.cs_mode = Mframed && (not cs.cs_shed)
+        && not (Conn.peer_gone cs.cs_conn)
+      then
+        Conn.push cs.cs_conn
+          (Proto.encode_frame (Server.stmt_frame ~index:cs.cs_index st));
+      logf t cs "f%d" cs.cs_index;
+      cs.cs_index <- cs.cs_index + 1
+  | Server.Sdone reply ->
+      logf t cs "done %s" (reply_label reply);
+      settled t cs reply
+  | Server.Scancelled { at_stmt } ->
+      t.e_cancelled <- t.e_cancelled + 1;
+      logf t cs "cancelled@%d" at_stmt;
+      settled t cs (Proto.Rejected (Proto.Cancelled { at_stmt }))
+
+(* Active streams never touch one another within a tick, so [e_steps]
+   may run their steps in parallel; the events are applied afterwards
+   in accept order, and the log reads as if each stream had stepped in
+   turn. *)
 let advance t =
-  List.iter
-    (fun cs ->
-      if cs.cs_active then begin
-        (* peer state observed at the statement boundary, exactly where
-           the decode checks its token *)
-        if
-          (Conn.peer_gone cs.cs_conn || not (Conn.input_open cs.cs_conn))
-          && not cs.cs_cancel_sent
-        then cancel_stream t cs ~why:"gone";
-        let steps = ref t.e_cfg.ev_steps_per_tick in
-        while !steps > 0 && cs.cs_active do
-          step_stream t cs;
-          decr steps
-        done
-      end)
-    t.e_conns
+  let active =
+    List.filter_map
+      (fun cs ->
+        match cs.cs_stream with
+        | Some s when cs.cs_active ->
+            (* peer state observed at the statement boundary, exactly
+               where the decode checks its token *)
+            let gone =
+              (Conn.peer_gone cs.cs_conn || not (Conn.input_open cs.cs_conn))
+              && not cs.cs_cancel_sent
+            in
+            if gone then begin
+              cs.cs_cancel_sent <- true;
+              s.Service.st_cancel ()
+            end;
+            Some (cs, s, gone)
+        | _ -> None)
+      t.e_conns
+  in
+  let events = t.e_steps (List.map (fun (_, s, _) -> run_steps t s) active) in
+  List.iter2
+    (fun (cs, _, gone) evs ->
+      if gone then logf t cs "cancel gone";
+      List.iter (apply_event t cs) evs)
+    active events
 
 let close_out t =
   List.iter
@@ -567,11 +638,12 @@ let tick t =
   List.iter (fun cs -> check_deadlines t cs) t.e_conns;
   promote t;
   advance t;
+  finish_drain t;
   close_out t
 
 (* Engine is quiescent: nothing left to schedule. *)
 let idle t = t.e_conns = [] && t.e_reap = []
-let stopped t = t.e_stopping && idle t
+let stopped t = t.e_drained && idle t
 
 (* ---- select() front-end ----
 
@@ -585,11 +657,18 @@ type daemon = {
   d_path : string;
   d_lfd : Unix.file_descr;
   d_tick_s : float;
+  d_buf : Bytes.t;
+      (* one read buffer per daemon, not per read (4 KiB goes straight
+         to the major heap) and not per module (daemons run in several
+         domains at once) *)
   mutable d_fds : (int * Unix.file_descr) list;  (* conn id -> fd *)
   d_stop : bool Atomic.t;  (* external stop request *)
+  d_gang : Vega_util.Par.Gang.t;
+      (* steps the tick's streams, one domain per slot: where a daemon's
+         decode parallelism lives *)
 }
 
-let daemon_create ?cfg ?(tick_s = 0.002) server ~path =
+let daemon_create ?(cfg = default_config) ?(tick_s = 0.002) service ~path =
   (* a peer resetting mid-write must surface as EPIPE, not kill the
      process (same disposition Sock installs) *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
@@ -599,13 +678,19 @@ let daemon_create ?cfg ?(tick_s = 0.002) server ~path =
   Unix.bind lfd (Unix.ADDR_UNIX path);
   Unix.listen lfd 128;
   Unix.set_nonblock lfd;
+  let gang = Vega_util.Par.Gang.create ~domains:cfg.ev_slots in
   {
-    d_engine = create ?cfg server;
+    d_engine =
+      make ~cfg ~log:None
+        ~steps:(Vega_util.Par.Gang.map gang (fun run -> run ()))
+        service;
     d_path = path;
     d_lfd = lfd;
     d_tick_s = tick_s;
+    d_buf = Bytes.create 4096;
     d_fds = [];
     d_stop = Atomic.make false;
+    d_gang = gang;
   }
 
 let daemon_accept d =
@@ -629,10 +714,9 @@ let daemon_accept d =
   done
 
 let daemon_read d (id, fd) =
-  let buf = Bytes.create 4096 in
-  match Unix.read fd buf 0 4096 with
+  match Unix.read fd d.d_buf 0 (Bytes.length d.d_buf) with
   | 0 -> close_input d.d_engine id
-  | n -> feed d.d_engine id (Bytes.sub_string buf 0 n)
+  | n -> feed d.d_engine id (Bytes.sub_string d.d_buf 0 n)
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
   | exception
       Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE | Unix.EBADF), _, _) ->
@@ -678,6 +762,7 @@ let daemon_cleanup d =
     d.d_fds;
   d.d_fds <- [];
   (try Unix.close d.d_lfd with Unix.Unix_error _ -> ());
+  Vega_util.Par.Gang.stop d.d_gang;
   if Sys.file_exists d.d_path then
     try Sys.remove d.d_path with Sys_error _ -> ()
 
@@ -687,10 +772,8 @@ let daemon_run d =
   let finally () = daemon_cleanup d in
   (try
      while not (stopped e) do
-       if Atomic.get d.d_stop && not e.e_stopping then begin
-         e.e_stopping <- true;
-         Server.drain e.e_server
-       end;
+       (* same as a client's drain, minus the reply *)
+       if Atomic.get d.d_stop then e.e_stopping <- true;
        let rds =
          (if e.e_stopping then [] else [ d.d_lfd ])
          @ List.filter_map
@@ -737,8 +820,8 @@ type handle = {
   mutable h_exn : exn option;
 }
 
-let start ?cfg ?tick_s server ~path =
-  let d = daemon_create ?cfg ?tick_s server ~path in
+let start_service ?cfg ?tick_s service ~path =
+  let d = daemon_create ?cfg ?tick_s service ~path in
   let h =
     { h_daemon = d; h_dom = None; h_lock = Mutex.create (); h_exn = None }
   in
@@ -749,7 +832,9 @@ let start ?cfg ?tick_s server ~path =
            with ex -> Mutex.protect h.h_lock (fun () -> h.h_exn <- Some ex)));
   h
 
-let path h = h.h_daemon.d_path
+let start ?cfg ?tick_s server ~path =
+  start_service ?cfg ?tick_s (Service.of_server server) ~path
+
 let engine h = h.h_daemon.d_engine
 
 let wait h =
@@ -759,6 +844,7 @@ let wait h =
   | Some ex -> raise ex
   | None -> ()
 
+(* Drain the service and wait for the loop to finish. *)
 let stop h =
   Atomic.set h.h_daemon.d_stop true;
   wait h

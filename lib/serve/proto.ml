@@ -25,13 +25,6 @@ let version_of_field s =
    protocol version — that is not malformed, it is a skewed peer. *)
 type 'a decoded = Decoded of 'a | Version_skew of { got : int } | Malformed
 
-(* Outcome of writing one frame/line to a peer. Defined here (the
-   bottom of the serve dependency stack) so both the transport [Sock]
-   and the in-process streaming driver in [Server] speak it: a peer
-   that vanished mid-frame is a typed condition, never an escaping
-   [Unix_error]. *)
-type write_outcome = Wrote | Peer_gone
-
 type request = {
   rq_client : string;  (* rate-limit identity *)
   rq_target : string;

@@ -5,9 +5,11 @@
    thread, in a fixed order — readiness, target/function validity,
    per-client token bucket, bounded queue — so under a deterministic
    submission order the accept/reject sequence is deterministic too
-   (`faultcheck serve-overload` replays it). Work is executed by a
-   persistent Par.Pool of domains, each owning a forked supervisor
-   (per-worker jitter stream, per-request deadline budget). In durable
+   (`faultcheck serve-overload` replays it). Queued work is executed by
+   a persistent Par.Pool of domains, spawned with the first queued
+   request, each owning a forked supervisor (per-worker jitter stream,
+   per-request deadline budget); streams are stepped by their caller
+   (the event loop) instead. In durable
    mode every request's statements are write-ahead-journaled exactly as
    in Pipeline.generate_backend_durable, so a kill mid-request resumes
    to bit-identical output.
@@ -113,8 +115,6 @@ let await ticket =
       done;
       Option.get ticket.tk_reply)
 
-let poll ticket = Mutex.protect ticket.tk_lock (fun () -> ticket.tk_reply)
-
 let degraded_count (gf : Generate.gen_func) =
   List.length
     (List.filter
@@ -152,17 +152,22 @@ let record_completed t fname (gf : Generate.gen_func) =
             }
       | _ -> ())
 
+(* A request whose deadline passed while it waited — for a worker or
+   for an event-loop slot — is rejected there and never started: the
+   caller has already given up on it. *)
+let expired t ~enqueued ~deadline =
+  match deadline with
+  | Some d when t.now () >= d ->
+      Some
+        (Proto.Expired
+           { waited_ms = int_of_float ((t.now () -. enqueued) *. 1000.0) })
+  | _ -> None
+
 let exec t sup (job : job) =
   let req = job.jb_req in
-  match job.jb_deadline with
-  | Some d when t.now () >= d ->
-      (* expired while queued: reject at dequeue, never start work the
-         caller has already given up on *)
-      let waited_ms =
-        int_of_float ((t.now () -. job.jb_enqueued) *. 1000.0)
-      in
-      Proto.Rejected (Proto.Expired { waited_ms })
-  | _ -> (
+  match expired t ~enqueued:job.jb_enqueued ~deadline:job.jb_deadline with
+  | Some r -> Proto.Rejected r
+  | None -> (
       let cached =
         Mutex.protect t.st_lock (fun () ->
             Hashtbl.find_opt t.done_tbl req.rq_fname)
@@ -344,7 +349,6 @@ let create ?(config = default_config) ?fallback ?report ?sup_config ?now
             { de_completed = c; de_restored = true };
           t.done_order <- c :: t.done_order)
         restored;
-      t.pool <- Some (Vega_util.Par.Pool.spawn ~domains (worker t));
       t.state <- Health.Ready;
       Ok t
 
@@ -390,6 +394,16 @@ let request_budget_s t (req : Proto.request) =
         Some (float_of_int t.cfg.deadline_ms /. 1000.0)
       else None
 
+(* The worker pool starts with the first queued request, so a server
+   driven only through streams (an event-loop daemon) never spawns
+   domains it would not use. Spawned under [st_lock] while Ready: a
+   drain, which leaves Ready under the same lock, always sees it. *)
+let ensure_pool t =
+  Mutex.protect t.st_lock (fun () ->
+      if Option.is_none t.pool && t.state = Health.Ready then
+        t.pool <-
+          Some (Vega_util.Par.Pool.spawn ~domains:t.cfg.domains (worker t)))
+
 let submit t (req : Proto.request) =
   let reject r =
     Mutex.protect t.st_lock (fun () -> t.rejected <- t.rejected + 1);
@@ -398,6 +412,7 @@ let submit t (req : Proto.request) =
   match gate t req with
   | Error r -> reject r
   | Ok () -> begin
+    ensure_pool t;
     let enq = t.now () in
     let budget_s = request_budget_s t req in
     let job =
@@ -451,6 +466,8 @@ type stream_kind =
 
 type stream = {
   sr_req : Proto.request;
+  sr_enqueued : float;
+  sr_deadline : float option;  (* absolute; expiry while waiting *)
   sr_sup : Sup.t;
   sr_token : Sup.cancel_token;
   mutable sr_kind : stream_kind;
@@ -489,14 +506,24 @@ let stream_start t (req : Proto.request) =
             (Sup.fork ~index:(t.cfg.domains + seq) t.base_sup, seq))
       in
       ignore seq;
-      Sup.set_budget sup (request_budget_s t req);
+      let budget_s = request_budget_s t req in
+      Sup.set_budget sup budget_s;
       let token = Sup.new_cancel () in
       Sup.set_cancel sup (Some token);
+      let enq = t.now () in
       (* the decode itself begins lazily at the first [stream_step]:
          an admitted stream may wait for a slot, and a stream aborted
          while waiting must leave no journal trace *)
-      Ok { sr_req = req; sr_sup = sup; sr_token = token;
-           sr_kind = Sunstarted; sr_result = None }
+      Ok
+        {
+          sr_req = req;
+          sr_enqueued = enq;
+          sr_deadline = Option.map (fun b -> enq +. b) budget_s;
+          sr_sup = sup;
+          sr_token = token;
+          sr_kind = Sunstarted;
+          sr_result = None;
+        }
 
 (* Decide replay-vs-generate and journal [Func_begin] — at slot
    assignment, not admission, so the done-table is consulted as late as
@@ -550,96 +577,78 @@ let stream_cancel t s =
 let stream_abort t s ?(cancelled = false) reject =
   settle t s ~cancelled (Proto.Rejected reject)
 
-let stream_result s = s.sr_result
+(* One step of an unsettled stream. Whatever it raises, [stream_step]
+   settles: journal appends included, nothing but a simulated crash
+   escapes to the caller. *)
+let rec step_unsettled t s =
+  match s.sr_kind with
+  | Sunstarted -> (
+      (* first step = slot assignment: expire a stream that waited past
+         its deadline, else materialise the decode (or the replay) and
+         take the step proper *)
+      match expired t ~enqueued:s.sr_enqueued ~deadline:s.sr_deadline with
+      | Some r ->
+          let reply = Proto.Rejected r in
+          settle t s reply;
+          Sdone reply
+      | None ->
+          stream_begin t s;
+          step_unsettled t s)
+  | Sreplay { de_completed; de_restored } ->
+      let bundle =
+        Option.get
+          (Pipeline.bundle_for t.pipeline.Pipeline.prep s.sr_req.rq_fname)
+      in
+      let gf = Pipeline.func_of_completed bundle t.target de_completed in
+      let reply = done_reply t gf ~restored:de_restored in
+      settle t s reply;
+      Sdone reply
+  | Sgenerate sp -> (
+      match Generate.step sp with
+      | Generate.Step_stmt st -> Sstmt st
+      | Generate.Step_done gf ->
+          Option.iter
+            (fun w ->
+              J.append w
+                (J.Func_end
+                   {
+                     fname = s.sr_req.rq_fname;
+                     confidence = gf.Generate.gf_confidence;
+                     n_stmts = List.length gf.Generate.gf_stmts;
+                   }))
+            t.journal;
+          record_completed t s.sr_req.rq_fname gf;
+          let reply = done_reply t gf ~restored:false in
+          settle t s reply;
+          Sdone reply)
 
-let rec stream_step t s =
+let stream_step t s =
   match s.sr_result with
   | Some reply -> Sdone reply  (* settled: idempotent *)
   | None -> (
-      match s.sr_kind with
-      | Sunstarted ->
-          (* first step = slot assignment: materialise the decode (or
-             the replay) and take the step proper *)
-          stream_begin t s;
-          stream_step t s
-      | Sreplay { de_completed; de_restored } ->
-          let bundle =
-            Option.get
-              (Pipeline.bundle_for t.pipeline.Pipeline.prep s.sr_req.rq_fname)
-          in
-          let gf = Pipeline.func_of_completed bundle t.target de_completed in
-          let reply = done_reply t gf ~restored:de_restored in
+      match step_unsettled t s with
+      | ev -> ev
+      | exception
+          Vega_robust.Fault.Fault
+            (Vega_robust.Fault.Cancelled { at_stmt; _ } as f) ->
+          (* typed, degrades cleanly: the fault is recorded (and
+             journaled via the report subscription), the partial
+             statement prefix stays in the journal with no seal, so a
+             resume regenerates exactly this function *)
+          Report.record t.report ~stage:"stream" f;
+          settle t s ~cancelled:true
+            (Proto.Rejected (Proto.Cancelled { at_stmt }));
+          Scancelled { at_stmt }
+      | exception J.Killed n ->
+          (* simulated hard crash: same protocol as the worker path *)
+          Mutex.protect t.st_lock (fun () ->
+              if t.killed = None then t.killed <- Some n);
+          Admission.close t.q;
+          raise (J.Killed n)
+      | exception e ->
+          let reply = Proto.Failed (Printexc.to_string e) in
           settle t s reply;
-          Sdone reply
-      | Sgenerate sp -> (
-          match Generate.step sp with
-          | Generate.Step_stmt st -> Sstmt st
-          | Generate.Step_done gf ->
-              Option.iter
-                (fun w ->
-                  J.append w
-                    (J.Func_end
-                       {
-                         fname = s.sr_req.rq_fname;
-                         confidence = gf.Generate.gf_confidence;
-                         n_stmts = List.length gf.Generate.gf_stmts;
-                       }))
-                t.journal;
-              record_completed t s.sr_req.rq_fname gf;
-              let reply = done_reply t gf ~restored:false in
-              settle t s reply;
-              Sdone reply
-          | exception
-              Vega_robust.Fault.Fault
-                (Vega_robust.Fault.Cancelled { at_stmt; _ } as f) ->
-              (* typed, degrades cleanly: the fault is recorded (and
-                 journaled via the report subscription), the partial
-                 statement prefix stays in the journal with no seal, so
-                 a resume regenerates exactly this function *)
-              Report.record t.report ~stage:"stream" f;
-              settle t s ~cancelled:true
-                (Proto.Rejected (Proto.Cancelled { at_stmt }));
-              Scancelled { at_stmt }
-          | exception J.Killed n ->
-              (* simulated hard crash: same protocol as the worker path *)
-              Mutex.protect t.st_lock (fun () ->
-                  if t.killed = None then t.killed <- Some n);
-              Admission.close t.q;
-              raise (J.Killed n)
-          | exception e ->
-              let reply = Proto.Failed (Printexc.to_string e) in
-              settle t s reply;
-              Sdone reply))
-
-(* Blocking driver for callers without an event loop (the router's
-   in-process endpoint, tests): push frames through [emit], poll
-   [cancelled] between statements. [emit] returning [Sock.Peer_gone]
-   counts as a cancel — the peer cannot hear the rest anyway. *)
-let stream_run t req ~emit ~cancelled =
-  match stream_start t req with
-  | Error r ->
-      let reply = Proto.Rejected r in
-      ignore (emit (Proto.Ffinal reply) : Proto.write_outcome);
-      reply
-  | Ok s ->
-      let rec go index =
-        if cancelled () then stream_cancel t s;
-        match stream_step t s with
-        | Sstmt st -> (
-            match emit (stmt_frame ~index st) with
-            | Proto.Wrote -> go (index + 1)
-            | Proto.Peer_gone ->
-                stream_cancel t s;
-                go (index + 1))
-        | Sdone reply ->
-            ignore (emit (Proto.Ffinal reply) : Proto.write_outcome);
-            reply
-        | Scancelled { at_stmt } ->
-            let reply = Proto.Rejected (Proto.Cancelled { at_stmt }) in
-            ignore (emit (Proto.Ffinal reply) : Proto.write_outcome);
-            reply
-      in
-      go 0
+          Sdone reply)
 
 (* ---- health ---- *)
 

@@ -1,36 +1,12 @@
-(* Newline-delimited transport over a Unix domain socket.
-
-   One connection, one command, one reply line: a `req` submits a
-   request (admission decided synchronously in the accept loop, so the
-   wire observes the same deterministic accept/reject order as the
-   in-process API), `health` returns the snapshot, `ping` liveness, and
-   `drain` gracefully drains the server and shuts the listener down.
-
-   Accepted requests hand their ticket to a small awaiter domain which
-   writes the reply when a worker delivers it — so the accept loop never
-   blocks on generation, and concurrent clients really do race the
-   admission queue. Awaiter count is bounded by construction: accepted
-   tickets in flight never exceed queue capacity + worker count.
+(* Client side of the newline-delimited protocol over a Unix domain
+   socket: one connection per command (`req`, `stream`, `health`,
+   `ping`, `drain`, `shards`), with deadline-guarded connect and reads.
+   The server side is {!Evloop}.
 
    Incoming lines are read through a bounded accumulator; a line longer
-   than the limit is answered with a typed Oversize rejection instead of
-   being allocated. *)
+   than the limit reports its size instead of being allocated. *)
 
 module Wire = Vega_robust.Wire
-module J = Vega_robust.Journal
-
-type listener = {
-  l_server : Server.t;
-  l_path : string;
-  l_fd : Unix.file_descr;
-  l_lock : Mutex.t;
-  mutable l_stopping : bool;
-  mutable l_awaiters : unit Domain.t list;
-  mutable l_accept : unit Domain.t option;
-  mutable l_exn : exn option;  (* crash observed during drain *)
-  l_done : Condition.t;
-  mutable l_finished : bool;
-}
 
 let max_line_bytes = Wire.max_record_bytes
 
@@ -43,12 +19,9 @@ let () =
 
 (* ---- framed IO ---- *)
 
-(* Outcome of a blocking whole-line write (re-exported from [Proto]).
-   A peer that vanished mid-frame is a typed condition, not an escaping
-   [Unix_error]: a streaming writer pushes many frames per connection
-   and must know the peer is gone to stop decoding for it, where the
-   old one-reply-per-connection path could just shrug. *)
-type write_outcome = Proto.write_outcome = Wrote | Peer_gone
+(* Outcome of a blocking whole-line write: a peer that vanished
+   mid-line is a typed condition, not an escaping [Unix_error]. *)
+type write_outcome = Wrote | Peer_gone
 
 (* Write the whole line, completing partial writes in a loop and
    retrying on EINTR — [Unix.single_write] maps to one write(2), which
@@ -166,170 +139,6 @@ let connect_deadline fd addr ~deadline =
       in
       attempt ())
 
-(* ---- server side ---- *)
-
-let add_awaiter l d =
-  Mutex.protect l.l_lock (fun () -> l.l_awaiters <- d :: l.l_awaiters)
-
-let handle_conn l fd =
-  match read_bounded_line fd with
-  | `Eof -> Unix.close fd
-  | `Oversize bytes ->
-      write_line fd
-        (Proto.encode_reply
-           (Proto.Rejected (Proto.Oversize { bytes; limit = max_line_bytes })));
-      Unix.close fd
-  | `Line line -> (
-      match Proto.decode_command line with
-      | Proto.Malformed ->
-          write_line fd
-            (Proto.encode_reply
-               (Proto.Rejected
-                  (Proto.Bad_request "unparseable command line")));
-          Unix.close fd
-      | Proto.Version_skew { got } ->
-          (* well-formed line, wrong protocol version: typed rejection,
-             not a parse fault *)
-          write_line fd
-            (Proto.encode_reply
-               (Proto.Rejected
-                  (Proto.Version_mismatch { got; want = Proto.version })));
-          Unix.close fd
-      | Proto.Decoded (Proto.Creq req) -> (
-          match Server.submit l.l_server req with
-          | Error r ->
-              write_line fd (Proto.encode_reply (Proto.Rejected r));
-              Unix.close fd
-          | Ok ticket ->
-              (* reply later, off the accept path *)
-              add_awaiter l
-                (Domain.spawn (fun () ->
-                     let reply = Server.await ticket in
-                     write_line fd (Proto.encode_reply reply);
-                     Unix.close fd)))
-      | Proto.Decoded (Proto.Cstream req) -> (
-          (* the legacy blocking listener answers a stream request with
-             a degenerate but wire-valid stream: the terminal [Ffinal]
-             only (the same shape a router cache hit produces). Live
-             per-statement frames need the event-loop listener. *)
-          match Server.submit l.l_server req with
-          | Error r ->
-              write_line fd
-                (Proto.encode_frame (Proto.Ffinal (Proto.Rejected r)));
-              Unix.close fd
-          | Ok ticket ->
-              add_awaiter l
-                (Domain.spawn (fun () ->
-                     let reply = Server.await ticket in
-                     write_line fd (Proto.encode_frame (Proto.Ffinal reply));
-                     Unix.close fd)))
-      | Proto.Decoded Proto.Ccancel ->
-          (* cancel is only meaningful inside an open stream *)
-          write_line fd
-            (Proto.encode_reply
-               (Proto.Rejected (Proto.Bad_request "cancel outside a stream")));
-          Unix.close fd
-      | Proto.Decoded Proto.Chealth ->
-          write_line fd (Health.encode (Server.health l.l_server));
-          Unix.close fd
-      | Proto.Decoded Proto.Cping ->
-          write_line fd (Wire.encode_line [ "pong" ]);
-          Unix.close fd
-      | Proto.Decoded Proto.Cshards ->
-          (* a single-process server has no shard table; routers answer
-             this in Rsock *)
-          write_line fd
-            (Proto.encode_reply
-               (Proto.Rejected
-                  (Proto.Bad_request "not a router: no shard table")));
-          Unix.close fd
-      | Proto.Decoded Proto.Cdrain ->
-          (match Server.drain l.l_server with
-          | () -> ()
-          | exception e -> Mutex.protect l.l_lock (fun () -> l.l_exn <- Some e));
-          write_line fd (Health.encode (Server.health l.l_server));
-          Unix.close fd;
-          Mutex.protect l.l_lock (fun () -> l.l_stopping <- true))
-
-let accept_loop l =
-  let rec go () =
-    let stop = Mutex.protect l.l_lock (fun () -> l.l_stopping) in
-    if not stop then begin
-      match Unix.accept l.l_fd with
-      | fd, _ ->
-          (* one command per connection; malformed peers cannot take the
-             listener down *)
-          (try handle_conn l fd
-           with e ->
-             (try Unix.close fd with Unix.Unix_error _ -> ());
-             Mutex.protect l.l_lock (fun () ->
-                 if l.l_exn = None then l.l_exn <- Some e));
-          go ()
-      | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL), _, _) ->
-          (* listen socket closed under us: shutdown *)
-          ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-    end
-  in
-  go ();
-  Mutex.protect l.l_lock (fun () ->
-      l.l_finished <- true;
-      Condition.broadcast l.l_done)
-
-let start server ~path =
-  if Sys.file_exists path then Sys.remove path;
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind fd (Unix.ADDR_UNIX path);
-  Unix.listen fd 64;
-  let l =
-    {
-      l_server = server;
-      l_path = path;
-      l_fd = fd;
-      l_lock = Mutex.create ();
-      l_stopping = false;
-      l_awaiters = [];
-      l_accept = None;
-      l_exn = None;
-      l_done = Condition.create ();
-      l_finished = false;
-    }
-  in
-  l.l_accept <- Some (Domain.spawn (fun () -> accept_loop l));
-  l
-
-let path l = l.l_path
-
-(* Block until the accept loop exits — i.e. a `drain` command was served
-   or {!stop} was called — then join everything and re-raise a stored
-   crash (the simulated-kill path surfaces here). *)
-let wait l =
-  Mutex.protect l.l_lock (fun () ->
-      while not l.l_finished do
-        Condition.wait l.l_done l.l_lock
-      done);
-  Option.iter Domain.join l.l_accept;
-  l.l_accept <- None;
-  let awaiters =
-    Mutex.protect l.l_lock (fun () ->
-        let a = l.l_awaiters in
-        l.l_awaiters <- [];
-        a)
-  in
-  List.iter Domain.join awaiters;
-  (try Unix.close l.l_fd with Unix.Unix_error _ -> ());
-  if Sys.file_exists l.l_path then (try Sys.remove l.l_path with Sys_error _ -> ());
-  match Mutex.protect l.l_lock (fun () -> l.l_exn) with
-  | Some e -> raise e
-  | None -> ()
-
-let stop l =
-  Mutex.protect l.l_lock (fun () -> l.l_stopping <- true);
-  (* wake the blocking accept *)
-  (try Unix.shutdown l.l_fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-  (try Unix.close l.l_fd with Unix.Unix_error _ -> ());
-  wait l
-
 (* ---- client side ---- *)
 
 (* [timeout_s] covers the whole exchange — connect and every read — as
@@ -418,50 +227,6 @@ let stream ?timeout_s ?cancel_after ?on_frame ~socket req =
       match go () with
       | r -> r
       | exception Timeout what -> Error ("timed out: " ^ what))
-
-(* Stream-forwarding client (the router's shard leg): open a stream on
-   [socket], relay each statement frame through [emit], and return the
-   shard's final verdict without emitting it — the caller owns the
-   terminal frame. [cancelled] is polled between frames; once true, a
-   cancel frame is forwarded to the shard (at most once) and relaying
-   continues until the shard's final, so the shard always settles. A
-   relay whose own peer vanishes ([emit] returns [Peer_gone]) forwards
-   the cancel for the same reason. Cancel latency is bounded by one
-   frame: the check runs between blocking frame reads. *)
-let stream_proxy ?timeout_s ~socket req ~emit ~cancelled =
-  with_conn ?timeout_s ~socket (fun fd deadline ->
-      write_line fd (Proto.encode_command (Proto.Cstream req));
-      let sent_cancel = ref false in
-      let forward_cancel () =
-        if not !sent_cancel then begin
-          sent_cancel := true;
-          write_line fd (Proto.encode_command Proto.Ccancel)
-        end
-      in
-      let rec go ~relay =
-        if (not !sent_cancel) && cancelled () then forward_cancel ();
-        match read_bounded_line ?deadline fd with
-        | `Eof -> Proto.Failed "stream closed before the final frame"
-        | `Oversize _ -> Proto.Failed "oversize frame from shard"
-        | `Line line -> (
-            match Proto.decode_frame line with
-            | Proto.Malformed -> Proto.Failed "unparseable frame from shard"
-            | Proto.Version_skew { got } ->
-                Proto.Rejected
-                  (Proto.Version_mismatch { got; want = Proto.version })
-            | Proto.Decoded (Proto.Ffinal reply) -> reply
-            | Proto.Decoded (Proto.Fstmt _ as frame) ->
-                if relay then (
-                  match emit frame with
-                  | Proto.Wrote -> go ~relay
-                  | Proto.Peer_gone ->
-                      forward_cancel ();
-                      go ~relay:false)
-                else go ~relay)
-      in
-      match go ~relay:true with
-      | r -> r
-      | exception Timeout what -> Proto.Failed ("timed out: " ^ what))
 
 (* Raw per-shard status line from a router's listener (a plain server
    answers with a typed rejection instead). Decoding lives in

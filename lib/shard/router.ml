@@ -58,7 +58,7 @@ module Rng = Vega_util.Rng
 module Proto = Vega_serve.Proto
 module Health = Vega_serve.Health
 module Server = Vega_serve.Server
-module Sock = Vega_serve.Sock
+module Service = Vega_serve.Service
 
 type policy = Reroute | Shed
 
@@ -97,28 +97,23 @@ let default_config =
     hedge_after = 4;
   }
 
-(* A shard as the router sees it: name + three closures. In-process
-   shards wrap {!Server}, remote shards wrap the {!Sock} client. *)
+(* A shard as the router sees it: a name and closures over a {!Server}
+   (or a test stub). *)
 type endpoint = {
   ep_name : string;
   ep_request : Proto.request -> Proto.reply;
-  ep_stream :
-    Proto.request ->
-    emit:(Proto.frame -> Proto.write_outcome) ->
-    cancelled:(unit -> bool) ->
-    Proto.reply;
-      (* relay statement frames through [emit] as the shard decodes
-         (never the terminal frame — the router owns the [Ffinal]),
-         polling [cancelled] between frames and forwarding the abort to
-         the owning shard; returns the shard's final verdict *)
+  ep_stream : Proto.request -> (Service.stream, Proto.reject_reason) result;
+      (* open a stream on the shard: admission answers at once, then
+         the router steps it one statement boundary at a time *)
   ep_health : unit -> Health.snapshot option;
   ep_drain : unit -> Health.snapshot option;
 }
 
 (* Degenerate streaming for endpoints that only speak whole replies
-   (test stubs, wrapped endpoints): no statement frames, just the final
-   verdict — the same shape a cache hit produces. *)
-let buffered_stream ep_request = fun req ~emit:_ ~cancelled:_ -> ep_request req
+   (test stubs): no statement frames, just the final verdict — the same
+   shape a cache hit produces. *)
+let buffered_stream ep_request req =
+  Ok (Service.once (fun () -> ep_request req))
 
 type shard = {
   mutable sh_ep : endpoint;  (* swapped on respawn by the fleet *)
@@ -162,28 +157,12 @@ let of_server ~name srv =
   {
     ep_name = name;
     ep_request = (fun req -> Server.request srv req);
-    ep_stream =
-      (fun req ~emit ~cancelled -> Server.stream_run srv req ~emit ~cancelled);
+    ep_stream = (Service.of_server srv).Service.sv_start ~plain:false;
     ep_health = (fun () -> Some (Server.health srv));
     ep_drain =
       (fun () ->
         Server.drain srv;
         Some (Server.health srv));
-  }
-
-(* [timeout_s] caps every exchange with the shard (connect + read), so
-   a wedged peer surfaces as a failed contact — and, on health probes,
-   as a probe loss the fleet can classify — instead of hanging the
-   router or the probe loop. *)
-let of_socket ?timeout_s ~name ~socket () =
-  {
-    ep_name = name;
-    ep_request = (fun req -> Sock.request ?timeout_s ~socket req);
-    ep_stream =
-      (fun req ~emit ~cancelled ->
-        Sock.stream_proxy ?timeout_s ~socket req ~emit ~cancelled);
-    ep_health = (fun () -> try Sock.health ?timeout_s ~socket () with _ -> None);
-    ep_drain = (fun () -> try Sock.drain ?timeout_s ~socket () with _ -> None);
   }
 
 let create ?(config = default_config) ?cache ?report ?sleep ~fingerprint
@@ -413,27 +392,35 @@ let maybe_probe t sh =
 
 (* ---- routing ---- *)
 
+(* One contact with a shard; raising means the shard is gone. *)
+let contact f =
+  match f () with
+  | v -> Ok v
+  | exception Fault.Fault fault -> Error (Fault.to_string fault)
+  | exception Unix.Unix_error (e, fn, _) ->
+      Error (Printf.sprintf "%s: %s" fn (Unix.error_message e))
+
+(* A shard's reply as the ladder sees it: a failed or draining shard is
+   a failed contact, anything else is the shard speaking. A typed
+   admission rejection on a half-open probe closes the breaker exactly
+   like a clean [Done]: overload is not death. *)
+let verdict ~what = function
+  | Proto.Failed m -> Error (Printf.sprintf "shard failed %s: %s" what m)
+  | Proto.Rejected Proto.Draining -> Error "shard draining"
+  | (Proto.Done _ | Proto.Rejected _) as reply -> Ok reply
+
 (* One shard, up to 1 + retries attempts. A half-open breaker gets a
    single probe attempt — retrying a probe would defeat the point. *)
 let try_shard t sh req =
-  if not (breaker_admits t sh) then None
-  else if not (maybe_probe t sh) then None
+  if not (breaker_admits t sh && maybe_probe t sh) then None
   else
     let single = Mutex.protect t.lock (fun () -> sh.sh_breaker = Sup.Half_open) in
     let rec attempt n =
-      let outcome =
-        match sh.sh_ep.ep_request req with
-        | Proto.Failed m -> Error ("shard failed request: " ^ m)
-        | Proto.Rejected Proto.Draining -> Error "shard draining"
-        (* a typed admission rejection is the shard alive and speaking:
-           on a half-open probe it closes the breaker exactly like a
-           clean [Done] — overload is not death *)
-        | (Proto.Done _ | Proto.Rejected _) as reply -> Ok reply
-        | exception Fault.Fault f -> Error (Fault.to_string f)
-        | exception Unix.Unix_error (e, fn, _) ->
-            Error (Printf.sprintf "%s: %s" fn (Unix.error_message e))
-      in
-      match outcome with
+      match
+        Result.bind
+          (contact (fun () -> sh.sh_ep.ep_request req))
+          (verdict ~what:"request")
+      with
       | Ok reply ->
           note_success t sh;
           Some reply
@@ -464,19 +451,23 @@ let request_key t ~fname =
 let log_decision t c =
   Mutex.protect t.lock (fun () -> Buffer.add_char t.dlog c)
 
-(* Decision order, first match wins: cache 'C' → quarantined owner
-   ('Q' under Shed, live-ring reroute under Reroute) → hedge 'H' →
-   owner 'A' → successor reroute 'R' → shed 'D'. *)
-let route t (req : Proto.request) =
+(* The head both ladders share — one routing decision: cache 'C', then
+   a quarantined owner under Shed 'Q'. Otherwise the owner and the
+   candidates to walk, plus whether the owner has been stalled past the
+   hedge budget. *)
+type decision =
+  | Answer of Proto.reply
+  | Walk of { owner : string; candidates : string list; hedging : bool }
+
+let decide t ~fname =
   Mutex.protect t.lock (fun () -> t.routed <- t.routed + 1);
-  let fname = req.Proto.rq_fname in
   match
     match t.cache with None -> None | Some c -> Cache.get c ~fname
   with
   | Some reply ->
       Mutex.protect t.lock (fun () -> t.cache_hits <- t.cache_hits + 1);
       log_decision t 'C';
-      reply
+      Answer reply
   | None -> (
       let key = request_key t ~fname in
       (* Ownership, candidates and the hedge decision are read under
@@ -507,163 +498,187 @@ let route t (req : Proto.request) =
               t.qrejects <- t.qrejects + 1;
               (find t owner).sh_shed <- (find t owner).sh_shed + 1);
           log_decision t 'Q';
-          Proto.Rejected (Proto.Shard_quarantined { shard = owner; crashes })
-      | _ ->
-          let candidates =
-            match t.cfg.policy with
-            | Reroute -> candidates
-            | Shed -> [ owner ]
-          in
-          (* Hedge: the owner leg has been stalled past the budget, so
-             the duplicate to the ring successor is driven first and
-             wins on any clean reply; the stalled owner leg runs only
-             if the hedge leg fails (the race, resolved on the decision
-             clock). Reordering the walk is the cancellation: the
-             loser is simply never driven to completion. *)
-          let candidates, hedge_target =
-            if not hedging then (candidates, None)
-            else
-              match candidates with
-              | first :: second :: rest when first = owner ->
-                  Mutex.protect t.lock (fun () ->
-                      t.hedges <- t.hedges + 1;
-                      (find t owner).sh_hedged <- (find t owner).sh_hedged + 1);
-                  (second :: first :: rest, Some second)
-              | _ -> (candidates, None)
-          in
-          let rec walk = function
-            | [] ->
-                Mutex.protect t.lock (fun () ->
-                    t.sheds <- t.sheds + 1;
-                    (find t owner).sh_shed <- (find t owner).sh_shed + 1);
-                log_decision t 'D';
-                Proto.Rejected (Proto.Shard_down { shard = owner })
-            | name :: rest -> (
-                let sh = find t name in
-                match try_shard t sh req with
-                | Some reply ->
-                    Mutex.protect t.lock (fun () ->
-                        sh.sh_routed <- sh.sh_routed + 1;
-                        if name <> owner then begin
-                          t.reroutes <- t.reroutes + 1;
-                          let ow = find t owner in
-                          ow.sh_rerouted <- ow.sh_rerouted + 1
-                        end);
-                    log_decision t
-                      (if hedge_target = Some name then 'H'
-                       else if name = owner then 'A'
-                       else 'R');
-                    (match t.cache with
-                    | Some c -> ignore (Cache.put c ~fname reply)
-                    | None -> ());
-                    reply
-                | None -> walk rest)
-          in
-          walk candidates)
-
-(* Streaming variant of [route]. Same decision ladder minus hedging and
-   minus mid-stream retry: once a statement frame has reached the
-   client, replaying the decode on another shard would duplicate
-   frames. A candidate that fails *before* relaying anything is skipped
-   with the usual breaker bookkeeping; a failure *after* the first
-   relayed frame ends the stream with a typed [Shard_down] final. A
-   cache hit streams no statement frames — the final verdict only. The
-   router owns the terminal frame in every path. *)
-let route_stream t (req : Proto.request) ~emit ~cancelled =
-  let finalize reply =
-    ignore (emit (Proto.Ffinal reply) : Proto.write_outcome);
-    reply
-  in
-  Mutex.protect t.lock (fun () -> t.routed <- t.routed + 1);
-  let fname = req.Proto.rq_fname in
-  match
-    match t.cache with None -> None | Some c -> Cache.get c ~fname
-  with
-  | Some reply ->
-      Mutex.protect t.lock (fun () -> t.cache_hits <- t.cache_hits + 1);
-      log_decision t 'C';
-      finalize reply
-  | None -> (
-      let key = request_key t ~fname in
-      let owner, owner_quarantine, candidates =
-        Mutex.protect t.lock (fun () ->
-            let owner = Ring.lookup t.full_ring key in
-            let osh = find t owner in
-            (owner, osh.sh_quarantined, Ring.successors t.ring key))
-      in
-      match (owner_quarantine, t.cfg.policy) with
-      | Some crashes, Shed ->
-          Mutex.protect t.lock (fun () ->
-              t.qrejects <- t.qrejects + 1;
-              (find t owner).sh_shed <- (find t owner).sh_shed + 1);
-          log_decision t 'Q';
-          finalize
+          Answer
             (Proto.Rejected
                (Proto.Shard_quarantined { shard = owner; crashes }))
       | _ ->
           let candidates =
             match t.cfg.policy with Reroute -> candidates | Shed -> [ owner ]
           in
-          let rec walk = function
-            | [] ->
-                Mutex.protect t.lock (fun () ->
-                    t.sheds <- t.sheds + 1;
-                    (find t owner).sh_shed <- (find t owner).sh_shed + 1);
-                log_decision t 'D';
-                finalize (Proto.Rejected (Proto.Shard_down { shard = owner }))
-            | name :: rest ->
-                let sh = find t name in
-                if not (breaker_admits t sh) then walk rest
-                else if not (maybe_probe t sh) then walk rest
-                else begin
-                  let emitted = ref false in
-                  let emit' frame =
-                    match frame with
-                    | Proto.Ffinal _ -> Proto.Wrote  (* router owns the final *)
-                    | Proto.Fstmt _ ->
-                        emitted := true;
-                        emit frame
-                  in
-                  let outcome =
-                    match sh.sh_ep.ep_stream req ~emit:emit' ~cancelled with
-                    | Proto.Failed m -> Error ("shard failed stream: " ^ m)
-                    | Proto.Rejected Proto.Draining -> Error "shard draining"
-                    | (Proto.Done _ | Proto.Rejected _) as reply -> Ok reply
-                    | exception Fault.Fault f -> Error (Fault.to_string f)
-                    | exception Unix.Unix_error (e, fn, _) ->
-                        Error (Printf.sprintf "%s: %s" fn (Unix.error_message e))
-                  in
-                  match outcome with
-                  | Ok reply ->
-                      note_success t sh;
-                      Mutex.protect t.lock (fun () ->
-                          sh.sh_routed <- sh.sh_routed + 1;
-                          if name <> owner then begin
-                            t.reroutes <- t.reroutes + 1;
-                            let ow = find t owner in
-                            ow.sh_rerouted <- ow.sh_rerouted + 1
-                          end);
-                      log_decision t (if name = owner then 'A' else 'R');
-                      (match t.cache with
-                      | Some c -> ignore (Cache.put c ~fname reply)
-                      | None -> ());
-                      finalize reply
-                  | Error detail ->
-                      note_failure t sh ~detail;
-                      if !emitted then begin
-                        (* frames already reached the client: no retry *)
-                        Mutex.protect t.lock (fun () ->
-                            t.sheds <- t.sheds + 1;
-                            (find t owner).sh_shed <-
-                              (find t owner).sh_shed + 1);
-                        log_decision t 'D';
-                        finalize
-                          (Proto.Rejected (Proto.Shard_down { shard = owner }))
-                      end
-                      else walk rest
-                end
-          in
-          walk candidates)
+          Walk { owner; candidates; hedging })
+
+(* No candidate answered: 'D'. *)
+let shed t ~owner =
+  Mutex.protect t.lock (fun () ->
+      t.sheds <- t.sheds + 1;
+      (find t owner).sh_shed <- (find t owner).sh_shed + 1);
+  log_decision t 'D';
+  Proto.Rejected (Proto.Shard_down { shard = owner })
+
+(* Shard [name] answered: count it, log [letter], keep a clean reply. *)
+let answered t ~fname ~owner name letter reply =
+  Mutex.protect t.lock (fun () ->
+      let sh = find t name in
+      sh.sh_routed <- sh.sh_routed + 1;
+      if name <> owner then begin
+        t.reroutes <- t.reroutes + 1;
+        let ow = find t owner in
+        ow.sh_rerouted <- ow.sh_rerouted + 1
+      end);
+  log_decision t letter;
+  match t.cache with Some c -> ignore (Cache.put c ~fname reply) | None -> ()
+
+(* Decision order, first match wins: cache 'C' → quarantined owner
+   ('Q' under Shed, live-ring reroute under Reroute) → hedge 'H' →
+   owner 'A' → successor reroute 'R' → shed 'D'. *)
+let route t (req : Proto.request) =
+  let fname = req.Proto.rq_fname in
+  match decide t ~fname with
+  | Answer reply -> reply
+  | Walk { owner; candidates; hedging } ->
+      (* Hedge: the owner leg has been stalled past the budget, so the
+         duplicate to the ring successor is driven first and wins on
+         any clean reply; the stalled owner leg runs only if the hedge
+         leg fails (the race, resolved on the decision clock).
+         Reordering the walk is the cancellation: the loser is simply
+         never driven to completion. *)
+      let candidates, hedge_target =
+        if not hedging then (candidates, None)
+        else
+          match candidates with
+          | first :: second :: rest when first = owner ->
+              Mutex.protect t.lock (fun () ->
+                  t.hedges <- t.hedges + 1;
+                  (find t owner).sh_hedged <- (find t owner).sh_hedged + 1);
+              (second :: first :: rest, Some second)
+          | _ -> (candidates, None)
+      in
+      let rec walk = function
+        | [] -> shed t ~owner
+        | name :: rest -> (
+            match try_shard t (find t name) req with
+            | Some reply ->
+                answered t ~fname ~owner name
+                  (if hedge_target = Some name then 'H'
+                   else if name = owner then 'A'
+                   else 'R')
+                  reply;
+                reply
+            | None -> walk rest)
+      in
+      walk candidates
+
+(* ---- streaming ----
+
+   The streaming ladder runs one step at a time, so the event loop
+   interleaves a routed stream with every other connection. The
+   decision is taken at the first step, which is the loop's slot
+   assignment; then the chosen shard's own stream (the leg) is relayed
+   statement by statement. Same ladder as [route], minus hedging and
+   minus mid-stream retry: once a statement frame has reached the
+   client, replaying the decode on another shard would duplicate
+   frames. A candidate that fails *before* relaying anything is skipped
+   with the usual breaker bookkeeping; a failure *after* the first
+   relayed frame ends the stream with a typed [Shard_down] final. A
+   cache hit streams no statement frames, only the final verdict. The
+   router owns the final in every path: a leg's own final is classified
+   here, never relayed. *)
+
+type stream = {
+  rs_req : Proto.request;
+  mutable rs_owner : string option;  (* set by the decision *)
+  mutable rs_todo : string list;  (* candidates not tried yet *)
+  mutable rs_leg : (string * Service.stream) option;  (* relaying shard *)
+  mutable rs_relayed : bool;  (* a statement frame reached the client *)
+  mutable rs_cancelled : bool;
+}
+
+let rec stream_step t rs =
+  match (rs.rs_owner, rs.rs_leg) with
+  | Some owner, Some (name, leg) -> relay t rs ~owner name leg
+  | Some owner, None -> walk t rs ~owner
+  | None, _ -> (
+      match decide t ~fname:rs.rs_req.Proto.rq_fname with
+      | Answer reply -> Server.Sdone reply
+      | Walk { owner; candidates; hedging = _ } ->
+          rs.rs_owner <- Some owner;
+          rs.rs_todo <- candidates;
+          walk t rs ~owner)
+
+(* Open the next admitting candidate's leg and take its first step. *)
+and walk t rs ~owner =
+  match rs.rs_todo with
+  | [] -> Server.Sdone (shed t ~owner)
+  | name :: rest -> (
+      rs.rs_todo <- rest;
+      let sh = find t name in
+      if not (breaker_admits t sh && maybe_probe t sh) then walk t rs ~owner
+      else
+        match contact (fun () -> sh.sh_ep.ep_stream rs.rs_req) with
+        | Ok (Ok leg) ->
+            if rs.rs_cancelled then leg.Service.st_cancel ();
+            rs.rs_leg <- Some (name, leg);
+            relay t rs ~owner name leg
+        | Ok (Error r) ->
+            settle t rs ~owner name (verdict ~what:"stream" (Proto.Rejected r))
+        | Error detail -> settle t rs ~owner name (Error detail))
+
+and relay t rs ~owner name leg =
+  match contact leg.Service.st_step with
+  | Ok (Server.Sstmt _ as ev) ->
+      rs.rs_relayed <- true;
+      ev
+  | Ok (Server.Sdone reply) ->
+      settle t rs ~owner name (verdict ~what:"stream" reply)
+  | Ok (Server.Scancelled { at_stmt }) ->
+      settle t rs ~owner name
+        (Ok (Proto.Rejected (Proto.Cancelled { at_stmt })))
+  | Error detail -> settle t rs ~owner name (Error detail)
+
+(* The leg on [name] ended: the stream's final, or the next candidate. *)
+and settle t rs ~owner name outcome =
+  let sh = find t name in
+  rs.rs_leg <- None;
+  match outcome with
+  | Ok reply -> (
+      note_success t sh;
+      answered t ~fname:rs.rs_req.Proto.rq_fname ~owner name
+        (if name = owner then 'A' else 'R')
+        reply;
+      match reply with
+      | Proto.Rejected (Proto.Cancelled { at_stmt }) ->
+          Server.Scancelled { at_stmt }
+      | _ -> Server.Sdone reply)
+  | Error detail ->
+      note_failure t sh ~detail;
+      (* frames already reached the client: no retry *)
+      if rs.rs_relayed then Server.Sdone (shed t ~owner) else walk t rs ~owner
+
+(* A cancel (frame, EOF or reset) reaches the leg's token, which the
+   shard observes at its next statement boundary. *)
+let stream_cancel rs =
+  rs.rs_cancelled <- true;
+  Option.iter (fun (_, leg) -> leg.Service.st_cancel ()) rs.rs_leg
+
+(* A routed stream as the event loop drives it. Nothing is decided
+   before the first step, so a stream aborted while it waits for a slot
+   leaves no trace. *)
+let stream t req =
+  let rs =
+    {
+      rs_req = req;
+      rs_owner = None;
+      rs_todo = [];
+      rs_leg = None;
+      rs_relayed = false;
+      rs_cancelled = false;
+    }
+  in
+  {
+    Service.st_step = (fun () -> stream_step t rs);
+    st_cancel = (fun () -> stream_cancel rs);
+    st_abort = (fun ~cancelled:_ _ -> ());
+  }
 
 (* ---- status ---- *)
 

@@ -1,167 +1,39 @@
-(* Socket front door for the router — same newline-delimited Proto as a
-   single shard, so existing clients (vega-cli request) talk to a
-   router without knowing it is one.
+(* Socket front door for the router: the router as a {!Service.t} on
+   the event loop, so a router speaks the same newline Proto as a
+   single shard and existing clients (vega-cli request) talk to it
+   without knowing it is one.
 
-   One connection, one command, one reply. Requests are handled inline
-   in the accept loop: {!Router.route} already releases the router lock
-   around the shard call, and each in-flight connection occupies one
-   accept slot, so a slow shard delays the next accept but cannot
-   wedge the fleet. `shards` answers the per-shard status line routers
-   alone can produce; plain servers reject that command, which is how
-   a client can tell the two apart. *)
+   Plain requests go through {!Router.route}, hedging and backoff
+   included; a cold one holds up the loop's tick while its shard
+   decodes. Streams are {!Router.stream}s, stepped by the loop between
+   every other connection, and cancellable at the owning shard's next
+   statement boundary. `shards` answers the per-shard status line
+   routers alone can produce; plain servers reject that command, which
+   is how a client can tell the two apart. *)
 
-module Wire = Vega_robust.Wire
-module Proto = Vega_serve.Proto
-module Health = Vega_serve.Health
+module Evloop = Vega_serve.Evloop
+module Service = Vega_serve.Service
 module Sock = Vega_serve.Sock
 
-type listener = {
-  l_router : Router.t;
-  l_path : string;
-  l_fd : Unix.file_descr;
-  l_lock : Mutex.t;
-  mutable l_stopping : bool;
-  mutable l_accept : unit Domain.t option;
-  mutable l_exn : exn option;
-  l_done : Condition.t;
-  mutable l_finished : bool;
-}
+type listener = Evloop.handle
 
-let handle_conn l fd =
-  match Sock.read_bounded_line fd with
-  | `Eof -> Unix.close fd
-  | `Oversize bytes ->
-      Sock.write_line fd
-        (Proto.encode_reply
-           (Proto.Rejected
-              (Proto.Oversize { bytes; limit = Sock.max_line_bytes })));
-      Unix.close fd
-  | `Line line -> (
-      match Proto.decode_command line with
-      | Proto.Malformed ->
-          Sock.write_line fd
-            (Proto.encode_reply
-               (Proto.Rejected (Proto.Bad_request "unparseable command line")));
-          Unix.close fd
-      | Proto.Version_skew { got } ->
-          Sock.write_line fd
-            (Proto.encode_reply
-               (Proto.Rejected
-                  (Proto.Version_mismatch { got; want = Proto.version })));
-          Unix.close fd
-      | Proto.Decoded (Proto.Creq req) ->
-          Sock.write_line fd (Proto.encode_reply (Router.route l.l_router req));
-          Unix.close fd
-      | Proto.Decoded (Proto.Cstream req) ->
-          (* relay a stream inline, like every other command: frames go
-             out as the shard decodes; between frames the client half is
-             polled for a cancel frame or EOF, which propagates to the
-             owning shard as a cancellation *)
-          let emit frame = Sock.send_all fd (Proto.encode_frame frame) in
-          let cancelled () =
-            match Unix.select [ fd ] [] [] 0.0 with
-            | [], _, _ -> false
-            | _ -> (
-                match Sock.read_bounded_line fd with
-                | `Eof -> true
-                | `Oversize _ -> true
-                | `Line line -> (
-                    match Proto.decode_command line with
-                    | Proto.Decoded Proto.Ccancel -> true
-                    | Proto.Decoded _ | Proto.Version_skew _ | Proto.Malformed
-                      ->
-                        false))
-            | exception Unix.Unix_error _ -> true
-          in
-          ignore
-            (Router.route_stream l.l_router req ~emit ~cancelled : Proto.reply);
-          Unix.close fd
-      | Proto.Decoded Proto.Ccancel ->
-          Sock.write_line fd
-            (Proto.encode_reply
-               (Proto.Rejected (Proto.Bad_request "cancel outside a stream")));
-          Unix.close fd
-      | Proto.Decoded Proto.Chealth ->
-          Sock.write_line fd (Health.encode (Router.health l.l_router));
-          Unix.close fd
-      | Proto.Decoded Proto.Cping ->
-          Sock.write_line fd (Wire.encode_line [ "pong" ]);
-          Unix.close fd
-      | Proto.Decoded Proto.Cshards ->
-          Sock.write_line fd
-            (Router.encode_status (Router.status ~probe:true l.l_router));
-          Unix.close fd
-      | Proto.Decoded Proto.Cdrain ->
-          (match Router.drain l.l_router with
-          | () -> ()
-          | exception e -> Mutex.protect l.l_lock (fun () -> l.l_exn <- Some e));
-          Sock.write_line fd (Health.encode (Router.health l.l_router));
-          Unix.close fd;
-          Mutex.protect l.l_lock (fun () -> l.l_stopping <- true))
+let service router =
+  {
+    Service.sv_start =
+      (fun ~plain req ->
+        Ok
+          (if plain then Service.once (fun () -> Router.route router req)
+           else Router.stream router req));
+    sv_health = (fun () -> Router.health router);
+    sv_drain = (fun () -> Router.drain router);
+    sv_shards =
+      Some (fun () -> Router.encode_status (Router.status ~probe:true router));
+  }
 
-let accept_loop l =
-  let rec go () =
-    let stop = Mutex.protect l.l_lock (fun () -> l.l_stopping) in
-    if not stop then begin
-      match Unix.accept l.l_fd with
-      | fd, _ ->
-          (try handle_conn l fd
-           with e ->
-             (try Unix.close fd with Unix.Unix_error _ -> ());
-             Mutex.protect l.l_lock (fun () ->
-                 if l.l_exn = None then l.l_exn <- Some e));
-          go ()
-      | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL), _, _) -> ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-    end
-  in
-  go ();
-  Mutex.protect l.l_lock (fun () ->
-      l.l_finished <- true;
-      Condition.broadcast l.l_done)
+let start ?cfg router ~path = Evloop.start_service ?cfg (service router) ~path
 
-let start router ~path =
-  if Sys.file_exists path then Sys.remove path;
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind fd (Unix.ADDR_UNIX path);
-  Unix.listen fd 64;
-  let l =
-    {
-      l_router = router;
-      l_path = path;
-      l_fd = fd;
-      l_lock = Mutex.create ();
-      l_stopping = false;
-      l_accept = None;
-      l_exn = None;
-      l_done = Condition.create ();
-      l_finished = false;
-    }
-  in
-  l.l_accept <- Some (Domain.spawn (fun () -> accept_loop l));
-  l
-
-let path l = l.l_path
-
-let wait l =
-  Mutex.protect l.l_lock (fun () ->
-      while not l.l_finished do
-        Condition.wait l.l_done l.l_lock
-      done);
-  Option.iter Domain.join l.l_accept;
-  l.l_accept <- None;
-  (try Unix.close l.l_fd with Unix.Unix_error _ -> ());
-  if Sys.file_exists l.l_path then
-    (try Sys.remove l.l_path with Sys_error _ -> ());
-  match Mutex.protect l.l_lock (fun () -> l.l_exn) with
-  | Some e -> raise e
-  | None -> ()
-
-let stop l =
-  Mutex.protect l.l_lock (fun () -> l.l_stopping <- true);
-  (try Unix.shutdown l.l_fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-  (try Unix.close l.l_fd with Unix.Unix_error _ -> ());
-  wait l
+(* Drains the router (every shard), then waits for the loop. *)
+let stop = Evloop.stop
 
 (* Client-side convenience: fetch and decode a router's shard table. *)
 let shard_status ~socket =

@@ -13,6 +13,18 @@ let default_domains () =
 
 type 'a slot = Empty | Ok_ of 'a | Error_ of exn * Printexc.raw_backtrace
 
+(* Results in item order; the first failure by item index is re-raised,
+   for determinism. Every slot before a failure is filled: items are
+   taken in index order and a taken item always finishes. *)
+let collect slots =
+  Array.to_list
+    (Array.map
+       (function
+         | Ok_ v -> v
+         | Error_ (e, bt) -> Printexc.raise_with_backtrace e bt
+         | Empty -> assert false)
+       slots)
+
 let map_ctx ~domains ~ctx f items =
   let items = Array.of_list items in
   let n = Array.length items in
@@ -46,21 +58,7 @@ let map_ctx ~domains ~ctx f items =
       worker 0 ();
       Array.iter Domain.join spawned
     end;
-    (* re-raise the first failure by item index for determinism *)
-    Array.iter
-      (function
-        | Error_ (e, bt) -> Printexc.raise_with_backtrace e bt
-        | Empty | Ok_ _ -> ())
-      slots;
-    Array.to_list
-      (Array.map
-         (function
-           | Ok_ v -> v
-           | Empty | Error_ _ ->
-               (* unreachable: every slot below [next] is filled and no
-                  error survived the sweep above *)
-               assert false)
-         slots)
+    collect slots
   end
 
 let map ~domains f items = map_ctx ~domains ~ctx:(fun _ -> ()) (fun () x -> f x) items
@@ -98,4 +96,87 @@ module Pool = struct
       (function
         | Some (e, bt) -> Printexc.raise_with_backtrace e bt | None -> ())
       t.slots
+end
+
+(* Persistent [map]: long-lived domains that run one small batch after
+   another (an event loop's tick), where spawning domains per batch
+   would cost more than the work. The caller works too, so a gang of
+   size d has d-1 domains, spawned with the first batch of two or more
+   items; a smaller batch runs inline. One caller at a time. *)
+module Gang = struct
+  type t = {
+    size : int;
+    lock : Mutex.t;
+    work : Condition.t;  (* items queued, or stopping *)
+    idle : Condition.t;  (* the last running item finished *)
+    todo : (unit -> unit) Queue.t;
+    mutable running : int;  (* items taken, not finished *)
+    mutable stop : bool;
+    mutable pool : Pool.t option;  (* the [size - 1] spawned workers *)
+  }
+
+  let create ~domains =
+    {
+      size = max 1 domains;
+      lock = Mutex.create ();
+      work = Condition.create ();
+      idle = Condition.create ();
+      todo = Queue.create ();
+      running = 0;
+      stop = false;
+      pool = None;
+    }
+
+  (* Run one queued item; false when none is queued. Called and returns
+     with [lock] held. *)
+  let run_one g =
+    match Queue.take_opt g.todo with
+    | None -> false
+    | Some item ->
+        g.running <- g.running + 1;
+        Mutex.unlock g.lock;
+        item ();
+        Mutex.lock g.lock;
+        g.running <- g.running - 1;
+        if g.running = 0 && Queue.is_empty g.todo then
+          Condition.broadcast g.idle;
+        true
+
+  let worker g _ =
+    Mutex.lock g.lock;
+    while not g.stop do
+      if not (run_one g) then Condition.wait g.work g.lock
+    done;
+    Mutex.unlock g.lock
+
+  let map g f = function
+    | ([] | [ _ ]) as items -> List.map f items
+    | items ->
+        if Option.is_none g.pool && g.size > 1 then begin
+          g.stop <- false;
+          g.pool <- Some (Pool.spawn ~domains:(g.size - 1) (worker g))
+        end;
+        let slots = Array.make (List.length items) Empty in
+        Mutex.lock g.lock;
+        List.iteri
+          (fun i x ->
+            Queue.add
+              (fun () ->
+                slots.(i) <-
+                  (try Ok_ (f x)
+                   with e -> Error_ (e, Printexc.get_raw_backtrace ())))
+              g.todo)
+          items;
+        Condition.broadcast g.work;
+        while run_one g do () done;
+        while g.running > 0 do Condition.wait g.idle g.lock done;
+        Mutex.unlock g.lock;
+        collect slots
+
+  let stop g =
+    Mutex.protect g.lock (fun () ->
+        g.stop <- true;
+        Condition.broadcast g.work);
+    Option.iter Pool.join g.pool;
+    g.pool <- None
 end

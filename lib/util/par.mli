@@ -39,3 +39,23 @@ module Pool : sig
   (** Wait for every body to return; then, if any raised, re-raise the
       lowest-indexed worker's exception with its backtrace. *)
 end
+
+(** Persistent {!map} for callers that map many small batches (an event
+    loop's tick), where spawning domains per batch would cost more than
+    the work. *)
+module Gang : sig
+  type t
+
+  val create : domains:int -> t
+  (** A gang of [domains] workers: the caller of {!map} and
+      [domains - 1] long-lived domains, spawned with the first batch of
+      two or more items. *)
+
+  val map : t -> ('a -> 'b) -> 'a list -> 'b list
+  (** Like {!map}: results in input order, the lowest-indexed failure
+      re-raised once every item has run. A batch of fewer than two items
+      runs inline. One caller at a time. *)
+
+  val stop : t -> unit
+  (** Join the gang's domains. Call it between batches. *)
+end

@@ -57,6 +57,40 @@ let test_par_map_ctx () =
   Alcotest.(check int) "every item ran exactly once" 40
     (Array.fold_left ( + ) 0 seen)
 
+(* A gang runs batch after batch on the same domains: order kept, every
+   item run even when one fails, the lowest-indexed failure re-raised,
+   and the gang still usable afterwards. *)
+let test_gang () =
+  let g = Par.Gang.create ~domains:3 in
+  let ran = Atomic.make 0 in
+  for batch = 1 to 50 do
+    let items = List.init (batch mod 7) (fun i -> (batch * 100) + i) in
+    Alcotest.(check (list int))
+      (Printf.sprintf "batch %d keeps order" batch)
+      (List.map (fun i -> i * 2) items)
+      (Par.Gang.map g
+         (fun i ->
+           Atomic.incr ran;
+           i * 2)
+         items)
+  done;
+  Atomic.set ran 0;
+  (match
+     Par.Gang.map g
+       (fun i ->
+         Atomic.incr ran;
+         if i = 3 || i = 5 then failwith (Printf.sprintf "item%d" i) else i)
+       (List.init 8 Fun.id)
+   with
+  | exception Failure m ->
+      Alcotest.(check string) "lowest-indexed failure" "item3" m
+  | _ -> Alcotest.fail "expected the failure to propagate");
+  Alcotest.(check int) "every item ran despite the failures" 8
+    (Atomic.get ran);
+  Alcotest.(check (list int)) "gang usable after a failure" [ 0; 1; 2 ]
+    (Par.Gang.map g Fun.id [ 0; 1; 2 ]);
+  Par.Gang.stop g
+
 let test_default_domains () =
   let d = Par.default_domains () in
   Alcotest.(check bool) "clamped to [1, 4]" true (d >= 1 && d <= 4)
@@ -229,6 +263,7 @@ let suite =
     Alcotest.test_case "par map keeps order" `Quick test_par_map_order;
     Alcotest.test_case "par map propagates failure" `Quick test_par_map_failure;
     Alcotest.test_case "par map_ctx worker contexts" `Quick test_par_map_ctx;
+    Alcotest.test_case "gang runs batch after batch" `Quick test_gang;
     Alcotest.test_case "default domain count" `Quick test_default_domains;
     Alcotest.test_case "retrieval index has no eval leakage" `Quick
       test_retrieval_no_eval_leakage;

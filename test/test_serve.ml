@@ -1,7 +1,7 @@
 (* Tests for the resilient serving layer: token bucket, bounded
    admission queue, wire protocol, health snapshots, the server's
    shedding / deadline / drain / resume behaviour, and in-process vs
-   socket parity. *)
+   socket parity through the event-loop front end. *)
 
 module V = Vega
 module R = Vega_robust
@@ -505,7 +505,7 @@ let test_sock_parity () =
   | Error e -> Alcotest.failf "create failed: %s" e
   | Ok srv ->
       let socket = sock_path () in
-      let l = S.Sock.start srv ~path:socket in
+      let ev = S.Evloop.start srv ~path:socket in
       Alcotest.(check bool) "pings" true (S.Sock.ping ~socket ());
       let fname = List.hd (fnames t) in
       (* the same request through both surfaces must answer identically *)
@@ -531,7 +531,7 @@ let test_sock_parity () =
           Alcotest.(check bool) "drained state reported" true
             (h.S.Health.h_state = S.Health.Stopped)
       | None -> Alcotest.fail "no drain reply");
-      S.Sock.wait l;
+      S.Evloop.wait ev;
       Alcotest.(check bool) "socket file removed" false (Sys.file_exists socket)
 
 let test_sock_bad_lines () =
@@ -541,7 +541,7 @@ let test_sock_bad_lines () =
   | Error e -> Alcotest.failf "create failed: %s" e
   | Ok srv ->
       let socket = sock_path () in
-      let l = S.Sock.start srv ~path:socket in
+      let ev = S.Evloop.start srv ~path:socket in
       let send_raw line =
         S.Sock.with_conn ~socket (fun fd _ ->
             S.Sock.write_line fd line;
@@ -570,10 +570,14 @@ let test_sock_bad_lines () =
       (match send_raw (S.Proto.encode_command S.Proto.Cshards) with
       | S.Proto.Decoded (S.Proto.Rejected (S.Proto.Bad_request _)) -> ()
       | _ -> Alcotest.fail "Cshards on a plain server must answer bad-request");
+      (* cancel is only meaningful inside an open stream *)
+      (match send_raw (S.Proto.encode_command S.Proto.Ccancel) with
+      | S.Proto.Decoded (S.Proto.Rejected (S.Proto.Bad_request _)) -> ()
+      | _ -> Alcotest.fail "cancel outside a stream must answer bad-request");
       (* the server survives all of it *)
       expect_done (S.Sock.request ~socket (mk (List.hd (fnames t))));
       ignore (S.Sock.drain ~socket ());
-      S.Sock.wait l
+      S.Evloop.wait ev
 
 (* Partial-write hardening: push a line much larger than the socket
    buffers through a socketpair shrunk to a few kB — write_line must

@@ -1,9 +1,10 @@
 (* Tests for the sharded serving tier: the consistent-hash ring (unit +
    qcheck balance / minimal-disruption properties), the content-
    addressed result cache (bit-identical hits with zero decoder calls,
-   corrupt-entry eviction + fall-through), and the router (reroute vs
+   corrupt-entry eviction + fall-through), the router (reroute vs
    shed policy, circuit breaker, seeded backoff determinism, status
-   wire format, multi-shard parity with a single server). *)
+   wire format, multi-shard parity with a single server), and the
+   router's socket front door on the event loop. *)
 
 module V = Vega
 module R = Vega_robust
@@ -90,7 +91,7 @@ let dead_endpoint ?(contacts = ref 0) name =
           (R.Fault.Fault
              (R.Fault.Shard_failure { shard = name; detail = "dead" })));
     ep_stream =
-      (fun _ ~emit:_ ~cancelled:_ ->
+      (fun _ ->
         incr contacts;
         raise
           (R.Fault.Fault
@@ -770,6 +771,271 @@ let test_three_shard_parity () =
   S.Server.drain solo;
   Sh.Router.drain router
 
+(* ---------------- streaming ladder ---------------- *)
+
+(* Step a routed stream to its end: (statement frames, final verdict). *)
+let drive_stream (s : S.Service.stream) =
+  let rec go n =
+    match s.S.Service.st_step () with
+    | S.Server.Sstmt _ -> go (n + 1)
+    | S.Server.Sdone r -> (n, r)
+    | S.Server.Scancelled { at_stmt } ->
+        (n, S.Proto.Rejected (S.Proto.Cancelled { at_stmt }))
+  in
+  go 0
+
+(* The stepped streaming ladder keeps the blocking one's letters: 'R'
+   around a dead owner with the live shard's frames relayed, 'C' from
+   the cache with no frames, 'A' for the owner (also when cancelled),
+   'D' when the leg dies after a relayed frame (no retry then) or no
+   candidate answers, 'Q' for a quarantined owner under Shed. *)
+let test_router_stream_ladder () =
+  let t = Lazy.force pipeline in
+  let _, busy = Lazy.force Test_stream.busiest_fname in
+  let f = List.hd (fnames t) in
+  let other = function "a" -> "b" | _ -> "a" in
+  (* 'R' then 'C' *)
+  let dead = key_owner [ "a"; "b" ] f in
+  let live = mk_server () in
+  let cache =
+    Sh.Cache.create ~dir:(fresh_dir "streamcache") ~fingerprint:"fp-test"
+      ~desc_hash:"dh-test" ()
+  in
+  let router =
+    mk_router ~cache
+      [ Sh.Router.of_server ~name:(other dead) live; dead_endpoint dead ]
+  in
+  let frames, reply = drive_stream (Sh.Router.stream router (mk f)) in
+  expect_done reply;
+  Alcotest.(check bool) "frames relayed from the live shard" true (frames > 0);
+  let frames', reply' = drive_stream (Sh.Router.stream router (mk f)) in
+  Alcotest.(check int) "a cache hit streams no frames" 0 frames';
+  Alcotest.(check string) "the cache answers the same verdict"
+    (S.Proto.encode_reply reply) (S.Proto.encode_reply reply');
+  Alcotest.(check string) "rerouted, then cached" "RC"
+    (Sh.Router.decisions router);
+  S.Server.drain live;
+  (* 'A', cancelled at the owner's next statement boundary *)
+  let solo = mk_server () in
+  let router = mk_router [ Sh.Router.of_server ~name:"solo" solo ] in
+  let s = Sh.Router.stream router (mk busy) in
+  (match s.S.Service.st_step () with
+  | S.Server.Sstmt _ -> s.S.Service.st_cancel ()
+  | _ -> Alcotest.fail "expected a first statement");
+  (match drive_stream s with
+  | _, S.Proto.Rejected (S.Proto.Cancelled _) -> ()
+  | _, r -> Alcotest.failf "expected cancelled: %s" (S.Proto.encode_reply r));
+  let h = S.Server.health solo in
+  Alcotest.(check bool) "owner settled: busy 0, cancelled 1" true
+    (h.S.Health.h_busy = 0 && h.S.Health.h_cancelled = 1);
+  Alcotest.(check string) "cancelled at the owner" "A"
+    (Sh.Router.decisions router);
+  S.Server.drain solo;
+  (* 'D' when the leg dies after its first relayed frame *)
+  let owner = key_owner [ "a"; "b" ] busy in
+  let dying = Sh.Router.of_server ~name:owner (mk_server ()) in
+  let spare = mk_server () in
+  let dies_after_one req =
+    Result.map
+      (fun (leg : S.Service.stream) ->
+        let steps = ref 0 in
+        {
+          leg with
+          S.Service.st_step =
+            (fun () ->
+              incr steps;
+              if !steps > 1 then
+                raise
+                  (R.Fault.Fault
+                     (R.Fault.Shard_failure { shard = owner; detail = "died" }))
+              else leg.S.Service.st_step ());
+        })
+      (dying.Sh.Router.ep_stream req)
+  in
+  let router =
+    mk_router
+      [
+        { dying with Sh.Router.ep_stream = dies_after_one };
+        Sh.Router.of_server ~name:(other owner) spare;
+      ]
+  in
+  (match drive_stream (Sh.Router.stream router (mk busy)) with
+  | 1, S.Proto.Rejected (S.Proto.Shard_down { shard }) ->
+      Alcotest.(check string) "shed names the owner" owner shard
+  | n, r ->
+      Alcotest.failf "expected one frame then shard-down, got %d then %s" n
+        (S.Proto.encode_reply r));
+  Alcotest.(check int) "no retry after a relayed frame" 0
+    (S.Server.health spare).S.Health.h_accepted;
+  Alcotest.(check string) "shed mid-stream" "D" (Sh.Router.decisions router);
+  S.Server.drain spare;
+  (* 'Q' for a quarantined owner under Shed, 'D' for a dead one *)
+  let router =
+    mk_router
+      ~config:{ rcfg with Sh.Router.policy = Sh.Router.Shed }
+      [ dead_endpoint "a"; dead_endpoint "b" ]
+  in
+  let owner_f = key_owner [ "a"; "b" ] f in
+  Sh.Router.quarantine router owner_f ~crashes:3;
+  let g = List.find (fun g -> key_owner [ "a"; "b" ] g <> owner_f) (fnames t) in
+  (match drive_stream (Sh.Router.stream router (mk f)) with
+  | 0, S.Proto.Rejected (S.Proto.Shard_quarantined _) -> ()
+  | _, r -> Alcotest.failf "expected quarantined: %s" (S.Proto.encode_reply r));
+  (match drive_stream (Sh.Router.stream router (mk g)) with
+  | 0, S.Proto.Rejected (S.Proto.Shard_down _) -> ()
+  | _, r -> Alcotest.failf "expected shard-down: %s" (S.Proto.encode_reply r));
+  Alcotest.(check string) "quarantined, then shed" "QD"
+    (Sh.Router.decisions router)
+
+(* ---------------- router front door over a socket ---------------- *)
+
+(* one statement boundary per tick, so a stream stays mid-decode for
+   many loop iterations *)
+let one_step = { S.Evloop.default_config with S.Evloop.ev_steps_per_tick = 1 }
+
+let send_raw ~socket line =
+  S.Sock.with_conn ~socket (fun fd _ ->
+      S.Sock.write_line fd line;
+      match S.Sock.read_bounded_line fd with
+      | `Line reply -> S.Proto.decode_reply reply
+      | `Eof | `Oversize _ -> S.Proto.Malformed)
+
+let test_router_socket () =
+  let t = Lazy.force pipeline in
+  let _, busy = Lazy.force Test_stream.busiest_fname in
+  let plain, cold =
+    match List.filter (fun f -> f <> busy) (fnames t) with
+    | a :: b :: _ -> (a, b)
+    | _ -> Alcotest.fail "corpus has fewer than three functions"
+  in
+  let servers = List.init 2 (fun _ -> mk_server ()) in
+  let router =
+    mk_router
+      (List.mapi
+         (fun i srv -> Sh.Router.of_server ~name:(Printf.sprintf "s%d" i) srv)
+         servers)
+  in
+  let fds_before = Test_stream.live_fds () in
+  let socket = Test_stream.sock_path () in
+  let l = Sh.Rsock.start ~cfg:one_step router ~path:socket in
+  Alcotest.(check bool) "ping answers" true (S.Sock.ping ~socket ());
+  (* a plain request over the socket equals the in-process route *)
+  let in_proc = Sh.Router.route router (mk plain) in
+  expect_done in_proc;
+  Alcotest.(check string) "socket reply = in-process route"
+    (S.Proto.encode_reply in_proc)
+    (S.Proto.encode_reply (S.Sock.request ~socket (mk plain)));
+  (match Sh.Rsock.shard_status ~socket with
+  | Some rows ->
+      Alcotest.(check int) "one status row per shard" 2 (List.length rows)
+  | None -> Alcotest.fail "no shard table from the router");
+  (* typed rejections for lines no router can serve *)
+  let rejected what line check =
+    match send_raw ~socket line with
+    | S.Proto.Decoded (S.Proto.Rejected r) when check r -> ()
+    | _ -> Alcotest.failf "%s must get its typed rejection" what
+  in
+  rejected "a garbage line" "complete garbage" (function
+    | S.Proto.Bad_request _ -> true
+    | _ -> false);
+  rejected "a 2 MiB line" (String.make (2 * 1024 * 1024) 'A') (function
+    | S.Proto.Oversize { limit; _ } -> limit = S.Sock.max_line_bytes
+    | _ -> false);
+  rejected "a version-99 line"
+    (S.Proto.encode_command_at ~version:99 S.Proto.Cping)
+    (function
+      | S.Proto.Version_mismatch { got = 99; _ } -> true | _ -> false);
+  rejected "cancel outside a stream"
+    (S.Proto.encode_command S.Proto.Ccancel)
+    (function S.Proto.Bad_request _ -> true | _ -> false);
+  (* a cold stream relays the shard's frames live, in index order *)
+  (match S.Sock.stream ~socket (mk cold) with
+  | Error e -> Alcotest.failf "stream failed: %s" e
+  | Ok frames -> (
+      let stmts =
+        List.filter_map
+          (function
+            | S.Proto.Fstmt f -> Some f.f_index | S.Proto.Ffinal _ -> None)
+          frames
+      in
+      Alcotest.(check bool) "statement frames relayed" true (stmts <> []);
+      List.iteri
+        (fun i idx -> Alcotest.(check int) "frames in order" i idx)
+        stmts;
+      match List.rev frames with
+      | S.Proto.Ffinal (S.Proto.Done _ as final) :: _ ->
+          Alcotest.(check string) "streamed final = in-process route"
+            (S.Proto.encode_reply (Sh.Router.route router (mk cold)))
+            (S.Proto.encode_reply final)
+      | _ -> Alcotest.fail "stream must end in a Done final"));
+  (* a cancel frame reaches the owning shard's token *)
+  (match S.Sock.stream ~socket ~cancel_after:1 (mk busy) with
+  | Ok frames -> (
+      match List.rev frames with
+      | S.Proto.Ffinal (S.Proto.Rejected (S.Proto.Cancelled _)) :: _ -> ()
+      | _ -> Alcotest.fail "expected a typed Cancelled final")
+  | Error e -> Alcotest.failf "cancelled stream failed: %s" e);
+  let hs = List.map S.Server.health servers in
+  Alcotest.(check bool) "owning shard: busy 0, cancelled 1" true
+    (List.for_all (fun h -> h.S.Health.h_busy = 0) hs
+    && List.exists (fun h -> h.S.Health.h_cancelled = 1) hs);
+  (match S.Sock.drain ~socket () with
+  | Some h ->
+      Alcotest.(check bool) "drained" true
+        (h.S.Health.h_state = S.Health.Stopped)
+  | None -> Alcotest.fail "no drain reply");
+  S.Evloop.wait l;
+  Alcotest.(check bool) "socket file removed" false (Sys.file_exists socket);
+  Alcotest.(check int) "no file descriptors leaked" fds_before
+    (Test_stream.live_fds ())
+
+(* A stream through the router no longer holds the front door: a second
+   connection is answered while the stream is mid-decode. *)
+let test_router_stream_concurrent () =
+  let t = Lazy.force pipeline in
+  let n, busy = Lazy.force Test_stream.busiest_fname in
+  let base = V.Pipeline.retrieval_decoder t in
+  let slow fv =
+    Unix.sleepf 0.02;
+    base fv
+  in
+  let srv = mk_server ~decoder:(Some slow) () in
+  let router = mk_router [ Sh.Router.of_server ~name:"s0" srv ] in
+  let socket = Test_stream.sock_path () in
+  let l = Sh.Rsock.start ~cfg:one_step router ~path:socket in
+  S.Sock.with_conn ~socket (fun fd _ ->
+      S.Sock.write_line fd (S.Proto.encode_command (S.Proto.Cstream (mk busy)));
+      (match S.Sock.read_bounded_line fd with
+      | `Line line -> (
+          match S.Proto.decode_frame line with
+          | S.Proto.Decoded (S.Proto.Fstmt _) -> ()
+          | _ -> Alcotest.failf "expected a statement frame first: %s" line)
+      | `Eof | `Oversize _ -> Alcotest.fail "stream closed before a frame");
+      (match S.Sock.health ~timeout_s:10.0 ~socket () with
+      | Some h ->
+          Alcotest.(check int)
+            (Printf.sprintf "answered mid-decode (%d statements)" n)
+            1 h.S.Health.h_busy
+      | None -> Alcotest.fail "no health reply while a stream is open");
+      S.Sock.write_line fd (S.Proto.encode_command S.Proto.Ccancel);
+      let rec final () =
+        match S.Sock.read_bounded_line fd with
+        | `Line line -> (
+            match S.Proto.decode_frame line with
+            | S.Proto.Decoded (S.Proto.Ffinal _) -> ()
+            | _ -> final ())
+        | `Eof | `Oversize _ -> Alcotest.fail "no final frame"
+      in
+      final ());
+  Sh.Rsock.stop l;
+  Alcotest.(check int) "stream settled" 0 (S.Server.health srv).S.Health.h_busy
+
+(* Drain through the router: its in-flight streams finish on the shard
+   before the router drains it. *)
+let test_router_drain_in_flight () =
+  Test_stream.drain_in_flight ~start:(fun ~cfg srv ~path ->
+      Sh.Rsock.start ~cfg (mk_router [ Sh.Router.of_server ~name:"s0" srv ]) ~path)
+
 let suite =
   [
     Alcotest.test_case "ring basics" `Quick test_ring_basics;
@@ -793,4 +1059,12 @@ let suite =
     Alcotest.test_case "hedge never double-decodes" `Quick
       test_hedge_cache_no_double_decode;
     Alcotest.test_case "three-shard parity" `Quick test_three_shard_parity;
+    Alcotest.test_case "router stream ladder letters" `Quick
+      test_router_stream_ladder;
+    Alcotest.test_case "router front door over a socket" `Quick
+      test_router_socket;
+    Alcotest.test_case "router stream does not block the front door" `Quick
+      test_router_stream_concurrent;
+    Alcotest.test_case "router drain finishes in-flight streams" `Quick
+      test_router_drain_in_flight;
   ]

@@ -1,9 +1,9 @@
 (* Tests for the streaming serve core: frame wire properties, the
-   tick-driven event loop (admission, slot handoff, cancellation at
-   statement boundaries, backpressure shed, slow-loris and half-close
-   handling), journal partial-prefix semantics after a cancel, resume
-   bit-identity, peer-gone hardening of [send_all], and the select()
-   front-end driving real sockets. *)
+   tick-driven event loop (admission, slot handoff, expiry while
+   waiting, cancellation at statement boundaries, backpressure shed,
+   slow-loris and half-close handling), journal partial-prefix
+   semantics after a cancel, resume bit-identity, peer-gone hardening
+   of [send_all], and the select() front-end driving real sockets. *)
 
 module V = Vega
 module R = Vega_robust
@@ -553,6 +553,125 @@ let test_slot_handoff_and_queue_full () =
     (h.S.Health.h_journal_lag = 0 && h.S.Health.h_busy = 0);
   S.Server.drain srv
 
+(* A stream that waits for a slot past its deadline is expired when the
+   slot comes, as the worker queue expires a queued job: typed
+   [Expired], no decode, no journal trace. The clock is virtual and
+   the decoder advances it, as in the serve suite's queue-expiry test. *)
+let test_expired_waiting_for_slot () =
+  let t = Lazy.force pipeline in
+  let base = V.Pipeline.retrieval_decoder t in
+  let now = ref 0.0 in
+  let calls = ref 0 in
+  let counted d fv =
+    incr calls;
+    d fv
+  in
+  let inj = R.Inject.create ~seed:13 ~every:1 R.Inject.Decoder_stall in
+  let stalling =
+    R.Inject.wrap_stalling_decoder inj
+      ~stall:(fun () -> now := !now +. 1.0)
+      base
+  in
+  let dir = fresh_dir "expire" in
+  let srv =
+    match
+      S.Server.create
+        ~config:{ tcfg with S.Server.deadline_ms = 50 }
+        ~run_dir:dir
+        ~now:(fun () -> !now)
+        ~sleep:(fun d -> now := !now +. d)
+        ~fallback:(counted base) t ~target ~decoder:(counted stalling)
+    with
+    | Error e -> Alcotest.failf "server create failed: %s" e
+    | Ok srv -> srv
+  in
+  let e = Ev.create ~cfg:{ ecfg with Ev.ev_slots = 1 } srv in
+  let first, waiting =
+    match fnames t with
+    | a :: b :: _ -> (a, b)
+    | _ -> Alcotest.fail "corpus has fewer than two functions"
+  in
+  let id1 = open_stream e first in
+  let id2 = open_stream e waiting in
+  (match expect_final (snd (drive e id1)) with
+  | S.Proto.Done _ -> ()
+  | r -> Alcotest.failf "slot holder failed: %s" (S.Proto.encode_reply r));
+  let calls_before = !calls in
+  (match expect_final (snd (drive e id2)) with
+  | S.Proto.Rejected (S.Proto.Expired { waited_ms }) ->
+      Alcotest.(check bool) "waited at least the deadline" true
+        (waited_ms >= 50)
+  | r -> Alcotest.failf "expected expiry, got %s" (S.Proto.encode_reply r));
+  Alcotest.(check int) "the expired request never decoded" calls_before !calls;
+  settle e;
+  let h = S.Server.health srv in
+  Alcotest.(check int) "accepted - completed settles to 0" 0
+    (h.S.Health.h_accepted - h.S.Health.h_completed);
+  S.Server.drain srv;
+  let recovery = R.Journal.read ~path:(V.Pipeline.journal_path dir) () in
+  Alcotest.(check bool) "the expired request journaled no Func_begin" false
+    (List.exists
+       (function R.Journal.Func_begin f -> f = waiting | _ -> false)
+       recovery.R.Journal.r_records)
+
+(* Drain lets in-flight work finish. With one slot, one stream decoding
+   and one waiting: a request arriving meanwhile is rejected as
+   Draining, the drain reply waits for both streams, and the service
+   drains only after them, so its final checkpoint holds both. *)
+let test_drain_waits_for_streams () =
+  let t = Lazy.force pipeline in
+  let dir = fresh_dir "drain_wait" in
+  let srv = mk_server ~run_dir:dir () in
+  let e = Ev.create ~cfg:{ ecfg with Ev.ev_slots = 1 } srv in
+  let _, busy = Lazy.force busiest_fname in
+  let other = Lazy.force second_fname in
+  let late_fname = List.find (fun f -> f <> busy && f <> other) (fnames t) in
+  let command cmd =
+    match Ev.open_conn e with
+    | None -> Alcotest.fail "engine refused a connection"
+    | Some id ->
+        Ev.feed e id (S.Proto.encode_command cmd ^ "\n");
+        id
+  in
+  let a = open_stream e busy in
+  let b = open_stream e other in
+  (* opened before the drain: a new connection would be refused *)
+  let late = Option.get (Ev.open_conn e) in
+  let d = command S.Proto.Cdrain in
+  Ev.feed e late (S.Proto.encode_command (S.Proto.Creq (mk late_fname)) ^ "\n");
+  (match
+     S.Proto.decode_reply (String.trim (Ev.take_output e late ~max:max_int))
+   with
+  | S.Proto.Decoded (S.Proto.Rejected S.Proto.Draining) -> ()
+  | _ -> Alcotest.fail "a request during drain must be rejected as Draining");
+  let done_ id =
+    match expect_final (snd (drive e id)) with
+    | S.Proto.Done _ -> ()
+    | r -> Alcotest.failf "in-flight stream lost: %s" (S.Proto.encode_reply r)
+  in
+  Alcotest.(check int) "no drain reply while a stream decodes" 0
+    (Ev.pending_output e d);
+  done_ a;
+  Alcotest.(check int) "no drain reply while a stream waits" 0
+    (Ev.pending_output e d);
+  done_ b;
+  (match S.Health.decode (String.trim (Ev.take_output e d ~max:max_int)) with
+  | Some h ->
+      Alcotest.(check bool) "drained after both streams" true
+        (h.S.Health.h_state = S.Health.Stopped
+        && h.S.Health.h_completed = 2
+        && h.S.Health.h_journal_lag = 0)
+  | None -> Alcotest.fail "no drain reply");
+  settle e;
+  Alcotest.(check bool) "engine stopped" true (Ev.stopped e);
+  match R.Checkpoint.load ~path:(V.Pipeline.checkpoint_path dir) with
+  | Ok ck ->
+      Alcotest.(check (list string)) "checkpoint holds both functions"
+        (List.sort compare [ busy; other ])
+        (List.sort compare
+           (List.map (fun c -> c.R.Journal.c_fname) ck.R.Checkpoint.c_funcs))
+  | Error e -> Alcotest.failf "no checkpoint: %s" e
+
 (* ---------------- peer-fault chaos (scripted) ---------------- *)
 
 (* Half-close mid-stream: EOF propagates as a cancellation; the typed
@@ -747,6 +866,134 @@ let test_evloop_socket_end_to_end () =
   Alcotest.(check bool) "socket file removed" false (Sys.file_exists socket);
   Alcotest.(check int) "no file descriptors leaked" fds_before (live_fds ())
 
+(* The same drain over a real socket: one stream decoding, one waiting
+   for the only slot, then [drain]. Both end Done, the daemon exits
+   without an exception, and the checkpoint holds both functions.
+   [start] puts the journaled server behind a socket daemon, directly
+   or as a router's only shard. *)
+let drain_in_flight ~start =
+  let t = Lazy.force pipeline in
+  let base = V.Pipeline.retrieval_decoder t in
+  let slow fv =
+    Unix.sleepf 0.01;
+    base fv
+  in
+  let dir = fresh_dir "drain_sock" in
+  let srv = mk_server ~run_dir:dir ~decoder:slow () in
+  let socket = sock_path () in
+  let cfg = { Ev.default_config with Ev.ev_slots = 1; ev_steps_per_tick = 1 } in
+  let h = start ~cfg srv ~path:socket in
+  let _, busy = Lazy.force busiest_fname in
+  let other = Lazy.force second_fname in
+  let stream fname =
+    Domain.spawn (fun () -> S.Sock.stream ~timeout_s:60.0 ~socket (mk fname))
+  in
+  let admitted n =
+    let deadline = Unix.gettimeofday () +. 30.0 in
+    while (Ev.stats (Ev.engine h)).Ev.ev_streams < n do
+      if Unix.gettimeofday () > deadline then
+        Alcotest.failf "stream %d was never admitted" n;
+      Unix.sleepf 0.001
+    done
+  in
+  let a = stream busy in
+  admitted 1;
+  let b = stream other in
+  admitted 2;
+  let drained = S.Sock.drain ~timeout_s:60.0 ~socket () in
+  let done_ d =
+    match Domain.join d with
+    | Ok frames -> (
+        match List.rev frames with
+        | S.Proto.Ffinal (S.Proto.Done _) :: _ -> ()
+        | _ -> Alcotest.fail "an in-flight stream must end Done")
+    | Error e -> Alcotest.failf "in-flight stream failed: %s" e
+  in
+  done_ a;
+  done_ b;
+  (match drained with
+  | Some hs ->
+      Alcotest.(check bool) "drain reply after both streams" true
+        (hs.S.Health.h_state = S.Health.Stopped
+        && hs.S.Health.h_completed = 2
+        && hs.S.Health.h_journal_lag = 0)
+  | None -> Alcotest.fail "no drain reply");
+  Ev.wait h;
+  match R.Checkpoint.load ~path:(V.Pipeline.checkpoint_path dir) with
+  | Ok ck ->
+      Alcotest.(check (list string)) "checkpoint holds both functions"
+        (List.sort compare [ busy; other ])
+        (List.sort compare
+           (List.map (fun c -> c.R.Journal.c_fname) ck.R.Checkpoint.c_funcs))
+  | Error e -> Alcotest.failf "no checkpoint: %s" e
+
+let test_socket_drain_in_flight () =
+  drain_in_flight ~start:(fun ~cfg srv ~path -> Ev.start ~cfg srv ~path)
+
+(* A daemon steps its active streams in parallel, one domain per slot:
+   two concurrent streams overlap inside the decoder. *)
+let test_daemon_steps_in_parallel () =
+  let t = Lazy.force pipeline in
+  let base = V.Pipeline.retrieval_decoder t in
+  let inflight = Atomic.make 0 and peak = Atomic.make 0 in
+  let tracked fv =
+    let n = Atomic.fetch_and_add inflight 1 + 1 in
+    let rec raise_peak () =
+      let p = Atomic.get peak in
+      if n > p && not (Atomic.compare_and_set peak p n) then raise_peak ()
+    in
+    raise_peak ();
+    Fun.protect
+      ~finally:(fun () -> Atomic.decr inflight)
+      (fun () ->
+        Unix.sleepf 0.01;
+        base fv)
+  in
+  let srv = mk_server ~decoder:tracked () in
+  let socket = sock_path () in
+  let cfg = { Ev.default_config with Ev.ev_slots = 2; ev_steps_per_tick = 1 } in
+  let h = Ev.start ~cfg srv ~path:socket in
+  let _, busy = Lazy.force busiest_fname in
+  let other = Lazy.force second_fname in
+  let streams =
+    List.map
+      (fun f ->
+        Domain.spawn (fun () -> S.Sock.stream ~timeout_s:60.0 ~socket (mk f)))
+      [ busy; other ]
+  in
+  List.iter
+    (fun d ->
+      match Domain.join d with
+      | Ok frames -> (
+          match List.rev frames with
+          | S.Proto.Ffinal (S.Proto.Done _) :: _ -> ()
+          | _ -> Alcotest.fail "stream must end Done")
+      | Error e -> Alcotest.failf "stream failed: %s" e)
+    streams;
+  Ev.stop h;
+  Alcotest.(check int) "two decodes in flight at once" 2 (Atomic.get peak)
+
+(* A socket daemon keeps no decision log: nothing reads it, and it
+   would grow for as long as the daemon lives. *)
+let test_socket_daemon_log_flat () =
+  let srv = mk_server () in
+  let socket = sock_path () in
+  let h = Ev.start srv ~path:socket in
+  let fname = List.hd (fnames (Lazy.force pipeline)) in
+  let requests n =
+    for _ = 1 to n do
+      match S.Sock.request ~socket (mk fname) with
+      | S.Proto.Done _ -> ()
+      | r -> Alcotest.failf "request failed: %s" (S.Proto.encode_reply r)
+    done
+  in
+  requests 10;
+  let after_10 = String.length (Ev.log (Ev.engine h)) in
+  requests 190;
+  Alcotest.(check int) "log length flat from 10 to 200 requests" after_10
+    (String.length (Ev.log (Ev.engine h)));
+  Ev.stop h
+
 let suite =
   [
     QCheck_alcotest.to_alcotest test_frame_roundtrip;
@@ -764,6 +1011,10 @@ let suite =
       test_idle_and_slow_loris_shed;
     Alcotest.test_case "slot handoff and wait-cap shed" `Quick
       test_slot_handoff_and_queue_full;
+    Alcotest.test_case "expiry while waiting for a slot" `Quick
+      test_expired_waiting_for_slot;
+    Alcotest.test_case "drain waits for in-flight streams" `Quick
+      test_drain_waits_for_streams;
     Alcotest.test_case "half-close propagates as cancellation" `Quick
       test_half_close_cancels;
     Alcotest.test_case "peer reset cleans up" `Quick test_peer_reset_cleans_up;
@@ -773,4 +1024,10 @@ let suite =
       test_schedule_replays_byte_identically;
     Alcotest.test_case "event loop over real sockets" `Quick
       test_evloop_socket_end_to_end;
+    Alcotest.test_case "socket daemon keeps no log" `Quick
+      test_socket_daemon_log_flat;
+    Alcotest.test_case "socket drain finishes in-flight streams" `Quick
+      test_socket_drain_in_flight;
+    Alcotest.test_case "daemon steps streams in parallel" `Quick
+      test_daemon_steps_in_parallel;
   ]
