@@ -9,9 +9,10 @@
      vega-cli lint -t RISCV [--generated] [--json]
      vega-cli verify [-t T|all] [--generated] [--json]
                                               semantic verifier (absint)
-     vega-cli faultcheck [-t T] [--seed N] [--json]   fault-injection matrix
-     vega-cli faultcheck --kill-at K --run-dir d [--domains N]
-                                              kill-and-resume check
+     vega-cli faultcheck [-t T] [--seed N] [--json]   fault-injection suite
+     vega-cli faultcheck [--kill-at K] [--shard-kill] [--chaos-soak]
+                         [--stream-chaos] [--run-dir d] [--domains N]
+                                              only the selected groups
      vega-cli serve [--socket P] [--domains N] [--queue-cap K]
                     [--deadline-ms D] [--run-dir d [--resume]]
                                               resilient serving daemon
@@ -20,31 +21,9 @@
 
 open Cmdliner
 
-(* Minimal JSON-lines emission (no JSON library in the toolchain): every
-   record is one object on one line, strings escaped by hand. *)
-let json_str s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
-
-let json_obj fields =
-  "{"
-  ^ String.concat ","
-      (List.map (fun (k, v) -> Printf.sprintf "%s:%s" (json_str k) v) fields)
-  ^ "}"
+(* JSON-lines emission, shared with the faultcheck report *)
+let json_str = Vega_chaos.Sink.json_str
+let json_obj = Vega_chaos.Sink.json_obj
 
 let json_flag =
   let doc = "Emit machine-readable output: one JSON record per line." in
@@ -473,158 +452,13 @@ let verify_cmd =
     Term.(const run $ target_arg $ generated_flag $ json_flag)
 
 (* ------------------------------------------------------------------ *)
-(* faultcheck: deterministic fault-injection matrix with invariant
-   checks. Exit 1 on any violation. *)
+(* faultcheck: the vega.chaos fault-injection suite. Exit 1 on any
+   invariant violation. *)
 
 module R = Vega_robust
 module S = Vega_serve
 module Sh = Vega_shard
 module F = Vega_fleet.Fleet
-
-(* Everything one chaos-soak fleet run leaves behind, captured before the
-   fleet is drained so same-seed twins can be compared byte for byte. *)
-type soak_run = {
-  sk_d : string;  (* router decision log *)
-  sk_ev : string;  (* fleet event log *)
-  sk_replies : Vega_serve.Proto.reply list;  (* storm replies, in order *)
-  sk_extra : (string * Vega_serve.Proto.reply) list;  (* post-corruption *)
-  sk_tail : Vega_serve.Proto.reply list;  (* full sweep after the faults *)
-  sk_funcs : Vega.Generate.gen_func list list;  (* per-shard outputs *)
-  sk_q : (string * int) list;  (* quarantined shards with crash counts *)
-  sk_report : Vega_robust.Report.t;
-  sk_recovery : int option;  (* decisions from crash detect to respawned *)
-  sk_epoch : int;  (* victim epoch at the end of the round *)
-}
-
-(* ---- streaming connection chaos (faultcheck): scripted clients ----
-
-   One plan entry per connection against the vega.serve event-loop
-   engine: which function to stream (None: connect and go silent, the
-   slow-loris probe), the per-tick read budget, and the statement
-   boundary — if any — at which the scripted peer cancels, hard
-   disconnects, or half-closes its write side. The driver is pure
-   scheduling against the engine's tick clock, so a schedule replays
-   byte-identically and the engine decision log is the witness. *)
-type chaos_client = {
-  cc_fname : string option;
-  cc_budget : int;  (* read budget, bytes per tick *)
-  cc_cancel_at : int option;  (* cancel after n statement frames *)
-  cc_kill_at : int option;  (* hard disconnect after n statement frames *)
-  cc_eof_at : int option;  (* half-close after n statement frames *)
-}
-
-let chaos_plain ?(budget = max_int) fname =
-  {
-    cc_fname = Some fname;
-    cc_budget = budget;
-    cc_cancel_at = None;
-    cc_kill_at = None;
-    cc_eof_at = None;
-  }
-
-type chaos_result = {
-  cr_fname : string option;
-  cr_stmts : int;  (* statement frames observed on the wire *)
-  cr_final : Vega_serve.Proto.reply option;  (* terminal frame, if readable *)
-}
-
-(* Act out [clients] against a fresh engine. Ticks until every client
-   has its final frame or its connection is gone, then lets the engine
-   quiesce. Never swallows exceptions: anything escaping the engine is
-   the caller's invariant violation. *)
-let run_chaos ?(max_ticks = 50_000) engine ~target clients =
-  let module Ev = S.Evloop in
-  let states =
-    List.map
-      (fun cc ->
-        match Ev.open_conn engine with
-        | None -> failwith "chaos: engine refused a connection"
-        | Some id ->
-            (match cc.cc_fname with
-            | Some f ->
-                Ev.feed engine id
-                  (S.Proto.encode_command
-                     (S.Proto.Cstream
-                        {
-                          S.Proto.rq_client = "chaos";
-                          rq_target = target;
-                          rq_fname = f;
-                          rq_deadline_ms = None;
-                        })
-                  ^ "\n")
-            | None -> ());
-            ( cc,
-              id,
-              Buffer.create 128,
-              ref 0 (* stmts *),
-              ref None (* final *),
-              ref false (* cancel sent *),
-              ref false (* eof sent *),
-              ref false (* dead: killed or reaped *) ))
-      clients
-  in
-  let boundary at ~stmts ~fired =
-    match at with
-    | Some k when (not !fired) && !stmts >= k ->
-        fired := true;
-        true
-    | _ -> false
-  in
-  let live (_, id, _, _, final, _, _, dead) =
-    (not !dead) && !final = None && Ev.conn_phase engine id <> None
-  in
-  let ticks = ref 0 in
-  while List.exists live states && !ticks < max_ticks do
-    incr ticks;
-    Ev.tick engine;
-    List.iter
-      (fun ((cc, id, buf, stmts, final, cancelled, eofed, dead) as st) ->
-        if live st then begin
-          if boundary cc.cc_kill_at ~stmts ~fired:dead then
-            Ev.peer_reset engine id
-          else begin
-            if boundary cc.cc_eof_at ~stmts ~fired:eofed then
-              Ev.close_input engine id;
-            if boundary cc.cc_cancel_at ~stmts ~fired:cancelled then
-              Ev.feed engine id (S.Proto.encode_command S.Proto.Ccancel ^ "\n");
-            Buffer.add_string buf (Ev.take_output engine id ~max:cc.cc_budget);
-            let s = Buffer.contents buf in
-            Buffer.clear buf;
-            let rec go = function
-              | [] -> ()
-              | [ partial ] -> Buffer.add_string buf partial
-              | line :: rest ->
-                  (* a silent (request-less) connection is in plain
-                     mode: its typed shed arrives as a reply line, not
-                     a frame *)
-                  (if cc.cc_fname = None then
-                     match S.Proto.decode_reply line with
-                     | S.Proto.Decoded r -> final := Some r
-                     | S.Proto.Version_skew _ | S.Proto.Malformed ->
-                         failwith ("chaos: unparseable reply: " ^ line)
-                   else
-                     match S.Proto.decode_frame line with
-                     | S.Proto.Decoded (S.Proto.Fstmt _) -> incr stmts
-                     | S.Proto.Decoded (S.Proto.Ffinal r) -> final := Some r
-                     | S.Proto.Version_skew _ | S.Proto.Malformed ->
-                         failwith ("chaos: unparseable frame: " ^ line));
-                  go rest
-            in
-            go (String.split_on_char '\n' s)
-          end
-        end)
-      states;
-    ignore (Ev.reap engine)
-  done;
-  if !ticks >= max_ticks then failwith "chaos: schedule did not converge";
-  for _ = 1 to 20 do
-    Ev.tick engine;
-    ignore (Ev.reap engine)
-  done;
-  List.map
-    (fun (cc, _, _, stmts, final, _, _, _) ->
-      { cr_fname = cc.cc_fname; cr_stmts = !stmts; cr_final = !final })
-    states
 
 let faultcheck_cmd =
   let seed_arg =
@@ -636,7 +470,7 @@ let faultcheck_cmd =
       & opt (some int) None
       & info [ "kill-at" ]
           ~doc:
-            "Run only the kill-and-resume determinism check: simulate a hard \
+            "Select the kill-and-resume determinism check: simulate a hard \
              crash after $(docv) journal records, then resume and assert the \
              output is bit-identical to an uninterrupted run. 0 sweeps the \
              offsets {1, mid, last}." ~docv:"K")
@@ -646,14 +480,14 @@ let faultcheck_cmd =
       value
       & opt string "_vega_faultcheck"
       & info [ "run-dir" ]
-          ~doc:"Directory for the kill-and-resume run journals." ~docv:"DIR")
+          ~doc:"Directory for the run journals and caches." ~docv:"DIR")
   in
   let shard_kill_arg =
     Arg.(
       value & flag
       & info [ "shard-kill" ]
           ~doc:
-            "Run only the sharded-serving scenarios: the content-addressed \
+            "Select the sharded-serving scenarios: the content-addressed \
              cache round-trip (corruption falls through to generation) and \
              the shard-storm-kill determinism check (kill 1 of 3 shards at \
              4x capacity mid-storm, assert a byte-reproducible \
@@ -665,14 +499,14 @@ let faultcheck_cmd =
       value & flag
       & info [ "chaos-soak" ]
           ~doc:
-            "Run only the chaos-soak scenario: seeded rounds composing shard \
+            "Select the chaos-soak scenario: seeded rounds composing shard \
              kills, stalls, probe drops, cache corruption and version skew \
              against a self-healing fleet (health-probed respawn from \
              journal, live ring reconfiguration, hedged requests), asserting \
              zero lost requests, byte-equal decision and event logs across \
              same-seed repeats, typed rejections for every quarantine, and \
              merged outputs bit-identical to an unkilled single-shard \
-             reference.")
+             reference. Not part of the default run.")
   in
   let soak_rounds_arg =
     Arg.(
@@ -686,2225 +520,41 @@ let faultcheck_cmd =
       value & flag
       & info [ "stream-chaos" ]
           ~doc:
-            "Run only the streaming connection-chaos scenarios against the \
+            "Select the streaming connection-chaos scenarios against the \
              event-loop serve core: cancel-storm, slow-loris shed, and \
              mid-stream kill/resume — each run twice and required to \
              produce byte-equal engine decision logs under the seed, with \
              zero lost or double-decoded requests and no raw exception \
              escaping the event loop.")
   in
-  let run target seed json kill_at run_dir shard_only chaos_soak soak_rounds
+  let run target seed json kill_at run_dir shard_kill chaos_soak soak_rounds
       stream_chaos domains =
-    let p =
-      match Vega_target.Registry.find target with
-      | Some p -> p
-      | None ->
-          Printf.eprintf "unknown target %s\n" target;
-          exit 1
+    let groups =
+      Vega_chaos.Faultcheck.select ~kill_at ~shard_kill ~chaos_soak
+        ~stream_chaos
     in
-    let violations = ref 0 in
-    let jline fields = print_endline (json_obj fields) in
-    let violation fmt =
-      Printf.ksprintf
-        (fun s ->
-          incr violations;
-          if json then
-            jline
-              [ ("event", json_str "violation"); ("message", json_str s) ]
-          else Printf.printf "  VIOLATION: %s\n%!" s)
-        fmt
-    in
-    let check name cond = if not cond then violation "%s" name in
-    let scenario name =
-      if json then
-        jline [ ("event", json_str "scenario"); ("name", json_str name) ]
-      else Printf.printf "- %s\n%!" name
-    in
-    let info fmt =
-      Printf.ksprintf
-        (fun s ->
-          if json then
-            jline [ ("event", json_str "info"); ("message", json_str s) ]
-          else Printf.printf "    %s\n%!" s)
-        fmt
-    in
-    if not json then
-      Printf.printf "faultcheck: target %s, seed %d\n%!" target seed;
-    let clean_report = R.Report.create () in
-    let prep = Vega.Pipeline.prepare ~report:clean_report () in
-    let cfg =
-      {
-        Vega.Pipeline.default_config with
-        train_cfg = { Vega.Codebe.tiny_train_config with epochs = 0 };
-      }
-    in
-    let t = Vega.Pipeline.train cfg prep in
-    let decoder = Vega.Pipeline.retrieval_decoder t in
-    check "clean corpus prepares without faults" (R.Report.total clean_report = 0);
-    (* bit-exact rendering of generated functions, for identity checks *)
-    let render (gfs : Vega.Generate.gen_func list) =
-      String.concat "\n"
-        (List.map
-           (fun (gf : Vega.Generate.gen_func) ->
-             Printf.sprintf "%s %h [%s]" gf.Vega.Generate.gf_fname
-               gf.Vega.Generate.gf_confidence
-               (String.concat ";"
-                  (List.map
-                     (fun (s : Vega.Generate.gen_stmt) ->
-                       Printf.sprintf "%d,%d,%d,%h,%b,%s,%s"
-                         s.Vega.Generate.g_col s.Vega.Generate.g_line
-                         s.Vega.Generate.g_inst s.Vega.Generate.g_score
-                         s.Vega.Generate.g_shape_ok
-                         (R.Degrade.name s.Vega.Generate.g_level)
-                         (String.concat " " s.Vega.Generate.g_tokens))
-                     gf.Vega.Generate.gf_stmts)))
-           gfs)
-    in
-    let rmf f = if Sys.file_exists f then Sys.remove f in
-    let clear dir =
-      rmf (Vega.Pipeline.journal_path dir);
-      rmf (Vega.Pipeline.journal_path dir ^ ".tmp");
-      rmf (Vega.Pipeline.checkpoint_path dir);
-      rmf (Vega.Pipeline.checkpoint_path dir ^ ".tmp")
-    in
-
-    (* --kill-at narrows the run to the kill-and-resume determinism
-       check, --shard-kill to the sharded-serving scenarios; without
-       either the whole injection matrix runs first *)
-    if kill_at = None && (not shard_only) && (not chaos_soak)
-       && not stream_chaos
-    then begin
-
-    (* ---- baseline: no injection -> no faults, no degradation, and the
-       report plumbing itself must not change the generated output ---- *)
-    scenario "baseline (no injection)";
-    let base_report = R.Report.create () in
-    let baseline =
-      Vega.Pipeline.generate_backend ~report:base_report t ~target ~decoder
-    in
-    check "baseline: no faults" (R.Report.total base_report = 0);
-    check "baseline: no degraded statements"
-      (R.Report.degraded_count base_report = 0);
-    check "baseline: every statement on the primary rung"
-      (List.for_all
-         (fun (gf : Vega.Generate.gen_func) ->
-           List.for_all
-             (fun (s : Vega.Generate.gen_stmt) ->
-               s.Vega.Generate.g_level = R.Degrade.Primary)
-             gf.Vega.Generate.gf_stmts)
-         baseline);
-    let plain = Vega.Pipeline.generate_backend t ~target ~decoder in
-    check "baseline: identical to the plain decoder path"
-      (List.map Vega.Generate.source_of_all plain
-      = List.map Vega.Generate.source_of_all baseline);
-
-    (* ---- parallel determinism: fanning the functions over a domain
-       pool must not change a single bit of the output ---- *)
-    if domains > 1 then begin
-      scenario (Printf.sprintf "parallel determinism (%d domains)" domains);
-      let par = Vega.Pipeline.generate_backend ~domains t ~target ~decoder in
-      check
-        (Printf.sprintf "parallel: %d-domain run identical to sequential"
-           domains)
-        (List.map Vega.Generate.source_of_all par
-         = List.map Vega.Generate.source_of_all plain
-        && List.map
-             (fun (gf : Vega.Generate.gen_func) ->
-               Int64.bits_of_float gf.Vega.Generate.gf_confidence)
-             par
-           = List.map
-               (fun (gf : Vega.Generate.gen_func) ->
-                 Int64.bits_of_float gf.Vega.Generate.gf_confidence)
-               plain)
-    end;
-    let key (gf : Vega.Generate.gen_func) (s : Vega.Generate.gen_stmt) =
-      ( gf.Vega.Generate.gf_fname,
-        s.Vega.Generate.g_col,
-        s.Vega.Generate.g_line,
-        s.Vega.Generate.g_inst )
-    in
-    let base_stmts = Hashtbl.create 512 in
-    List.iter
-      (fun (gf : Vega.Generate.gen_func) ->
-        List.iter
-          (fun (s : Vega.Generate.gen_stmt) ->
-            Hashtbl.replace base_stmts (key gf s)
-              (s.Vega.Generate.g_score, s.Vega.Generate.g_tokens))
-          gf.Vega.Generate.gf_stmts)
-      baseline;
-    (* shared structural invariants over an injected generation run *)
-    let check_degraded_run name report (gfs : Vega.Generate.gen_func list) =
-      check (name ^ ": backend function count unchanged")
-        (List.length gfs = List.length baseline);
-      List.iter
-        (fun (gf : Vega.Generate.gen_func) ->
-          List.iter
-            (fun (s : Vega.Generate.gen_stmt) ->
-              let score = s.Vega.Generate.g_score in
-              let level = s.Vega.Generate.g_level in
-              if not (Float.is_finite score && score >= 0.0 && score <= 1.0)
-              then violation "%s: non-finite or out-of-range score" name;
-              if score > R.Degrade.cap level +. 1e-9 then
-                violation "%s: score %.3f above the %s cap" name score
-                  (R.Degrade.name level))
-            gf.Vega.Generate.gf_stmts)
-        gfs;
-      check (name ^ ": degradations recorded for every sub-primary statement")
-        (R.Report.degraded_count report
-        = List.fold_left
-            (fun acc (gf : Vega.Generate.gen_func) ->
-              acc
-              + List.length
-                  (List.filter
-                     (fun (s : Vega.Generate.gen_stmt) ->
-                       s.Vega.Generate.g_level <> R.Degrade.Primary)
-                     gf.Vega.Generate.gf_stmts))
-            0 gfs)
-    in
-    (* decoder-class scenarios additionally compare per-statement against
-       the baseline: only injected statements may change, and confidence
-       is monotonically non-increasing under degradation *)
-    let check_against_baseline name (gfs : Vega.Generate.gen_func list) =
-      List.iter
-        (fun (gf : Vega.Generate.gen_func) ->
-          List.iter
-            (fun (s : Vega.Generate.gen_stmt) ->
-              match Hashtbl.find_opt base_stmts (key gf s) with
-              | None -> violation "%s: statement absent from baseline" name
-              | Some (bscore, btokens) ->
-                  if s.Vega.Generate.g_score > bscore +. 1e-9 then
-                    violation
-                      "%s: %s confidence rose under injection (%.3f > %.3f)"
-                      name gf.Vega.Generate.gf_fname s.Vega.Generate.g_score
-                      bscore;
-                  if
-                    s.Vega.Generate.g_level = R.Degrade.Primary
-                    && (s.Vega.Generate.g_tokens <> btokens
-                       || s.Vega.Generate.g_score <> bscore)
-                  then
-                    violation "%s: un-injected statement changed" name)
-            gf.Vega.Generate.gf_stmts)
-        gfs
-    in
-    let decoder_scenario name kind ~every ~fallback ~expect_levels =
-      scenario name;
-      let inj = R.Inject.create ~seed ~every kind in
-      let report = R.Report.create () in
-      let wrapped fv = R.Inject.wrap_decoder inj decoder fv in
-      match
-        R.Stage.protect ~stage:name (fun () ->
-            Vega.Pipeline.generate_backend ?fallback ~report t ~target
-              ~decoder:wrapped)
-      with
-      | Error f ->
-          violation "%s: backend generation aborted (%s)" name
-            (R.Fault.to_string f)
-      | Ok gfs ->
-          check (name ^ ": at least one fault injected")
-            (R.Inject.injected inj > 0);
-          check (name ^ ": every injected fault observed in the report")
-            (R.Report.total report = R.Inject.injected inj);
-          check_degraded_run name report gfs;
-          check_against_baseline name gfs;
-          List.iter
-            (fun lv ->
-              check
-                (Printf.sprintf "%s: reaches the %s rung" name
-                   (R.Degrade.name lv))
-                (List.exists
-                   (fun (gf : Vega.Generate.gen_func) ->
-                     List.exists
-                       (fun (s : Vega.Generate.gen_stmt) ->
-                         s.Vega.Generate.g_level = lv)
-                       gf.Vega.Generate.gf_stmts)
-                   gfs))
-            expect_levels;
-          info "injected %d, %s" (R.Inject.injected inj)
-            (R.Report.summary report)
-    in
-    decoder_scenario "decoder-raise" R.Inject.Decoder_raise ~every:1
-      ~fallback:(Some decoder) ~expect_levels:[ R.Degrade.Retrieval_fallback ];
-    decoder_scenario "decoder-raise-retry" R.Inject.Decoder_raise ~every:2
-      ~fallback:(Some decoder) ~expect_levels:[ R.Degrade.Retry ];
-    decoder_scenario "decoder-nan" R.Inject.Decoder_nan ~every:3
-      ~fallback:(Some decoder) ~expect_levels:[];
-    decoder_scenario "decoder-garbage" R.Inject.Decoder_garbage ~every:3
-      ~fallback:(Some decoder) ~expect_levels:[];
-    (* no fallback decoder: the ladder must bottom out in template-default
-       renders (sub-threshold by construction) or flagged omissions *)
-    (let name = "decoder-raise-no-fallback" in
-     scenario name;
-     let inj = R.Inject.create ~seed ~every:1 R.Inject.Decoder_raise in
-     let report = R.Report.create () in
-     let wrapped fv = R.Inject.wrap_decoder inj decoder fv in
-     match
-       R.Stage.protect ~stage:name (fun () ->
-           Vega.Pipeline.generate_backend ~report t ~target ~decoder:wrapped)
-     with
-     | Error f ->
-         violation "%s: backend generation aborted (%s)" name
-           (R.Fault.to_string f)
-     | Ok gfs ->
-         check_degraded_run name report gfs;
-         List.iter
-           (fun (gf : Vega.Generate.gen_func) ->
-             List.iter
-               (fun (s : Vega.Generate.gen_stmt) ->
-                 match s.Vega.Generate.g_level with
-                 | R.Degrade.Template_default | R.Degrade.Omitted -> ()
-                 | lv ->
-                     violation "%s: unexpected %s statement" name
-                       (R.Degrade.name lv))
-               gf.Vega.Generate.gf_stmts)
-           gfs;
-         check (name ^ ": no statement passes the accept threshold")
-           (List.for_all
-              (fun gf -> Vega.Generate.kept_stmts gf = [])
-              gfs);
-         info "injected %d, %s" (R.Inject.injected inj)
-           (R.Report.summary report));
-
-    (* ---- corpus corruption: prepare must drop only the mangled impls,
-       record each one, and generation must still cover every group ---- *)
-    (let name = "corpus-corruption" in
-     scenario name;
-     let inj = R.Inject.create ~seed ~every:5 R.Inject.Corpus_mangle in
-     let corpus = R.Inject.corrupt_corpus inj (Vega_corpus.Corpus.build ()) in
-     let report = R.Report.create () in
-     match
-       R.Stage.protect ~stage:name (fun () ->
-           let prep2 = Vega.Pipeline.prepare ~report ~corpus () in
-           let t2 = Vega.Pipeline.train cfg prep2 in
-           Vega.Pipeline.generate_backend ~report t2 ~target
-             ~decoder:(Vega.Pipeline.retrieval_decoder t2))
-     with
-     | Error f ->
-         violation "%s: pipeline aborted (%s)" name (R.Fault.to_string f)
-     | Ok gfs ->
-         check (name ^ ": at least one group corrupted")
-           (R.Inject.injected inj > 0);
-         check (name ^ ": every corrupted impl observed in the report")
-           (R.Report.count_class report R.Fault.Ccorpus = R.Inject.injected inj);
-         check_degraded_run name report gfs;
-         info "injected %d, %s" (R.Inject.injected inj)
-           (R.Report.summary report));
-
-    (* ---- description-file corruption: scan detects every corrupted
-       file; the pipeline runs through on the damaged VFS ---- *)
-    (let name = "descfile-corruption" in
-     scenario name;
-     let inj = R.Inject.create ~seed ~every:2 R.Inject.Descfile_garbage in
-     let corpus = Vega_corpus.Corpus.build () in
-     let corrupted =
-       R.Inject.corrupt_descfiles inj corpus.Vega_corpus.Corpus.vfs ~target
-     in
-     let report = R.Report.create () in
-     let scanned =
-       R.Inject.scan_vfs ~report corpus.Vega_corpus.Corpus.vfs ~target
-     in
-     check (name ^ ": at least one file corrupted") (corrupted <> []);
-     check (name ^ ": scan detects every corrupted file")
-       (List.length scanned = List.length corrupted
-       && R.Report.count_class report R.Fault.Cdescfile = List.length corrupted);
-     match
-       R.Stage.protect ~stage:name (fun () ->
-           let prep3 = Vega.Pipeline.prepare ~report ~corpus () in
-           let t3 = Vega.Pipeline.train cfg prep3 in
-           Vega.Pipeline.generate_backend ~report t3 ~target
-             ~decoder:(Vega.Pipeline.retrieval_decoder t3))
-     with
-     | Error f ->
-         violation "%s: pipeline aborted (%s)" name (R.Fault.to_string f)
-     | Ok gfs ->
-         check (name ^ ": backend function count unchanged")
-           (List.length gfs = List.length baseline);
-         List.iter
-           (fun (gf : Vega.Generate.gen_func) ->
-             List.iter
-               (fun (s : Vega.Generate.gen_stmt) ->
-                 if
-                   not
-                     (Float.is_finite s.Vega.Generate.g_score
-                     && s.Vega.Generate.g_score >= 0.0
-                     && s.Vega.Generate.g_score <= 1.0)
-                 then violation "%s: out-of-range score" name)
-               gf.Vega.Generate.gf_stmts)
-           gfs;
-         info "corrupted %d file(s), %s"
-           (List.length corrupted) (R.Report.summary report));
-
-    (* ---- interpreter fuel: the dedicated exception classifies as a
-       timeout fault, never as a generic stage failure ---- *)
-    (let name = "interp-fuel" in
-     scenario name;
-     let report = R.Report.create () in
-     let f =
-       Vega_srclang.Parser.parse_function
-         "int spin() { while (true) { int x = 1; } return 0; }"
-     in
-     let env = Vega_srclang.Interp.create_env () in
-     (match
-        R.Stage.protect ~report ~stage:name (fun () ->
-            Vega_srclang.Interp.call ~fuel:256 env f [])
-      with
-     | Error (R.Fault.Interp_fuel_exhausted { fuel = 256 }) -> ()
-     | Error f ->
-         violation "%s: misclassified as %s" name (R.Fault.to_string f)
-     | Ok _ -> violation "%s: expected fuel exhaustion" name);
-     check (name ^ ": observed in the report")
-       (R.Report.count_class report R.Fault.Cinterp_fuel = 1);
-     info "%s" (R.Report.summary report));
-
-    (* ---- simulator fuel + trap: dedicated Timeout status, and traps
-       keep their own class ---- *)
-    (let name = "sim-fuel" in
-     scenario name;
-     let report = R.Report.create () in
-     let vfs = prep.Vega.Pipeline.corpus.Vega_corpus.Corpus.vfs in
-     let _, conv = Vega_eval.Refbackend.backend_for vfs p in
-     let case =
-       match Vega_ir.Programs.find "loop_sum" with
-       | Some c -> c
-       | None -> failwith "loop_sum regression case missing"
-     in
-     let out =
-       Vega_backend.Compiler.compile conv ~opt:Vega_backend.Compiler.O0
-         (Vega_ir.Programs.modul_of case)
-     in
-     let r =
-       Vega_sim.Machine.run ~fuel:16 conv out.Vega_backend.Compiler.emitted
-         ~entry:case.Vega_ir.Programs.entry ~args:case.Vega_ir.Programs.args
-     in
-     (match r.Vega_sim.Machine.status with
-     | Vega_sim.Machine.Timeout f ->
-         R.Report.record report ~stage:name
-           (R.Fault.Sim_fuel_exhausted { fuel = f })
-     | Vega_sim.Machine.Finished _ ->
-         violation "%s: expected a timeout, simulation finished" name
-     | Vega_sim.Machine.Trap m ->
-         violation "%s: fuel exhaustion misclassified as trap (%s)" name m);
-     check (name ^ ": observed in the report")
-       (R.Report.count_class report R.Fault.Csim_fuel = 1);
-     let r2 =
-       Vega_sim.Machine.run conv out.Vega_backend.Compiler.emitted
-         ~entry:"__no_such_entry__" ~args:[]
-     in
-     (match r2.Vega_sim.Machine.status with
-     | Vega_sim.Machine.Trap m ->
-         R.Report.record report ~stage:"sim-trap" (R.Fault.Sim_trap { message = m })
-     | _ -> violation "sim-trap: expected a trap on an unknown entry point");
-     check "sim-trap: observed in the report"
-       (R.Report.count_class report R.Fault.Csim_trap = 1);
-     info "%s" (R.Report.summary report));
-
-    (* ---- circuit breaker under a permanently failing decoder: the run
-       must complete in bounded time with the breaker open, every
-       statement landing on a fallback rung of the ladder ---- *)
-    (let name = "breaker-permafail" in
-     scenario name;
-     let scfg =
-       {
-         R.Supervisor.default_config with
-         R.Supervisor.breaker_threshold = 3;
-         breaker_cooldown = 4;
-         max_retries = 1;
-         backoff_base_s = 0.001;
-         backoff_max_s = 0.004;
-         func_deadline_s = 300.0;
-       }
-     in
-     let slept = ref 0.0 in
-     let sup = R.Supervisor.create ~sleep:(fun d -> slept := !slept +. d) scfg in
-     let calls = ref 0 in
-     let permafail _fv =
-       incr calls;
-       raise
-         (R.Fault.Fault
-            (R.Fault.Decoder_failure
-               {
-                 fname = "*";
-                 stage = "primary";
-                 message = "permanently failing decoder";
-               }))
-     in
-     let report = R.Report.create () in
-     match
-       R.Stage.protect ~stage:name (fun () ->
-           Vega.Pipeline.generate_backend ~fallback:decoder ~report ~sup t
-             ~target ~decoder:permafail)
-     with
-     | Error f ->
-         violation "%s: backend generation aborted (%s)" name
-           (R.Fault.to_string f)
-     | Ok gfs ->
-         let st = R.Supervisor.stats sup in
-         check (name ^ ": breaker opened")
-           (st.R.Supervisor.sup_breaker_opened > 0);
-         check (name ^ ": open breaker short-circuits decode calls")
-           (st.R.Supervisor.sup_breaker_skips > 0);
-         let stmts =
-           List.concat_map
-             (fun (gf : Vega.Generate.gen_func) -> gf.Vega.Generate.gf_stmts)
-             gfs
-         in
-         check (name ^ ": backend function count unchanged")
-           (List.length gfs = List.length baseline);
-         check (name ^ ": every statement lands on a fallback rung")
-           (List.for_all
-              (fun (s : Vega.Generate.gen_stmt) ->
-                match s.Vega.Generate.g_level with
-                | R.Degrade.Retrieval_fallback | R.Degrade.Template_default
-                | R.Degrade.Omitted ->
-                    true
-                | _ -> false)
-              stmts);
-         check (name ^ ": no score above the retrieval-fallback cap")
-           (List.for_all
-              (fun (s : Vega.Generate.gen_stmt) ->
-                s.Vega.Generate.g_score
-                <= R.Degrade.cap R.Degrade.Retrieval_fallback +. 1e-9)
-              stmts);
-         (* bounded wall clock: the open breaker skips decode attempts
-            outright, and every backoff sleep is capped *)
-         let ladder_attempts = 2 * List.length stmts in
-         check (name ^ ": decode attempts bounded below ladder attempts")
-           (!calls < ladder_attempts);
-         check (name ^ ": accumulated backoff bounded")
-           (!slept
-           <= (float_of_int st.R.Supervisor.sup_retried *. scfg.R.Supervisor.backoff_max_s)
-              +. 1e-9);
-         info
-           "breaker: opened %d time(s), %d skip(s), %d retry(s), %d of %d \
-            decode attempts made, %.3fs backoff"
-           st.R.Supervisor.sup_breaker_opened st.R.Supervisor.sup_breaker_skips
-           st.R.Supervisor.sup_retried !calls ladder_attempts !slept);
-
-    (* ---- serving layer ---- *)
-    let serve_fnames =
-      List.map
-        (fun (b : Vega.Pipeline.bundle) ->
-          b.Vega.Pipeline.spec.Vega_corpus.Spec.fname)
-        t.Vega.Pipeline.prep.Vega.Pipeline.bundles
-    in
-    check "corpus has function templates to serve" (serve_fnames <> []);
-
-    (* overload at 4x queue capacity: the bounded queue sheds instead of
-       growing, and — the workers being paused while the seeded storm
-       submits — the accept/reject sequence is a pure function of the
-       submission order, so equal seeds give equal sequences ---- *)
-    (let name = "serve-overload" in
-     scenario name;
-     let cap = 4 in
-     let n = 4 * cap in
-     let scfg =
-       {
-         S.Server.default_config with
-         S.Server.domains = 1;
-         queue_cap = cap;
-         client_burst = float_of_int (2 * n);
-         client_rate = 0.0;
-       }
-     in
-     let storm = R.Inject.create ~seed R.Inject.Queue_storm in
-     let order = R.Inject.storm_order storm n in
-     let run_once () =
-       match S.Server.create ~config:scfg ~paused:true t ~target ~decoder with
-       | Error e -> Error e
-       | Ok srv ->
-           let tickets =
-             List.map
-               (fun i ->
-                 S.Server.submit srv
-                   {
-                     S.Proto.rq_client = Printf.sprintf "c%d" (i mod 3);
-                     rq_target = target;
-                     rq_fname =
-                       List.nth serve_fnames (i mod List.length serve_fnames);
-                     rq_deadline_ms = None;
-                   })
-               order
-           in
-           let seq =
-             String.concat ""
-               (List.map
-                  (function
-                    | Ok _ -> "A"
-                    | Error (S.Proto.Queue_full _) -> "S"
-                    | Error _ -> "R")
-                  tickets)
-           in
-           S.Server.resume_workers srv;
-           let replies =
-             List.filter_map
-               (function
-                 | Ok tk -> Some (S.Server.await tk) | Error _ -> None)
-               tickets
-           in
-           S.Server.drain srv;
-           Ok (seq, replies, S.Server.health srv)
-     in
-     match (run_once (), run_once ()) with
-     | Error e, _ | _, Error e ->
-         violation "%s: server creation failed (%s)" name e
-     | Ok (seq1, replies1, h1), Ok (seq2, _, _) ->
-         check (name ^ ": queue never grows past its cap")
-           (h1.S.Health.h_accepted = cap
-           && h1.S.Health.h_rejected = n - cap);
-         check (name ^ ": same seed, same accept/reject sequence")
-           (seq1 = seq2);
-         let dones =
-           List.length
-             (List.filter
-                (function S.Proto.Done _ -> true | _ -> false)
-                replies1)
-         in
-         check (name ^ ": sheds + successes account for every request")
-           (h1.S.Health.h_rejected + dones = n);
-         check (name ^ ": drained server is stopped, empty and idle")
-           (h1.S.Health.h_state = S.Health.Stopped
-           && h1.S.Health.h_queue_depth = 0
-           && h1.S.Health.h_busy = 0
-           && h1.S.Health.h_journal_lag = 0);
-         info "sequence %s; %d shed, %d done" seq1 h1.S.Health.h_rejected
-           dones);
-
-    (* ---- per-request deadline on a stalled decoder: the supervisor
-       budget fires and the ladder degrades the statement — the request
-       completes (capped) instead of hanging; a request whose deadline
-       lapses while queued is rejected at dequeue ---- *)
-    (let name = "serve-deadline" in
-     scenario name;
-     let vnow = ref 0.0 in
-     let scfg =
-       {
-         S.Server.default_config with
-         S.Server.domains = 1;
-         queue_cap = List.length serve_fnames + 4;
-         deadline_ms = 50;
-         client_burst = 1000.0;
-         client_rate = 0.0;
-       }
-     in
-     let inj = R.Inject.create ~seed ~every:1 R.Inject.Decoder_stall in
-     let stalling fv =
-       R.Inject.wrap_stalling_decoder inj
-         ~stall:(fun () -> vnow := !vnow +. 1.0)
-         decoder fv
-     in
-     let mk fname =
-       {
-         S.Proto.rq_client = "dl";
-         rq_target = target;
-         rq_fname = fname;
-         rq_deadline_ms = None;
-       }
-     in
-     (match
-        S.Server.create ~config:scfg
-          ~now:(fun () -> !vnow)
-          ~sleep:(fun d -> vnow := !vnow +. d)
-          ~fallback:decoder t ~target ~decoder:stalling
-      with
-     | Error e -> violation "%s: server creation failed (%s)" name e
-     | Ok srv ->
-         let replies =
-           List.map (fun f -> S.Server.request srv (mk f)) serve_fnames
-         in
-         check (name ^ ": every request completes (no hang)")
-           (List.for_all
-              (function S.Proto.Done _ -> true | _ -> false)
-              replies);
-         check (name ^ ": at least one reply reports degraded statements")
-           (List.exists
-              (function
-                | S.Proto.Done d -> d.r_degraded > 0 | _ -> false)
-              replies);
-         List.iter
-           (fun (gf : Vega.Generate.gen_func) ->
-             List.iter
-               (fun (s : Vega.Generate.gen_stmt) ->
-                 if
-                   s.Vega.Generate.g_score
-                   > R.Degrade.cap s.Vega.Generate.g_level +. 1e-9
-                 then
-                   violation "%s: score above the %s cap" name
-                     (R.Degrade.name s.Vega.Generate.g_level))
-               gf.Vega.Generate.gf_stmts)
-           (S.Server.functions srv);
-         S.Server.drain srv;
-         let h = S.Server.health srv in
-         check (name ^ ": supervisor deadline fired")
-           (h.S.Health.h_deadline_hits > 0);
-         info "%d deadline hit(s) across %d request(s)"
-           h.S.Health.h_deadline_hits (List.length replies));
-     (* expiry in queue: while the first request's stalled execution burns
-        the clock, the second sits queued past its deadline *)
-     match
-       S.Server.create ~config:scfg ~paused:true
-         ~now:(fun () -> !vnow)
-         ~sleep:(fun d -> vnow := !vnow +. d)
-         ~fallback:decoder t ~target ~decoder:stalling
-     with
-     | Error e -> violation "%s: expiry server creation failed (%s)" name e
-     | Ok srv -> (
-         let first = S.Server.submit srv (mk (List.hd serve_fnames)) in
-         let second = S.Server.submit srv (mk (List.hd serve_fnames)) in
-         S.Server.resume_workers srv;
-         match (first, second) with
-         | Ok k1, Ok k2 ->
-             let r1 = S.Server.await k1 and r2 = S.Server.await k2 in
-             check (name ^ ": first request completes")
-               (match r1 with S.Proto.Done _ -> true | _ -> false);
-             check
-               (name
-              ^ ": request queued past its deadline is rejected as expired")
-               (match r2 with
-               | S.Proto.Rejected (S.Proto.Expired _) -> true
-               | _ -> false);
-             S.Server.drain srv
-         | _ ->
-             violation "%s: expiry submissions were rejected" name;
-             S.Server.drain srv));
-
-    (* ---- durable serving: drain checkpoints, a kill mid-request loses
-       nothing durable, and a restarted server resumes to bit-identical
-       output ---- *)
-    (let name = "serve-drain-kill-resume" in
-     scenario name;
-     let dcfg =
-       {
-         S.Server.default_config with
-         S.Server.domains = 1;
-         queue_cap = List.length serve_fnames + 4;
-         client_burst = 1000.0;
-         client_rate = 0.0;
-       }
-     in
-     let mk fname =
-       {
-         S.Proto.rq_client = "kr";
-         rq_target = target;
-         rq_fname = fname;
-         rq_deadline_ms = None;
-       }
-     in
-     let ref_dir = Filename.concat run_dir "serve-ref" in
-     clear ref_dir;
-     match S.Server.create ~config:dcfg ~run_dir:ref_dir t ~target ~decoder with
-     | Error e -> violation "%s: reference server failed (%s)" name e
-     | Ok srv -> (
-         let replies =
-           List.map (fun f -> S.Server.request srv (mk f)) serve_fnames
-         in
-         check (name ^ ": reference run completes every request")
-           (List.for_all
-              (function S.Proto.Done _ -> true | _ -> false)
-              replies);
-         let records = (S.Server.health srv).S.Health.h_journal_records in
-         let expect = render (S.Server.functions srv) in
-         S.Server.drain srv;
-         check (name ^ ": drain leaves a loadable checkpoint")
-           (match
-              R.Checkpoint.load
-                ~path:(Vega.Pipeline.checkpoint_path ref_dir)
-            with
-           | Ok c ->
-               List.length c.R.Checkpoint.c_funcs
-               = List.length serve_fnames
-           | Error _ -> false);
-         let kinj = R.Inject.create ~seed R.Inject.Request_kill in
-         (* clamp past the midpoint so at least one function is durably
-            complete when the crash lands *)
-         let k = max (R.Inject.kill_offset kinj ~records) (records / 2) in
-         let dir = Filename.concat run_dir "serve-kill" in
-         clear dir;
-         match
-           S.Server.create ~config:dcfg ~run_dir:dir ~kill_at:k t ~target
-             ~decoder
-         with
-         | Error e -> violation "%s: killed server failed (%s)" name e
-         | Ok ksrv -> (
-             let tickets =
-               List.map (fun f -> S.Server.submit ksrv (mk f)) serve_fnames
-             in
-             (match S.Server.drain ksrv with
-             | () -> violation "%s: kill-at %d never fired" name k
-             | exception R.Journal.Killed n ->
-                 check
-                   (Printf.sprintf
-                      "%s: crash lands on the armed record (kill-at %d)" name
-                      k)
-                   (n = k));
-             (* every accepted request was answered (crash or flush) *)
-             List.iter
-               (function
-                 | Ok tk -> ignore (S.Server.await tk) | Error _ -> ())
-               tickets;
-             if k > 1 then
-               R.Journal.tear ~path:(Vega.Pipeline.journal_path dir);
-             match
-               S.Server.create ~config:dcfg ~run_dir:dir ~resume:true t
-                 ~target ~decoder
-             with
-             | Error e -> violation "%s: resume failed (%s)" name e
-             | Ok rsrv ->
-                 let restored = S.Server.resumed_functions rsrv in
-                 check
-                   (name ^ ": at least one function restored from the journal")
-                   (restored > 0);
-                 let replies =
-                   List.map (fun f -> S.Server.request rsrv (mk f)) serve_fnames
-                 in
-                 check (name ^ ": resumed run completes every request")
-                   (List.for_all
-                      (function S.Proto.Done _ -> true | _ -> false)
-                      replies);
-                 check (name ^ ": restored functions reply as resumed")
-                   (List.exists
-                      (function
-                        | S.Proto.Done d -> d.r_resumed | _ -> false)
-                      replies);
-                 let got = render (S.Server.functions rsrv) in
-                 S.Server.drain rsrv;
-                 if got <> expect then
-                   violation
-                     "%s: resumed output differs from the uninterrupted run \
-                      (kill-at %d)"
-                     name k
-                 else
-                   info "kill-at %d: bit-identical after restart (%d restored)"
-                     k restored)))
-    end;
-
-    (* ---- kill-and-resume determinism: crash after K durable records,
-       tear the tail mid-record, resume, and require output bit-identical
-       to an uninterrupted run ---- *)
-    if (not shard_only) && (not chaos_soak) && not stream_chaos then
-    (let name = "kill-resume" in
-     scenario name;
-     let ref_dir = Filename.concat run_dir "ref" in
-     clear ref_dir;
-     match
-       Vega.Pipeline.generate_backend_durable ~run_dir:ref_dir t ~target
-         ~decoder
-     with
-     | Error e -> violation "%s: reference run failed (%s)" name e
-     | Ok refo ->
-         let expect = render refo.Vega.Pipeline.d_funcs in
-         let total = refo.Vega.Pipeline.d_records in
-         info "reference run: %d journal record(s)" total;
-         let offsets =
-           match kill_at with
-           | Some k when k > 0 -> [ k ]
-           | _ ->
-               List.filter
-                 (fun k -> k >= 1)
-                 (List.sort_uniq compare [ 1; (total + 1) / 2; total - 1 ])
-         in
-         List.iter
-           (fun k ->
-             let dir = Filename.concat run_dir (Printf.sprintf "kill%d" k) in
-             clear dir;
-             match
-               Vega.Pipeline.generate_backend_durable ~kill_at:k ~domains
-                 ~run_dir:dir t ~target ~decoder
-             with
-             | exception R.Journal.Killed n ->
-                 check
-                   (Printf.sprintf "%s: crash lands on the armed record \
-                                    (kill-at %d)" name k)
-                   (n = k);
-                 (* tear the last durable record mid-write — except the
-                    lone header, without which there is nothing to resume *)
-                 if k > 1 then
-                   R.Journal.tear ~path:(Vega.Pipeline.journal_path dir);
-                 (match
-                    Vega.Pipeline.generate_backend_durable ~resume:true
-                      ~domains ~run_dir:dir t ~target ~decoder
-                  with
-                 | Error e ->
-                     violation "%s: resume after kill-at %d failed (%s)" name
-                       k e
-                 | Ok o ->
-                     if k > 1 then
-                       check
-                         (Printf.sprintf
-                            "%s: torn record recovered (kill-at %d)" name k)
-                         o.Vega.Pipeline.d_torn;
-                     check
-                       (Printf.sprintf
-                          "%s: resume covers every function (kill-at %d)"
-                          name k)
-                       (List.length o.Vega.Pipeline.d_funcs
-                       = List.length refo.Vega.Pipeline.d_funcs);
-                     if render o.Vega.Pipeline.d_funcs <> expect then
-                       violation
-                         "%s: resumed output differs from the uninterrupted \
-                          run (kill-at %d)"
-                         name k
-                     else
-                       info
-                         "kill-at %d: bit-identical after resume (%d \
-                          resumed, %d regenerated)"
-                         k o.Vega.Pipeline.d_resumed
-                         o.Vega.Pipeline.d_generated)
-             | Ok o ->
-                 check
-                   (Printf.sprintf
-                      "%s: kill-at %d beyond the run end completes" name k)
-                   (o.Vega.Pipeline.d_records < k);
-                 if render o.Vega.Pipeline.d_funcs <> expect then
-                   violation "%s: un-killed run differs (kill-at %d)" name k
-             | Error e ->
-                 violation "%s: killed run setup failed (kill-at %d: %s)"
-                   name k e)
-           offsets);
-
-    (* ---- sharded serving: content-addressed cache round-trip and the
-       shard-storm-kill determinism check ---- *)
-    if kill_at = None && (not chaos_soak) && not stream_chaos then begin
-      let fleet_fnames =
-        List.map
-          (fun (b : Vega.Pipeline.bundle) ->
-            b.Vega.Pipeline.spec.Vega_corpus.Spec.fname)
-          t.Vega.Pipeline.prep.Vega.Pipeline.bundles
-      in
-      let fingerprint = Vega.Pipeline.fingerprint t ~target in
-      let desc_hash =
-        Sh.Cache.desc_hash_of_vfs
-          t.Vega.Pipeline.prep.Vega.Pipeline.corpus.Vega_corpus.Corpus.vfs
-          ~target
-      in
-      let mkreq fname =
-        {
-          S.Proto.rq_client = "shard";
-          rq_target = target;
-          rq_fname = fname;
-          rq_deadline_ms = None;
-        }
-      in
-      let merge_funcs lists =
-        let tbl = Hashtbl.create 32 in
-        List.iter
-          (List.iter (fun (gf : Vega.Generate.gen_func) ->
-               if not (Hashtbl.mem tbl gf.Vega.Generate.gf_fname) then
-                 Hashtbl.add tbl gf.Vega.Generate.gf_fname gf))
-          lists;
-        List.sort
-          (fun (a : Vega.Generate.gen_func) (b : Vega.Generate.gen_func) ->
-            compare a.Vega.Generate.gf_fname b.Vega.Generate.gf_fname)
-          (Hashtbl.fold (fun _ gf acc -> gf :: acc) tbl [])
-      in
-
-      (* ---- the cache answers repeats bit-identically with zero decoder
-         involvement; a flipped byte is detected, evicted, recorded as a
-         fault, and the request falls through to generation ---- *)
-      (let name = "shard-cache" in
-       scenario name;
-       let decodes = Atomic.make 0 in
-       let counting fv =
-         Atomic.incr decodes;
-         decoder fv
-       in
-       let scfg =
-         {
-           S.Server.default_config with
-           S.Server.domains = 1;
-           queue_cap = List.length fleet_fnames + 4;
-           client_burst = 1000.0;
-           client_rate = 0.0;
-         }
-       in
-       let cache_dir = Filename.concat run_dir "shard-cache" in
-       (if Sys.file_exists cache_dir then
-          Array.iter
-            (fun f ->
-              if
-                Filename.check_suffix f Sh.Cache.entry_ext
-                || Filename.check_suffix f ".tmp"
-              then rmf (Filename.concat cache_dir f))
-            (Sys.readdir cache_dir));
-       let report = R.Report.create () in
-       let cache =
-         Sh.Cache.create ~report ~dir:cache_dir ~fingerprint ~desc_hash ()
-       in
-       let rcfg =
-         {
-           Sh.Router.default_config with
-           Sh.Router.retries = 0;
-           probe_every = 0;
-           seed;
-         }
-       in
-       (* a fresh two-shard fleet per round: a repeat answered by a new
-          fleet can only have come from the cache, never a shard's
-          in-memory replay table *)
-       let with_fleet k =
-         let mk_srv () =
-           S.Server.create ~config:scfg t ~target ~decoder:counting
-         in
-         match (mk_srv (), mk_srv ()) with
-         | Ok a, Ok b -> (
-             let eps =
-               [ Sh.Router.of_server ~name:"s0" a;
-                 Sh.Router.of_server ~name:"s1" b ]
-             in
-             match
-               Sh.Router.create ~config:rcfg ~cache ~report
-                 ~sleep:(fun _ -> ())
-                 ~fingerprint ~desc_hash eps
-             with
-             | Error e ->
-                 violation "%s: router creation failed (%s)" name e;
-                 None
-             | Ok router ->
-                 let r = k router in
-                 Sh.Router.drain router;
-                 Some r)
-         | Error e, _ | _, Error e ->
-             violation "%s: shard server failed to start (%s)" name e;
-             None
-       in
-       let round fnames =
-         with_fleet (fun router ->
-             let replies =
-               List.map (fun f -> Sh.Router.route router (mkreq f)) fnames
-             in
-             (Sh.Router.decisions router, replies))
-       in
-       match round fleet_fnames with
-       | None -> ()
-       | Some (d1, replies1) -> (
-           let cold = Atomic.get decodes in
-           check (name ^ ": cold round reaches the decoder") (cold > 0);
-           check (name ^ ": cold round is answered by the shards")
-             (String.for_all (fun c -> c = 'A') d1);
-           check (name ^ ": cold round completes every request")
-             (List.for_all
-                (function S.Proto.Done _ -> true | _ -> false)
-                replies1);
-           match round fleet_fnames with
-           | None -> ()
-           | Some (d2, replies2) -> (
-               check (name ^ ": warm round is answered entirely by the cache")
-                 (d2 = String.make (List.length fleet_fnames) 'C');
-               check (name ^ ": cache hits touch no decoder")
-                 (Atomic.get decodes = cold);
-               check (name ^ ": cached replies bit-identical to the cold round")
-                 (List.map S.Proto.encode_reply replies2
-                 = List.map S.Proto.encode_reply replies1);
-               let victim_f = List.hd fleet_fnames in
-               let cinj = R.Inject.create ~seed R.Inject.Cache_corrupt in
-               match
-                 R.Inject.corrupt_cache_entry cinj
-                   ~path:(Sh.Cache.path cache ~fname:victim_f)
-               with
-               | None -> violation "%s: no cache entry to corrupt" name
-               | Some off -> (
-                   info "flipped byte %d of %s's cache entry" off victim_f;
-                   match round [ victim_f ] with
-                   | None -> ()
-                   | Some (d3, replies3) ->
-                       check
-                         (name
-                        ^ ": corrupt entry falls through to generation")
-                         (d3 = "A" && Atomic.get decodes > cold);
-                       check (name ^ ": corruption recorded as a cache fault")
-                         (R.Report.count_class report R.Fault.Ccache >= 1);
-                       check
-                         (name
-                        ^ ": regenerated reply bit-identical to the cold one")
-                         (List.map S.Proto.encode_reply replies3
-                         = [ S.Proto.encode_reply (List.hd replies1) ]);
-                       let st = Sh.Cache.stats cache in
-                       check (name ^ ": corrupt entry evicted")
-                         (st.Sh.Cache.c_evictions >= 1);
-                       check (name ^ ": regenerated result re-cached")
-                         (Sh.Cache.get cache ~fname:victim_f <> None);
-                       info
-                         "cache: %d hit(s), %d miss(es), %d put(s), %d \
-                          eviction(s), %d entries"
-                         st.Sh.Cache.c_hits st.Sh.Cache.c_misses
-                         st.Sh.Cache.c_puts st.Sh.Cache.c_evictions
-                         st.Sh.Cache.c_entries))));
-
-      (* ---- kill 1 of 3 shards at 4x aggregate queue capacity mid-storm:
-         the accept/reroute/shed sequence is byte-reproducible under the
-         seed, the restarted shard resumes from its own journal, and the
-         final generated outputs are bit-identical to the unkilled run ---- *)
-      (let name = "shard-storm-kill" in
-       scenario name;
-       let shards_n = 3 in
-       let cap = 4 in
-       let nf = List.length fleet_fnames in
-       let n = 4 * shards_n * cap in
-       let scfg =
-         {
-           S.Server.default_config with
-           S.Server.domains = 1;
-           queue_cap = cap;
-           client_burst = float_of_int (2 * n);
-           client_rate = 0.0;
-         }
-       in
-       let storm = R.Inject.create ~seed R.Inject.Queue_storm in
-       let storm_fnames =
-         List.map
-           (fun i -> List.nth fleet_fnames (i mod nf))
-           (R.Inject.storm_order storm n)
-       in
-       let rcfg policy =
-         {
-           Sh.Router.default_config with
-           Sh.Router.policy;
-           retries = 0;
-           probe_every = 0;
-           breaker_threshold = 2;
-           breaker_cooldown = 4;
-           seed;
-         }
-       in
-       let names = List.init shards_n (Printf.sprintf "shard-%d") in
-       (* the same pure ring the router builds, to name each key's owner *)
-       let ring =
-         Sh.Ring.create
-           ~replicas:Sh.Router.default_config.Sh.Router.replicas names
-       in
-       let owner fname =
-         Sh.Ring.lookup ring
-           (Sh.Cache.request_key ~fingerprint ~desc_hash ~fname)
-       in
-       let storm_dir tag = Filename.concat run_dir ("shard-storm-" ^ tag) in
-       (* a three-shard fleet, each with its own journal segment; [kill]
-          arms one shard's journal with a crash offset *)
-       let mk_fleet ~tag ~policy ~kill =
-         let rec go i acc =
-           if i < 0 then Some acc
-           else begin
-             let dir = Sh.Router.shard_run_dir (storm_dir tag) i in
-             clear dir;
-             let kill_at =
-               match kill with Some (v, at) when v = i -> Some at | _ -> None
-             in
-             match
-               S.Server.create ~config:scfg ~run_dir:dir ?kill_at t ~target
-                 ~decoder
-             with
-             | Ok srv -> go (i - 1) (srv :: acc)
-             | Error e ->
-                 violation "%s: shard %d failed to start (%s)" name i e;
-                 None
-           end
-         in
-         match go (shards_n - 1) [] with
-         | None -> None
-         | Some servers -> (
-             let eps =
-               List.mapi
-                 (fun i srv ->
-                   Sh.Router.of_server ~name:(Printf.sprintf "shard-%d" i) srv)
-                 servers
-             in
-             let report = R.Report.create () in
-             match
-               Sh.Router.create ~config:(rcfg policy) ~report
-                 ~sleep:(fun _ -> ())
-                 ~fingerprint ~desc_hash eps
-             with
-             | Error e ->
-                 violation "%s: router creation failed (%s)" name e;
-                 None
-             | Ok router -> Some (servers, router, report))
-       in
-       match mk_fleet ~tag:"ref" ~policy:Sh.Router.Reroute ~kill:None with
-       | None -> ()
-       | Some (ref_servers, ref_router, _) -> (
-           let ref_replies =
-             List.map (fun f -> Sh.Router.route ref_router (mkreq f))
-               storm_fnames
-           in
-           let d_ref = Sh.Router.decisions ref_router in
-           check (name ^ ": unkilled storm completes every request")
-             (List.for_all
-                (function S.Proto.Done _ -> true | _ -> false)
-                ref_replies);
-           check (name ^ ": unkilled storm routes every request to its owner")
-             (d_ref = String.make n 'A');
-           let expect =
-             render (merge_funcs (List.map S.Server.functions ref_servers))
-           in
-           let kinj = R.Inject.create ~seed R.Inject.Shard_kill in
-           let victim = R.Inject.shard_victim kinj ~shards:shards_n in
-           let victim_name = Printf.sprintf "shard-%d" victim in
-           (* the victim's share of the storm — the functions the
-              restarted shard must serve again for the final-output
-              identity check to cover the same set as the reference *)
-           let victim_fnames =
-             List.filter
-               (fun f -> owner f = victim_name)
-               (List.sort_uniq compare storm_fnames)
-           in
-           check (name ^ ": the victim owns at least one function")
-             (victim_fnames <> []);
-           let victim_records =
-             (S.Server.health (List.nth ref_servers victim))
-               .S.Health.h_journal_records
-           in
-           Sh.Router.drain ref_router;
-           (* clamp into the middle half of the victim's journal: past the
-              midpoint so at least one function is durably complete when
-              the crash lands, short of the tail so a meaningful stretch
-              of the storm still reroutes *)
-           let k =
-             max
-               (max 2 (victim_records / 2))
-               (min
-                  (R.Inject.kill_offset kinj ~records:victim_records)
-                  (victim_records * 3 / 4))
-           in
-           info "victim shard-%d, kill-at %d of its %d journal record(s)"
-             victim k victim_records;
-           let killed_run ~tag ~policy =
-             match mk_fleet ~tag ~policy ~kill:(Some (victim, k)) with
-             | None -> None
-             | Some (servers, router, report) ->
-                 let replies =
-                   List.map (fun f -> Sh.Router.route router (mkreq f))
-                     storm_fnames
-                 in
-                 let d = Sh.Router.decisions router in
-                 let funcs = List.map S.Server.functions servers in
-                 (match Sh.Router.drain router with
-                 | () -> violation "%s: kill-at %d never fired (%s)" name k tag
-                 | exception R.Journal.Killed rn ->
-                     check
-                       (Printf.sprintf
-                          "%s: crash lands on the armed record (kill-at %d)"
-                          name k)
-                       (rn = k));
-                 check (name ^ ": shard failures recorded by the router")
-                   (R.Report.count_class report R.Fault.Cshard > 0);
-                 Some (d, replies, funcs)
-           in
-           match
-             ( killed_run ~tag:"kill-a" ~policy:Sh.Router.Reroute,
-               killed_run ~tag:"kill-b" ~policy:Sh.Router.Reroute )
-           with
-           | Some (d1, replies1, funcs1), Some (d2, _, _) -> (
-               check (name ^ ": same seed, same accept/reroute sequence")
-                 (d1 = d2);
-               check (name ^ ": reroute policy still completes every request")
-                 (List.for_all
-                    (function S.Proto.Done _ -> true | _ -> false)
-                    replies1);
-               check (name ^ ": at least one request rerouted off the victim")
-                 (String.contains d1 'R');
-               info "reroute decisions %s" d1;
-               (match killed_run ~tag:"shed" ~policy:Sh.Router.Shed with
-               | None -> ()
-               | Some (d3, replies3, _) ->
-                   check
-                     (name
-                    ^ ": shed decisions differ from reroute exactly at R->D")
-                     (String.length d3 = String.length d1
-                     && List.for_all2
-                          (fun a b -> a = b || (a = 'R' && b = 'D'))
-                          (List.init (String.length d1) (String.get d1))
-                          (List.init (String.length d3) (String.get d3)));
-                   check (name ^ ": at least one request shed") (String.contains d3 'D');
-                   List.iteri
-                     (fun i reply ->
-                       if d3.[i] = 'D' then
-                         match reply with
-                         | S.Proto.Rejected (S.Proto.Shard_down { shard })
-                           when shard = victim_name ->
-                             ()
-                         | _ ->
-                             violation
-                               "%s: shed request %d lacks a shard-down \
-                                rejection naming the victim"
-                               name i)
-                     replies3);
-               (* the victim's own journal segment: tear the tail (when
-                  there is more than the header plus one record to lose),
-                  restart, and the shard resumes its own functions *)
-               let victim_dir =
-                 Sh.Router.shard_run_dir (storm_dir "kill-a") victim
-               in
-               if k > 2 then
-                 R.Journal.tear ~path:(Vega.Pipeline.journal_path victim_dir);
-               match
-                 S.Server.create ~config:scfg ~run_dir:victim_dir ~resume:true
-                   t ~target ~decoder
-               with
-               | Error e -> violation "%s: victim resume failed (%s)" name e
-               | Ok rsrv ->
-                   let restored = S.Server.resumed_functions rsrv in
-                   check
-                     (name
-                    ^ ": restarted victim resumes from its own journal")
-                     (restored > 0);
-                   let vreplies =
-                     List.map
-                       (fun f -> S.Server.request rsrv (mkreq f))
-                       victim_fnames
-                   in
-                   check (name ^ ": restarted victim answers its functions")
-                     (List.for_all
-                        (function S.Proto.Done _ -> true | _ -> false)
-                        vreplies);
-                   check (name ^ ": at least one reply restored from journal")
-                     (List.exists
-                        (function
-                          | S.Proto.Done { r_resumed; _ } -> r_resumed
-                          | _ -> false)
-                        vreplies);
-                   let survivors =
-                     List.filteri (fun i _ -> i <> victim) funcs1
-                   in
-                   let got =
-                     render
-                       (merge_funcs (S.Server.functions rsrv :: survivors))
-                   in
-                   S.Server.drain rsrv;
-                   if got <> expect then
-                     violation
-                       "%s: final outputs differ from the unkilled run \
-                        (kill-at %d)"
-                       name k
-                   else
-                     info
-                       "kill-at %d: final outputs bit-identical (%d \
-                        resumed on shard-%d)"
-                       k restored victim)
-           | _ -> ()))
-    end;
-
-    (* ---- chaos soak: R seeded rounds composing shard kills, probe-drop
-       stalls, refused respawns (flap -> quarantine), cache corruption and
-       version skew against a self-healing fleet.  Invariants per round:
-       zero lost requests, byte-equal decision and event logs across
-       same-seed repeats, quarantined shards frozen out of traffic with
-       every affected request answered by a typed rejection, and merged
-       outputs bit-identical to an unkilled single-shard reference. ---- *)
-    if chaos_soak && kill_at = None && not stream_chaos then begin
-      let fleet_fnames =
-        List.map
-          (fun (b : Vega.Pipeline.bundle) ->
-            b.Vega.Pipeline.spec.Vega_corpus.Spec.fname)
-          t.Vega.Pipeline.prep.Vega.Pipeline.bundles
-      in
-      let fingerprint = Vega.Pipeline.fingerprint t ~target in
-      let desc_hash =
-        Sh.Cache.desc_hash_of_vfs
-          t.Vega.Pipeline.prep.Vega.Pipeline.corpus.Vega_corpus.Corpus.vfs
-          ~target
-      in
-      let mkreq fname =
-        {
-          S.Proto.rq_client = "chaos";
-          rq_target = target;
-          rq_fname = fname;
-          rq_deadline_ms = None;
-        }
-      in
-      let merge_funcs lists =
-        let tbl = Hashtbl.create 32 in
-        List.iter
-          (List.iter (fun (gf : Vega.Generate.gen_func) ->
-               if not (Hashtbl.mem tbl gf.Vega.Generate.gf_fname) then
-                 Hashtbl.add tbl gf.Vega.Generate.gf_fname gf))
-          lists;
-        List.sort
-          (fun (a : Vega.Generate.gen_func) (b : Vega.Generate.gen_func) ->
-            compare a.Vega.Generate.gf_fname b.Vega.Generate.gf_fname)
-          (Hashtbl.fold (fun _ gf acc -> gf :: acc) tbl [])
-      in
-      let contains_sub s sub =
-        let sn = String.length sub and sm = String.length s in
-        let rec go i = i + sn <= sm && (String.sub s i sn = sub || go (i + 1)) in
-        go 0
-      in
-      let name = "chaos-soak" in
-      scenario name;
-      let nf = List.length fleet_fnames in
-      check (name ^ ": corpus provides functions to serve") (nf > 0);
-      if nf > 0 then begin
-        let shards_n = 3 in
-        let rounds = max 1 soak_rounds in
-        let scfg =
-          {
-            S.Server.default_config with
-            S.Server.domains = 1;
-            queue_cap = 128;
-            client_burst = 100000.0;
-            client_rate = 0.0;
-          }
-        in
-        (* the unkilled single-shard reference every round must match *)
-        match S.Server.create ~config:scfg t ~target ~decoder with
-        | Error e -> violation "%s: reference server failed to start (%s)" name e
-        | Ok ref_srv ->
-            let ref_replies =
-              List.map (fun f -> (f, S.Server.request ref_srv (mkreq f)))
-                fleet_fnames
-            in
-            check (name ^ ": reference run completes every request")
-              (List.for_all
-                 (fun (_, r) ->
-                   match r with S.Proto.Done _ -> true | _ -> false)
-                 ref_replies);
-            let expect = render (merge_funcs [ S.Server.functions ref_srv ]) in
-            S.Server.drain ref_srv;
-            let shard_names =
-              List.init shards_n (Printf.sprintf "shard-%d")
-            in
-            let ring =
-              Sh.Ring.create
-                ~replicas:Sh.Router.default_config.Sh.Router.replicas
-                shard_names
-            in
-            let owner fname =
-              Sh.Ring.lookup ring
-                (Sh.Cache.request_key ~fingerprint ~desc_hash ~fname)
-            in
-            let owned nm = List.filter (fun f -> owner f = nm) fleet_fnames in
-            (* the largest owner is a fallback victim whose armed kill is
-               guaranteed at least two journal records even behind a cache
-               (the cache dedups repeats, so a one-key shard may never
-               reach its second record) *)
-            let max_owner =
-              List.fold_left
-                (fun best nm ->
-                  if List.length (owned nm) > List.length (owned best) then nm
-                  else best)
-                (List.hd shard_names) shard_names
-            in
-            for round = 0 to rounds - 1 do
-              let sub = seed + (round * 7919) in
-              (* three fault mixes, cycling when more rounds are asked for:
-                 0 = kill + cache corruption + version skew;
-                 1 = kill + probe-drop stall (hedging, no cache);
-                 2 = kill + refused respawn (flap -> quarantine, shed twin) *)
-              let cache_round = round mod 3 = 0 in
-              let stall_round = round mod 3 = 1 in
-              let flap_round = round mod 3 = 2 in
-              let kinj = R.Inject.create ~seed:sub R.Inject.Shard_kill in
-              let victim_name =
-                let c =
-                  Printf.sprintf "shard-%d"
-                    (R.Inject.shard_victim kinj ~shards:shards_n)
-                in
-                if List.length (owned c) >= 2 then c else max_owner
-              in
-              let stall_name =
-                let cands =
-                  List.filter (fun nm -> nm <> victim_name) shard_names
-                in
-                let preferred =
-                  List.filter (fun nm -> owned nm <> []) cands
-                in
-                let pool = if preferred <> [] then preferred else cands in
-                List.nth pool (abs sub mod List.length pool)
-              in
-              let kill_k = 2 in
-              let storm = R.Inject.create ~seed:sub R.Inject.Queue_storm in
-              let passes = if flap_round then 6 else 4 in
-              let n = passes * nf in
-              let storm_fnames =
-                List.map
-                  (fun i -> List.nth fleet_fnames (i mod nf))
-                  (R.Inject.storm_order storm n)
-              in
-              info "round %d: victim %s (kill-at %d)%s%s, seed %d" round
-                victim_name kill_k
-                (if stall_round then ", probes dropped on " ^ stall_name
-                 else "")
-                (if flap_round then ", respawns refused (flap)" else "")
-                sub;
-              let run_one ~tag ~policy =
-                let base =
-                  Filename.concat run_dir
-                    (Printf.sprintf "chaos-%d-%s" round tag)
-                in
-                let contacts = Hashtbl.create 4 in
-                let hits nm =
-                  Option.value ~default:0 (Hashtbl.find_opt contacts nm)
-                in
-                let wrap_endpoint nm ep =
-                  {
-                    ep with
-                    Sh.Router.ep_request =
-                      (fun rq ->
-                        Hashtbl.replace contacts nm (hits nm + 1);
-                        ep.Sh.Router.ep_request rq);
-                  }
-                in
-                let pinj = R.Inject.create ~seed:sub R.Inject.Probe_drop in
-                let wrap_probe shard probe =
-                  if stall_round && shard = stall_name then
-                    R.Inject.wrap_dropping_probe pinj ~shard probe ()
-                  else probe ()
-                in
-                let report = R.Report.create () in
-                let cache =
-                  if not cache_round then None
-                  else begin
-                    let dir = Filename.concat base "cache" in
-                    (if Sys.file_exists dir then
-                       Array.iter
-                         (fun f ->
-                           if
-                             Filename.check_suffix f Sh.Cache.entry_ext
-                             || Filename.check_suffix f ".tmp"
-                           then rmf (Filename.concat dir f))
-                         (Sys.readdir dir));
-                    Some
-                      (Sh.Cache.create ~report ~dir ~fingerprint ~desc_hash
-                         ())
-                  end
-                in
-                let specs =
-                  List.init shards_n (fun i ->
-                      let nm = Printf.sprintf "shard-%d" i in
-                      let dir = Sh.Router.shard_run_dir base i in
-                      clear dir;
-                      {
-                        F.sp_name = nm;
-                        sp_spawn =
-                          (fun ~epoch ~resume ->
-                            if flap_round && nm = victim_name && resume then
-                              Error "respawn refused (chaos)"
-                            else
-                              S.Server.create ~config:scfg ~run_dir:dir
-                                ~resume
-                                ?kill_at:
-                                  (if nm = victim_name && epoch = 0 then
-                                     Some kill_k
-                                   else None)
-                                ~epoch t ~target ~decoder);
-                      })
-                in
-                let fcfg =
-                  {
-                    F.default_config with
-                    F.probe_every = 2;
-                    probe_patience = 2;
-                    flap_k = 3;
-                    flap_window = 256;
-                    backoff_base = 1;
-                    seed = sub;
-                  }
-                in
-                let rcfg =
-                  {
-                    Sh.Router.default_config with
-                    Sh.Router.policy;
-                    retries = 0;
-                    probe_every = 0;
-                    breaker_threshold = 2;
-                    breaker_cooldown = 4;
-                    hedge_after = 2;
-                    seed = sub;
-                  }
-                in
-                match
-                  F.create ~config:fcfg ~router_config:rcfg ?cache ~report
-                    ~wrap_endpoint ~wrap_probe ~fingerprint ~desc_hash specs
-                with
-                | Error e ->
-                    violation "%s[%d,%s]: fleet failed to boot (%s)" name
-                      round tag e;
-                    None
-                | Ok fleet ->
-                    let route f =
-                      match F.request fleet (mkreq f) with
-                      | r -> r
-                      | exception e ->
-                          violation
-                            "%s[%d,%s]: raw exception escaped the router \
-                             (%s)"
-                            name round tag (Printexc.to_string e);
-                          S.Proto.Failed "escaped"
-                    in
-                    let replies = List.map route storm_fnames in
-                    (* mid-round cache corruption: the poisoned key must be
-                       detected, evicted, recorded, and regenerated *)
-                    let extra =
-                      match cache with
-                      | None -> []
-                      | Some c -> (
-                          let cinj =
-                            R.Inject.create ~seed:sub R.Inject.Cache_corrupt
-                          in
-                          let victim_f =
-                            List.nth fleet_fnames (abs sub mod nf)
-                          in
-                          match
-                            R.Inject.corrupt_cache_entry cinj
-                              ~path:(Sh.Cache.path c ~fname:victim_f)
-                          with
-                          | None ->
-                              violation
-                                "%s[%d,%s]: no cache entry to corrupt" name
-                                round tag;
-                              []
-                          | Some _ -> [ (victim_f, route victim_f) ])
-                    in
-                    (* a version-skewed peer line gets the typed mismatch,
-                       never a crash or a silent drop *)
-                    (match
-                       S.Proto.decode_reply
-                         (F.request_line fleet
-                            (S.Proto.encode_command_at ~version:99
-                               (S.Proto.Creq (mkreq (List.hd fleet_fnames)))))
-                     with
-                    | S.Proto.Decoded
-                        (S.Proto.Rejected
-                           (S.Proto.Version_mismatch { got = 99; _ })) ->
-                        ()
-                    | _ ->
-                        violation
-                          "%s[%d,%s]: version-skewed line not answered with \
-                           the typed mismatch"
-                          name round tag);
-                    (* quarantined shards must be frozen out: snapshot their
-                       contact counts, sweep every function again, require
-                       no growth and no live-ring membership *)
-                    let q = F.quarantined fleet in
-                    let frozen = List.map (fun (nm, _) -> (nm, hits nm)) q in
-                    List.iter
-                      (fun (nm, _) ->
-                        if
-                          List.mem nm
-                            (Sh.Router.live_shards (F.router fleet))
-                        then
-                          violation
-                            "%s[%d,%s]: quarantined %s still in the live \
-                             ring"
-                            name round tag nm)
-                      q;
-                    let tail = List.map route fleet_fnames in
-                    List.iter
-                      (fun (nm, n0) ->
-                        if hits nm <> n0 then
-                          violation
-                            "%s[%d,%s]: quarantined %s received traffic \
-                             after quarantine"
-                            name round tag nm)
-                      frozen;
-                    let recovery =
-                      let detect =
-                        List.filter_map
-                          (function
-                            | F.Crash_detected { shard; decision }
-                              when shard = victim_name ->
-                                Some decision
-                            | _ -> None)
-                          (F.events fleet)
-                      and respawned =
-                        List.filter_map
-                          (function
-                            | F.Respawned { shard; decision; _ }
-                              when shard = victim_name ->
-                                Some decision
-                            | _ -> None)
-                          (F.events fleet)
-                      in
-                      match (detect, respawned) with
-                      | d0 :: _, d1 :: _ -> Some (d1 - d0)
-                      | _ -> None
-                    in
-                    let out =
-                      {
-                        sk_d = Sh.Router.decisions (F.router fleet);
-                        sk_ev = F.event_log fleet;
-                        sk_replies = replies;
-                        sk_extra = extra;
-                        sk_tail = tail;
-                        sk_funcs =
-                          List.map
-                            (fun (_, srv) -> S.Server.functions srv)
-                            (F.servers fleet);
-                        sk_q = q;
-                        sk_report = report;
-                        sk_recovery = recovery;
-                        sk_epoch = F.epoch fleet victim_name;
-                      }
-                    in
-                    (try F.drain fleet
-                     with e ->
-                       violation "%s[%d,%s]: drain raised (%s)" name round
-                         tag (Printexc.to_string e));
-                    Some out
-              in
-              (match
-                 ( run_one ~tag:"a" ~policy:Sh.Router.Reroute,
-                   run_one ~tag:"b" ~policy:Sh.Router.Reroute )
-               with
-              | Some a, Some b ->
-                  let all_replies r =
-                    r.sk_replies @ List.map snd r.sk_extra @ r.sk_tail
-                  in
-                  check
-                    (Printf.sprintf
-                       "%s[%d]: zero lost requests (every reply Done under \
-                        reroute)"
-                       name round)
-                    (List.for_all
-                       (function S.Proto.Done _ -> true | _ -> false)
-                       (all_replies a));
-                  check
-                    (Printf.sprintf
-                       "%s[%d]: same seed, byte-equal decision logs" name
-                       round)
-                    (a.sk_d = b.sk_d);
-                  check
-                    (Printf.sprintf
-                       "%s[%d]: same seed, byte-equal fleet event logs" name
-                       round)
-                    (a.sk_ev = b.sk_ev);
-                  check
-                    (Printf.sprintf
-                       "%s[%d]: same seed, bit-identical replies" name round)
-                    (List.map S.Proto.encode_reply (all_replies a)
-                    = List.map S.Proto.encode_reply (all_replies b));
-                  check
-                    (Printf.sprintf "%s[%d]: victim crash detected" name
-                       round)
-                    (contains_sub a.sk_ev ("K" ^ victim_name));
-                  check
-                    (Printf.sprintf
-                       "%s[%d]: at least one request rerouted off the \
-                        victim"
-                       name round)
-                    (String.contains a.sk_d 'R');
-                  if flap_round then begin
-                    check
-                      (Printf.sprintf "%s[%d]: flapping victim quarantined"
-                         name round)
-                      (List.mem_assoc victim_name a.sk_q);
-                    check
-                      (Printf.sprintf "%s[%d]: quarantine event logged" name
-                         round)
-                      (contains_sub a.sk_ev ("Q" ^ victim_name));
-                    check
-                      (Printf.sprintf "%s[%d]: flap fault recorded" name
-                         round)
-                      (R.Report.count_class a.sk_report R.Fault.Cflap >= 1)
-                  end
-                  else begin
-                    check
-                      (Printf.sprintf
-                         "%s[%d]: victim respawned from its journal" name
-                         round)
-                      (contains_sub a.sk_ev ("R" ^ victim_name));
-                    check
-                      (Printf.sprintf
-                         "%s[%d]: respawned victim runs a later epoch" name
-                         round)
-                      (a.sk_epoch >= 1);
-                    check
-                      (Printf.sprintf
-                         "%s[%d]: nothing quarantined in a respawn round"
-                         name round)
-                      (a.sk_q = []);
-                    match a.sk_recovery with
-                    | Some d ->
-                        info
-                          "round %d: victim recovered in %d decision(s) \
-                           (detect -> respawned)"
-                          round d
-                    | None ->
-                        violation
-                          "%s[%d]: no crash-to-respawn pair in the event log"
-                          name round
-                  end;
-                  if stall_round then begin
-                    check
-                      (Printf.sprintf "%s[%d]: probe losses recorded" name
-                         round)
-                      (R.Report.count_class a.sk_report R.Fault.Cprobe >= 1);
-                    check
-                      (Printf.sprintf "%s[%d]: stalled shard classified"
-                         name round)
-                      (contains_sub a.sk_ev ("S" ^ stall_name));
-                    check
-                      (Printf.sprintf
-                         "%s[%d]: hedged decisions in the log" name round)
-                      (String.contains a.sk_d 'H')
-                  end;
-                  if cache_round then begin
-                    check
-                      (Printf.sprintf "%s[%d]: repeats answered from cache"
-                         name round)
-                      (String.contains a.sk_d 'C');
-                    check
-                      (Printf.sprintf
-                         "%s[%d]: corruption recorded as a cache fault" name
-                         round)
-                      (R.Report.count_class a.sk_report R.Fault.Ccache >= 1);
-                    match a.sk_extra with
-                    | [ (vf, rr) ] ->
-                        check
-                          (Printf.sprintf
-                             "%s[%d]: regenerated reply bit-identical to \
-                              the reference"
-                             name round)
-                          (Some (S.Proto.encode_reply rr)
-                          = Option.map S.Proto.encode_reply
-                              (List.assoc_opt vf ref_replies))
-                    | _ -> ()
-                  end;
-                  let got = render (merge_funcs a.sk_funcs) in
-                  if got <> expect then
-                    violation
-                      "%s[%d]: merged outputs differ from the unkilled \
-                       single-shard reference"
-                      name round
-                  else
-                    info
-                      "round %d: merged outputs bit-identical to the \
-                       reference (decisions %s)"
-                      round a.sk_d;
-                  if flap_round then begin
-                    match run_one ~tag:"shed" ~policy:Sh.Router.Shed with
-                    | None -> ()
-                    | Some sh ->
-                        let all = all_replies sh in
-                        check
-                          (Printf.sprintf
-                             "%s[%d]: no raw failure escapes under shed"
-                             name round)
-                          (List.for_all
-                             (function
-                               | S.Proto.Done _ | S.Proto.Rejected _ -> true
-                               | S.Proto.Failed _ -> false)
-                             all);
-                        check
-                          (Printf.sprintf
-                             "%s[%d]: victim quarantined under shed" name
-                             round)
-                          (List.mem_assoc victim_name sh.sk_q);
-                        let qrej =
-                          List.filter
-                            (function
-                              | S.Proto.Rejected
-                                  (S.Proto.Shard_quarantined { shard; _ }) ->
-                                  shard = victim_name
-                              | _ -> false)
-                            all
-                        in
-                        check
-                          (Printf.sprintf
-                             "%s[%d]: quarantine matched by typed \
-                              Shard_quarantined rejections"
-                             name round)
-                          (qrej <> [] && String.contains sh.sk_d 'Q');
-                        info
-                          "round %d: %d typed quarantine rejection(s) under \
-                           shed"
-                          round (List.length qrej)
-                  end
-              | _ -> ())
-            done
-      end
-    end;
-
-    (* ---- streaming connection chaos: cancel-storm, slow-loris shed,
-       mid-stream kill/resume against the event-loop serve core. Every
-       scenario runs twice; the engine decision log must be byte-equal
-       across the twin runs, no request may be lost or double-decoded,
-       and no raw exception may escape the event loop. ---- *)
-    if stream_chaos || (kill_at = None && (not shard_only) && not chaos_soak)
-    then begin
-      let module Ev = S.Evloop in
-      let stream_fnames =
-        List.map
-          (fun (b : Vega.Pipeline.bundle) ->
-            b.Vega.Pipeline.spec.Vega_corpus.Spec.fname)
-          t.Vega.Pipeline.prep.Vega.Pipeline.bundles
-      in
-      let scfg =
-        {
-          S.Server.default_config with
-          S.Server.domains = 1;
-          queue_cap = 256;
-          client_burst = 1.0e9;
-          client_rate = 0.0;
-        }
-      in
-      let stream_server ?run_dir ?resume ?(dec = decoder) () =
-        match
-          S.Server.create ~config:scfg ?run_dir ?resume t ~target ~decoder:dec
-        with
-        | Ok s -> s
-        | Error e -> failwith ("stream chaos: server create failed: " ^ e)
-      in
-      let ecfg =
-        {
-          Ev.ev_slots = 2;
-          (* every stream admits: queue-full shedding is the engine
-             tests' concern, not this chaos matrix's *)
-          ev_wait_cap = List.length stream_fnames + 1;
-          ev_max_conns = List.length stream_fnames + 8;
-          ev_steps_per_tick = 1;
-          ev_idle_ticks = 50;
-          ev_stall_ticks = 4;
-          ev_wbuf_limit = 192;
-        }
-      in
-      (* clean reference: every function decoded on an undisturbed
-         server, rendered in canonical bundle order — the bit-identity
-         yardstick for the kill/resume scenario. Also yields the
-         busiest function, the one with the most room to cancel in. *)
-      let mkreq f =
-        {
-          S.Proto.rq_client = "chaos";
-          rq_target = target;
-          rq_fname = f;
-          rq_deadline_ms = None;
-        }
-      in
-      let expect_all, busiest =
-        let srv = stream_server () in
-        List.iter
-          (fun f ->
-            match S.Server.request srv (mkreq f) with
-            | S.Proto.Done _ -> ()
-            | r ->
-                violation "stream chaos: reference decode of %s failed (%s)" f
-                  (S.Proto.encode_reply r))
-          stream_fnames;
-        let gfs = S.Server.functions srv in
-        let busiest =
-          List.fold_left
-            (fun (n, f) (gf : Vega.Generate.gen_func) ->
-              let m = List.length gf.Vega.Generate.gf_stmts in
-              if m > n then (m, gf.Vega.Generate.gf_fname) else (n, f))
-            (0, "") gfs
-        in
-        let r = render gfs in
-        S.Server.drain srv;
-        (r, busiest)
-      in
-      (* run one scenario twice and require byte-equal decision logs;
-         any exception out of the engine is itself a violation *)
-      let twice name plan verify =
-        scenario name;
-        match
-          let go () =
-            let made = plan () in
-            let srv, cfg, clients, finish = made in
-            let e = Ev.create ~cfg srv in
-            let res = run_chaos e ~target clients in
-            let logbytes = Ev.log e in
-            let st = Ev.stats e in
-            let extra = finish srv e in
-            S.Server.drain srv;
-            (res, logbytes, st, extra)
-          in
-          (go (), go ())
-        with
-        | exception exn ->
-            violation "%s: escaped the event loop: %s" name
-              (Printexc.to_string exn)
-        | (res1, log1, st1, extra1), (res2, log2, st2, _) ->
-            check
-              (Printf.sprintf "%s: decision log byte-equal across twin runs"
-                 name)
-              (log1 = log2);
-            check
-              (Printf.sprintf "%s: twin runs reach the same finals" name)
-              (List.map (fun r -> Option.map S.Proto.encode_reply r.cr_final)
-                 res1
-              = List.map (fun r -> Option.map S.Proto.encode_reply r.cr_final)
-                  res2);
-            check
-              (Printf.sprintf "%s: twin runs agree on engine stats" name)
-              (st1 = st2);
-            verify res1 st1 extra1
-      in
-
-      (* -- cancel-storm: a seeded subset of concurrent streams cancels
-         mid-decode; cancelled slots must free (the storm converges),
-         nothing is lost, and re-requesting a cancelled function decodes
-         it fresh exactly once -- *)
-      let cancel_plan =
-        let inj =
-          R.Inject.create ~every:2 ~seed R.Inject.Cancel_mid_decode
-        in
-        R.Inject.cancel_schedule inj
-          ~streams:(List.length stream_fnames)
-          ~max_stmt:3
-      in
-      twice "stream cancel-storm"
-        (fun () ->
-          let srv = stream_server () in
-          let clients =
-            List.mapi
-              (fun i f ->
-                {
-                  (chaos_plain f) with
-                  cc_cancel_at = List.assoc_opt i cancel_plan;
-                })
-              stream_fnames
-          in
-          (srv, ecfg, clients, fun srv _ -> S.Server.health srv))
-        (fun res st h ->
-          let name = "stream cancel-storm" in
-          check
-            (Printf.sprintf "%s: every stream answered exactly once" name)
-            (List.for_all (fun r -> r.cr_final <> None) res);
-          check
-            (Printf.sprintf "%s: unscheduled streams all complete" name)
-            (List.for_all
-               (fun (i, r) ->
-                 match (List.assoc_opt i cancel_plan, r.cr_final) with
-                 | None, Some (S.Proto.Done d) ->
-                     Some d.r_fname = r.cr_fname
-                 | None, _ -> false
-                 | Some _, Some (S.Proto.Done _ | S.Proto.Rejected
-                     (S.Proto.Cancelled _)) ->
-                     true
-                 | Some _, _ -> false)
-               (List.mapi (fun i r -> (i, r)) res));
-          check
-            (Printf.sprintf "%s: cancellations landed" name)
-            (st.Ev.ev_cancelled >= 1);
-          check
-            (Printf.sprintf "%s: every slot freed" name)
-            (h.S.Health.h_busy = 0);
-          check
-            (Printf.sprintf "%s: journal lag settled to zero" name)
-            (h.S.Health.h_journal_lag = 0);
-          info "%d stream(s), %d cancelled, %d completed"
-            (List.length res) st.Ev.ev_cancelled
-            (st.Ev.ev_finished - st.Ev.ev_cancelled));
-      (* a cancelled function re-requested on the same server decodes
-         fresh — cancellation neither caches a partial result nor
-         double-decodes a finished one *)
-      (match busiest with
-      | 0, _ -> violation "cancel-storm: no busiest function to cancel"
-      | _, f ->
-          let calls = ref 0 in
-          let dec fv =
-            incr calls;
-            decoder fv
-          in
-          let srv = stream_server ~dec () in
-          let e = Ev.create ~cfg:ecfg srv in
-          let res =
-            run_chaos e ~target
-              [ { (chaos_plain f) with cc_cancel_at = Some 1 } ]
-          in
-          let after_cancel = !calls in
-          (match (res, S.Server.request srv (mkreq f)) with
-          | ( [ { cr_final = Some (S.Proto.Rejected (S.Proto.Cancelled _)); _ } ],
-              S.Proto.Done d ) ->
-              check "cancel-storm: re-request decodes fresh"
-                ((not d.r_resumed) && !calls > after_cancel)
-          | _ ->
-              violation
-                "cancel-storm: cancelled function did not regenerate cleanly");
-          S.Server.drain srv);
-
-      (* -- slow-loris shed: a seeded subset of peers reads at a crawl
-         and one connects without ever sending a request. Stalled
-         readers are shed with typed [Slow_reader], the silent peer
-         with [Idle_timeout]; everyone else completes -- *)
-      let slow_plan =
-        let inj = R.Inject.create ~every:2 ~seed R.Inject.Slow_client in
-        R.Inject.slow_clients inj ~conns:(List.length stream_fnames)
-      in
-      twice "stream slow-loris shed"
-        (fun () ->
-          let srv = stream_server () in
-          let clients =
-            List.mapi
-              (fun i f ->
-                match List.assoc_opt i slow_plan with
-                | Some budget -> chaos_plain ~budget f
-                | None -> chaos_plain f)
-              stream_fnames
-            @ [
-                (* the loris: connects, never sends a request *)
-                {
-                  cc_fname = None;
-                  cc_budget = max_int;
-                  cc_cancel_at = None;
-                  cc_kill_at = None;
-                  cc_eof_at = None;
-                };
-              ]
-          in
-          (srv, ecfg, clients, fun srv _ -> S.Server.health srv))
-        (fun res st h ->
-          let name = "stream slow-loris shed" in
-          check
-            (Printf.sprintf "%s: every peer answered exactly once" name)
-            (List.for_all (fun r -> r.cr_final <> None) res);
-          check
-            (Printf.sprintf "%s: every verdict typed Done/Slow_reader" name)
-            (List.for_all
-               (fun r ->
-                 match (r.cr_fname, r.cr_final) with
-                 | Some _, Some (S.Proto.Done _) -> true
-                 | Some _, Some (S.Proto.Rejected (S.Proto.Slow_reader _)) ->
-                     true
-                 | None, Some (S.Proto.Rejected (S.Proto.Idle_timeout _)) ->
-                     true
-                 | _ -> false)
-               res);
-          check
-            (Printf.sprintf "%s: at least one slow reader shed" name)
-            (st.Ev.ev_shed_slow >= 1);
-          check
-            (Printf.sprintf "%s: the silent peer idle-shed" name)
-            (st.Ev.ev_idle_closed = 1);
-          check
-            (Printf.sprintf "%s: every slot freed" name)
-            (h.S.Health.h_busy = 0);
-          info "%d peer(s): %d shed slow, %d idle-shed, %d completed"
-            (List.length res) st.Ev.ev_shed_slow st.Ev.ev_idle_closed
-            (st.Ev.ev_finished - st.Ev.ev_cancelled));
-
-      (* -- mid-stream kill/resume: durable serve, a seeded subset of
-         peers half-closes or hard-disconnects mid-decode; a resumed
-         server restores every sealed function without re-decoding and
-         regenerates the interrupted ones bit-identical to a clean
-         reference -- *)
-      let eof_plan =
-        let inj = R.Inject.create ~every:2 ~seed R.Inject.Conn_half_close in
-        R.Inject.half_close_at inj
-          ~streams:(List.length stream_fnames)
-          ~max_stmt:2
-      in
-      let kill_dir = ref 0 in
-      twice "stream mid-stream kill/resume"
-        (fun () ->
-          incr kill_dir;
-          let dir =
-            Filename.concat run_dir (Printf.sprintf "stream%d" !kill_dir)
-          in
-          clear dir;
-          let srv = stream_server ~run_dir:dir () in
-          let clients =
-            List.mapi
-              (fun i f ->
-                match List.assoc_opt i eof_plan with
-                | Some at when i mod 4 = 0 ->
-                    (* every fourth victim vanishes outright *)
-                    { (chaos_plain f) with cc_kill_at = Some at }
-                | Some at -> { (chaos_plain f) with cc_eof_at = Some at }
-                | None -> chaos_plain f)
-              stream_fnames
-          in
-          ( srv,
-            ecfg,
-            clients,
-            fun srv _ ->
-              let h = S.Server.health srv in
-              S.Server.drain srv;
-              (* resume: sealed functions restore, interrupted ones
-                 regenerate — nothing decodes twice *)
-              let calls = ref 0 in
-              let dec fv =
-                incr calls;
-                decoder fv
-              in
-              let rsrv = stream_server ~run_dir:dir ~resume:true ~dec () in
-              let restored = S.Server.resumed_functions rsrv in
-              let replies =
-                List.map
-                  (fun f ->
-                    S.Server.request rsrv
-                      {
-                        S.Proto.rq_client = "chaos";
-                        rq_target = target;
-                        rq_fname = f;
-                        rq_deadline_ms = None;
-                      })
-                  stream_fnames
-              in
-              let got = render (S.Server.functions rsrv) in
-              S.Server.drain rsrv;
-              (h, restored, replies, got, !calls) ))
-        (fun res st (h, restored, replies, got, rcalls) ->
-          let name = "stream mid-stream kill/resume" in
-          (* an interruption scheduled past a short function's end is a
-             no-op, so the engine's typed-cancel count is the truth;
-             the twin-run equality checks already pin it to the seed *)
-          let interrupted = st.Ev.ev_cancelled in
-          check
-            (Printf.sprintf "%s: interruptions landed" name)
-            (interrupted >= 1 && interrupted <= List.length eof_plan);
-          check
-            (Printf.sprintf "%s: every slot freed before drain" name)
-            (h.S.Health.h_busy = 0);
-          check
-            (Printf.sprintf "%s: journal lag settled to zero" name)
-            (h.S.Health.h_journal_lag = 0);
-          check
-            (Printf.sprintf "%s: sealed functions restored on resume" name)
-            (restored = List.length stream_fnames - interrupted);
-          let resumed_replies, regenerated =
-            List.partition
-              (function S.Proto.Done d -> d.r_resumed | _ -> false)
-              replies
-          in
-          check
-            (Printf.sprintf "%s: every reply Done after resume" name)
-            (List.for_all
-               (function S.Proto.Done _ -> true | _ -> false)
-               replies);
-          check
-            (Printf.sprintf
-               "%s: restored functions answer without re-decoding, \
-                interrupted ones regenerate"
-               name)
-            (List.length resumed_replies = restored
-            && List.length regenerated = interrupted);
-          check
-            (Printf.sprintf "%s: interrupted functions decoded on resume"
-               name)
-            (rcalls >= 1);
-          if got <> expect_all then
-            violation
-              "%s: resumed output differs from the clean reference" name
-          else
-            info
-              "%d stream(s), %d interrupted, %d restored, output \
-               bit-identical after resume"
-              (List.length res) interrupted restored)
-    end;
-
-    if json then
-      print_endline
-        (json_obj
-           [
-             ("event", json_str "summary");
-             ("violations", string_of_int !violations);
-             ("ok", if !violations = 0 then "true" else "false");
-           ]);
-    if !violations = 0 then begin
-      if not json then
-        Printf.printf "faultcheck: OK — zero invariant violations\n";
-      exit 0
-    end
-    else begin
-      if not json then
-        Printf.printf "faultcheck: %d invariant violation(s)\n" !violations;
-      exit 1
-    end
+    match
+      Vega_chaos.Faultcheck.run ~json ~target ~seed ~run_dir ~domains
+        ~soak_rounds groups
+    with
+    | Error e ->
+        prerr_endline e;
+        exit 1
+    | Ok violations -> exit (if violations = 0 then 0 else 1)
   in
   Cmd.v
     (Cmd.info "faultcheck"
        ~doc:
-         "Run the deterministic fault-injection matrix (decoder, corpus, \
-          description files, interpreter and simulator fuel, circuit \
-          breaker, kill-and-resume, sharded serving) against one target; \
-          non-zero exit on any invariant violation")
+         "Run the deterministic fault-injection suite (vega.chaos) against \
+          one target; non-zero exit on any invariant violation. The default \
+          run covers the injection matrix (decoder, corpus, description \
+          files, interpreter and simulator fuel, circuit breaker, serve \
+          overload, deadlines and drain/kill/resume), kill-and-resume, \
+          sharded serving and streaming connection chaos. With any of \
+          $(b,--kill-at), $(b,--shard-kill), $(b,--chaos-soak) or \
+          $(b,--stream-chaos), only the selected groups run: their union, \
+          in the order matrix, kill-and-resume, sharded serving, chaos \
+          soak, streaming.")
     Term.(
       const run $ target_arg $ seed_arg $ json_flag $ kill_at_arg
       $ run_dir_arg $ shard_kill_arg $ chaos_soak_arg $ soak_rounds_arg
@@ -3189,14 +839,7 @@ let request_cmd =
     else if drain then print_health (S.Sock.drain ~socket ())
     else if health then print_health (S.Sock.health ~socket ())
     else begin
-      let req =
-        {
-          S.Proto.rq_client = client;
-          rq_target = target;
-          rq_fname = fname;
-          rq_deadline_ms = deadline_ms;
-        }
-      in
+      let req = S.Proto.request ?deadline_ms ~client ~target fname in
       let finish = function
         | S.Proto.Done d ->
             if json then
@@ -3348,12 +991,7 @@ let route_cmd =
       exit 1
     end;
     let t, decoder = mk_pipeline ~model in
-    let fingerprint = Vega.Pipeline.fingerprint t ~target in
-    let desc_hash =
-      Sh.Cache.desc_hash_of_vfs
-        t.Vega.Pipeline.prep.Vega.Pipeline.corpus.Vega_corpus.Corpus.vfs
-        ~target
-    in
+    let fingerprint, desc_hash = Sh.Cache.keys t ~target in
     let config =
       { S.Server.default_config with S.Server.domains; queue_cap }
     in
@@ -3484,18 +1122,8 @@ let fleet_cmd =
       exit 1
     end;
     let t, decoder = mk_pipeline ~model in
-    let fingerprint = Vega.Pipeline.fingerprint t ~target in
-    let desc_hash =
-      Sh.Cache.desc_hash_of_vfs
-        t.Vega.Pipeline.prep.Vega.Pipeline.corpus.Vega_corpus.Corpus.vfs
-        ~target
-    in
-    let fnames =
-      List.map
-        (fun (b : Vega.Pipeline.bundle) ->
-          b.Vega.Pipeline.spec.Vega_corpus.Spec.fname)
-        t.Vega.Pipeline.prep.Vega.Pipeline.bundles
-    in
+    let fingerprint, desc_hash = Sh.Cache.keys t ~target in
+    let fnames = Vega.Pipeline.fnames t in
     let nf = List.length fnames in
     if nf = 0 then begin
       Printf.eprintf "vega-fleet: the corpus provides no functions\n";
@@ -3554,25 +1182,13 @@ let fleet_cmd =
         List.iter
           (fun i ->
             let fname = List.nth fnames (i mod nf) in
-            let req =
-              {
-                S.Proto.rq_client = "fleet";
-                rq_target = target;
-                rq_fname = fname;
-                rq_deadline_ms = None;
-              }
-            in
-            match F.request fleet req with
+            match
+              F.request fleet (S.Proto.request ~client:"fleet" ~target fname)
+            with
             | S.Proto.Done _ -> incr ok
             | S.Proto.Rejected _ -> incr rejected
             | S.Proto.Failed _ -> incr failed)
           order;
-        let class_name = function
-          | F.Healthy -> "healthy"
-          | F.Crashed -> "crashed"
-          | F.Stalled -> "stalled"
-          | F.Flapping -> "flapping"
-        in
         let statuses = Sh.Router.status (F.router fleet) in
         let decisions = Sh.Router.decisions (F.router fleet) in
         let events = F.event_log fleet in
@@ -3619,7 +1235,7 @@ let fleet_cmd =
                    [
                      ("event", json_str "shard");
                      ("shard", json_str s.Sh.Router.ss_name);
-                     ("class", json_str (class_name (F.shard_class fleet s.Sh.Router.ss_name)));
+                     ("class", json_str (F.class_name (F.shard_class fleet s.Sh.Router.ss_name)));
                      ("epoch", string_of_int (F.epoch fleet s.Sh.Router.ss_name));
                      ("breaker", json_str s.Sh.Router.ss_breaker);
                      ("routed", string_of_int s.Sh.Router.ss_routed);
@@ -3640,7 +1256,7 @@ let fleet_cmd =
                 "%-12s class %-9s epoch %-3d breaker %-9s routed %-6d \
                  failures %d\n"
                 s.Sh.Router.ss_name
-                (class_name (F.shard_class fleet s.Sh.Router.ss_name))
+                (F.class_name (F.shard_class fleet s.Sh.Router.ss_name))
                 (F.epoch fleet s.Sh.Router.ss_name)
                 s.Sh.Router.ss_breaker s.Sh.Router.ss_routed
                 s.Sh.Router.ss_failures)

@@ -185,6 +185,8 @@ let prepare ?report ?corpus () =
 let bundle_for prep fname =
   List.find_opt (fun b -> b.spec.Vega_corpus.Spec.fname = fname) prep.bundles
 
+let fnames t = List.map (fun b -> b.spec.Vega_corpus.Spec.fname) t.prep.bundles
+
 (* hash-free deterministic pseudo-random assignment for splits *)
 let in_train_fraction seed key fraction =
   let h = Hashtbl.hash (seed, key) land 0xFFFF in

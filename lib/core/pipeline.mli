@@ -112,6 +112,9 @@ val generate_function :
     uninterrupted run. Journal replay — not the snapshot — is the source
     of truth. *)
 
+val fnames : t -> string list
+(** The interface functions a backend consists of, in bundle order. *)
+
 val fingerprint : t -> target:string -> string
 (** Checksum over the target name and the prepared function set; stored
     in the journal header so resume refuses a mismatched run dir. *)

@@ -206,7 +206,7 @@ let create ?(config = default_config) ?router_config ?cache ?report ?sleep
                 {
                   sl_name = spec.sp_name;
                   sl_spawn = spec.sp_spawn;
-                  sl_rng = Rng.create (config.seed lxor (i * 0x9E3779B9));
+                  sl_rng = Rng.create (Rng.index_seed config.seed i);
                   sl_server = Some srv;
                   sl_endpoint = ep;
                   sl_epoch = 0;

@@ -12,9 +12,7 @@ type kind =
   | Request_kill
   | Register_mangle
   | Shard_kill
-  | Shard_stall
   | Cache_corrupt
-  | Shard_flap
   | Probe_drop
   | Conn_half_close
   | Slow_client
@@ -45,9 +43,8 @@ let wrap_decoder t decode fv =
     match t.plan.kind with
     | Decoder_raise | Decoder_nan | Decoder_garbage -> fire t
     | Corpus_mangle | Descfile_garbage | Decoder_stall | Queue_storm
-    | Request_kill | Register_mangle | Shard_kill | Shard_stall
-    | Cache_corrupt | Shard_flap | Probe_drop | Conn_half_close
-    | Slow_client | Cancel_mid_decode ->
+    | Request_kill | Register_mangle | Shard_kill | Cache_corrupt
+    | Probe_drop | Conn_half_close | Slow_client | Cancel_mid_decode ->
         false
   in
   if not inject then decode fv
@@ -69,9 +66,8 @@ let wrap_decoder t decode fv =
         let toks, probs = decode fv in
         (toks, Array.make (max 1 (Array.length probs)) Float.neg_infinity)
     | Corpus_mangle | Descfile_garbage | Decoder_stall | Queue_storm
-    | Request_kill | Register_mangle | Shard_kill | Shard_stall
-    | Cache_corrupt | Shard_flap | Probe_drop | Conn_half_close
-    | Slow_client | Cancel_mid_decode ->
+    | Request_kill | Register_mangle | Shard_kill | Cache_corrupt
+    | Probe_drop | Conn_half_close | Slow_client | Cancel_mid_decode ->
         assert false
 
 (* Register-mangle: delete selected instruction lines from an emitted
@@ -133,20 +129,6 @@ let shard_victim t ~shards =
   t.opportunities <- t.opportunities + 1;
   ((t.plan.seed * 0x9E3779B9) land max_int) mod shards
 
-(* Shard-stall: on fired opportunities the endpoint burns (virtual)
-   clock and then fails — from the router's seat a stalled shard is
-   indistinguishable from a dead one once its patience runs out, so the
-   wrapper raises the typed shard fault after stalling. *)
-let wrap_stalling_shard t ~shard ~stall request req =
-  let inject = match t.plan.kind with Shard_stall -> fire t | _ -> false in
-  if inject then begin
-    stall ();
-    raise
-      (Fault.Fault
-         (Fault.Shard_failure { shard; detail = "injected shard stall" }))
-  end
-  else request req
-
 (* Probe-drop: swallow selected health probes. The probe still counts a
    router decision on the fleet's clock, so a dropped probe is a typed
    [Probe_loss] fault the supervisor tolerates — K consecutive losses,
@@ -157,31 +139,6 @@ let wrap_dropping_probe t ~shard probe x =
     raise
       (Fault.Fault (Fault.Probe_loss { shard; detail = "injected probe drop" }))
   else probe x
-
-(* Shard-flap: a seeded crash schedule — [crashes] distinct decision
-   offsets inside [0, spread), sorted. The chaos harness arms one
-   journal kill per offset so the victim crash-loops on the fleet's
-   decision clock and the flap detector has something real to catch. *)
-let flap_schedule t ~crashes ~spread =
-  if crashes <= 0 || spread <= 0 then []
-  else begin
-    t.injected <- t.injected + crashes;
-    t.opportunities <- t.opportunities + crashes;
-    let rng = Vega_util.Rng.create (t.plan.seed lxor 0x0F1A9) in
-    let seen = Hashtbl.create 16 in
-    let rec draw acc n =
-      if n = 0 then acc
-      else
-        let off = Vega_util.Rng.int rng spread in
-        if Hashtbl.mem seen off && Hashtbl.length seen < spread then
-          draw acc n
-        else begin
-          Hashtbl.replace seen off ();
-          draw (off :: acc) (n - 1)
-        end
-    in
-    List.sort_uniq compare (draw [] (min crashes spread))
-  end
 
 (* ---- connection-chaos fault classes (the streaming faultcheck harness) ----
 

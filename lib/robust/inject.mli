@@ -18,9 +18,7 @@ type kind =
   | Request_kill  (** hard kill mid-request (journal [kill_at]) *)
   | Register_mangle  (** emitted-assembly lines deleted (see {!mangle_asm}) *)
   | Shard_kill  (** one serving shard hard-killed mid-storm *)
-  | Shard_stall  (** a shard endpoint stalls, then fails *)
   | Cache_corrupt  (** one byte of a result-cache entry flipped on disk *)
-  | Shard_flap  (** a shard crash-loops on a seeded schedule *)
   | Probe_drop  (** selected fleet health probes are swallowed *)
   | Conn_half_close  (** a streaming peer half-closes mid-decode *)
   | Slow_client  (** a peer reads its socket slower than frames arrive *)
@@ -80,26 +78,12 @@ val shard_victim : t -> shards:int -> int
     [kill_at] (via {!kill_offset}) so the kill is a real mid-write
     crash. *)
 
-val wrap_stalling_shard :
-  t -> shard:string -> stall:(unit -> unit) -> ('a -> 'b) -> 'a -> 'b
-(** [Shard_stall] wrapper around a shard request endpoint: on each fired
-    opportunity call [stall ()] and then raise
-    [Fault (Shard_failure _)] — from the router's seat a stalled shard
-    is indistinguishable from a dead one once its patience runs out.
-    Other kinds pass through. *)
-
 val wrap_dropping_probe : t -> shard:string -> ('a -> 'b) -> 'a -> 'b
 (** [Probe_drop] wrapper around a fleet health probe: on each fired
     opportunity raise [Fault (Probe_loss _)] instead of probing. The
     probe still counts a decision on the fleet's clock, so a dropped
     probe is tolerated — only K consecutive losses classify the shard.
     Other kinds pass through. *)
-
-val flap_schedule : t -> crashes:int -> spread:int -> int list
-(** [Shard_flap] helper: a sorted list of [crashes] distinct decision
-    offsets inside [0, spread), a pure function of the plan's seed. The
-    chaos harness arms one journal kill per offset so the victim
-    crash-loops on the fleet's decision clock. *)
 
 val cancel_schedule : t -> streams:int -> max_stmt:int -> (int * int) list
 (** [Cancel_mid_decode] helper: for each selected stream index in

@@ -19,7 +19,7 @@ let default_config =
     jitter_seed = 0x5eed;
   }
 
-type breaker = Closed of int | Open of int | Half_open
+type breaker = Breaker.state = Closed of int | Open of int | Half_open
 
 (* A cancel token is a shared flag set by the connection owner (event
    loop, router) and observed by whichever domain runs the decode. An
@@ -72,7 +72,7 @@ let create ?(now = monotonic_now) ?(sleep = Unix.sleepf) cfg =
     fname = "";
     deadline = None;
     budget_override = None;
-    breaker = Closed 0;
+    breaker = Breaker.initial;
     cancel_tok = None;
   }
 
@@ -88,7 +88,7 @@ let breaker_state t = t.breaker
    to run yet decorrelated across workers (no synchronized retry
    storms). *)
 let fork ?(index = 0) t =
-  let seed = t.cfg.jitter_seed lxor (index * 0x9E3779B9) in
+  let seed = Vega_util.Rng.index_seed t.cfg.jitter_seed index in
   create ~now:t.now ~sleep:t.sleep { t.cfg with jitter_seed = seed }
 
 let absorb t child =
@@ -120,10 +120,8 @@ let end_function t =
   t.deadline <- None
 
 let backoff_delay t attempt =
-  let raw = t.cfg.backoff_base_s *. (2.0 ** float_of_int attempt) in
-  let capped = Float.min t.cfg.backoff_max_s raw in
-  let jitter = 0.75 +. Vega_util.Rng.float t.rng 0.5 in
-  Float.min t.cfg.backoff_max_s (capped *. jitter)
+  Breaker.backoff ~base:t.cfg.backoff_base_s ~max:t.cfg.backoff_max_s t.rng
+    attempt
 
 let check_deadline t =
   match t.deadline with
@@ -151,43 +149,36 @@ let decoder_family fault =
   | Fault.Cdecoder | Fault.Cscore -> true
   | _ -> false
 
-let open_breaker t =
-  t.breaker <- Open t.cfg.breaker_cooldown;
-  t.st.sup_breaker_opened <- t.st.sup_breaker_opened + 1
-
 let note_failure t fault =
-  match t.breaker with
-  | Half_open -> open_breaker t
-  | Closed k when decoder_family fault ->
-      if k + 1 >= t.cfg.breaker_threshold then open_breaker t
-      else t.breaker <- Closed (k + 1)
-  | Closed _ -> t.breaker <- Closed 0
-  | Open _ -> ()
+  let before = t.breaker in
+  t.breaker <-
+    Breaker.failure ~threshold:t.cfg.breaker_threshold
+      ~cooldown:t.cfg.breaker_cooldown ~counted:(decoder_family fault) before;
+  if Breaker.tripped ~before t.breaker then
+    t.st.sup_breaker_opened <- t.st.sup_breaker_opened + 1
 
 let guard t f =
   check_deadline t;
-  (match t.breaker with
-  | Open n when n > 1 ->
-      t.breaker <- Open (n - 1);
-      t.st.sup_breaker_skips <- t.st.sup_breaker_skips + 1;
-      raise
-        (Fault.Fault
-           (Fault.Breaker_open
-              { fname = t.fname; failures = t.cfg.breaker_threshold }))
-  | Open _ -> t.breaker <- Half_open
-  | Closed _ | Half_open -> ());
-  let half_open = t.breaker = Half_open in
+  let verdict, breaker = Breaker.admit t.breaker in
+  t.breaker <- breaker;
+  if verdict = Breaker.Skip then begin
+    t.st.sup_breaker_skips <- t.st.sup_breaker_skips + 1;
+    raise
+      (Fault.Fault
+         (Fault.Breaker_open
+            { fname = t.fname; failures = t.cfg.breaker_threshold }))
+  end;
   let rec attempt n =
     check_deadline t;
     match f () with
     | v ->
-        t.breaker <- Closed 0;
+        t.breaker <- Breaker.success t.breaker;
         v
     | exception Fault.Fault fault ->
         note_failure t fault;
         let may_retry =
-          (not half_open) && retryable fault && n < t.cfg.max_retries
-          && match t.breaker with Open _ -> false | _ -> true
+          verdict <> Breaker.Probe && retryable fault && n < t.cfg.max_retries
+          && Breaker.closed t.breaker
         in
         if may_retry then begin
           t.sleep (backoff_delay t n);

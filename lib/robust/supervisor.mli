@@ -27,7 +27,7 @@ type config = {
 
 val default_config : config
 
-type breaker =
+type breaker = Breaker.state =
   | Closed of int  (** consecutive decoder-family faults so far *)
   | Open of int  (** guarded calls left before a half-open probe *)
   | Half_open  (** next guarded call is a single probe *)
@@ -101,9 +101,9 @@ val end_function : t -> unit
 (** Disarm the deadline. *)
 
 val backoff_delay : t -> int -> float
-(** [backoff_delay t attempt] is [min backoff_max_s (base * 2^attempt)]
-    scaled by a jitter factor in [0.75, 1.25) drawn from the seeded
-    generator — deterministic across runs with equal seeds. *)
+(** [backoff_delay t attempt] is {!Breaker.backoff} on the configured
+    base and cap, drawing its jitter from this supervisor's seeded
+    stream — deterministic across runs with equal seeds. *)
 
 val guard : t -> (unit -> 'a) -> 'a
 (** Run a decoder call under supervision. Raises

@@ -32,6 +32,14 @@ type request = {
   rq_deadline_ms : int option;  (* per-request budget override *)
 }
 
+let request ?deadline_ms ~client ~target fname =
+  {
+    rq_client = client;
+    rq_target = target;
+    rq_fname = fname;
+    rq_deadline_ms = deadline_ms;
+  }
+
 type reject_reason =
   | Queue_full of { depth : int; cap : int }
   | Budget_exhausted of { client : string }

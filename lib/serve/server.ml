@@ -654,10 +654,7 @@ let stream_step t s =
 
 let breaker_open t =
   Array.exists
-    (fun s ->
-      match Sup.breaker_state s with
-      | Sup.Closed _ -> false
-      | Sup.Open _ | Sup.Half_open -> true)
+    (fun s -> not (Vega_robust.Breaker.closed (Sup.breaker_state s)))
     t.sups
 
 (* workers run on the forks only; the base supervisor is just the fork

@@ -63,6 +63,13 @@ let desc_hash_of_vfs vfs ~target =
     (String.concat "\x00"
        (List.concat_map (fun (path, contents) -> [ path; contents ]) files))
 
+(* The (fingerprint, descfile hash) pair a pipeline's requests are
+   keyed by, for the cache and the router alike. *)
+let keys (t : Vega.Pipeline.t) ~target =
+  let fingerprint = Vega.Pipeline.fingerprint t ~target in
+  let vfs = t.Vega.Pipeline.prep.Vega.Pipeline.corpus.Vega_corpus.Corpus.vfs in
+  (fingerprint, desc_hash_of_vfs vfs ~target)
+
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin
     mkdir_p (Filename.dirname dir);

@@ -6,12 +6,11 @@
 
    - the content-addressed {!Cache} answers repeats O(1) with zero
      decoder involvement;
-   - a per-shard circuit breaker (the {!Vega_robust.Supervisor} state
-     machine, cooldown counted in routing decisions, not wall clock)
-     stops hammering a dead shard;
-   - failed contacts retry with bounded, seeded exponential backoff
-     (same jitter discipline as the supervisor: deterministic per-shard
-     streams);
+   - a per-shard circuit breaker (the {!Vega_robust.Breaker} state
+     machine the supervisor also runs, cooldown counted in routing
+     decisions, not wall clock) stops hammering a dead shard;
+   - failed contacts retry with the breaker's bounded, seeded
+     exponential backoff (deterministic per-shard jitter streams);
    - when the owner is down, policy decides: [Reroute] walks the ring
      successors, [Shed] answers a typed [Shard_down] rejection.
 
@@ -25,9 +24,9 @@
    callers get parallel shards.
 
    The fleet supervisor (vega.fleet) reconfigures the router live:
-   [add_shard]/[quarantine]/[rejoin] move vnodes in the ring at runtime
-   with minimal key movement, [replace_endpoint] swaps in a respawned
-   shard's endpoint, and [mark_stalled] arms hedging. Two rings are
+   [quarantine] moves vnodes out of the ring at runtime with minimal key
+   movement, [replace_endpoint] swaps in a respawned shard's endpoint,
+   and [mark_stalled] arms hedging. Two rings are
    kept: the *live* ring routes traffic (quarantined shards hold no
    vnodes, so they can never receive a request), while the *full* ring
    remembers original ownership so a request whose true owner is
@@ -50,7 +49,7 @@
    the client untouched, so the router never converts overload into
    double work on another shard. *)
 
-module Sup = Vega_robust.Supervisor
+module Breaker = Vega_robust.Breaker
 module Fault = Vega_robust.Fault
 module Report = Vega_robust.Report
 module Wire = Vega_robust.Wire
@@ -118,7 +117,7 @@ let buffered_stream ep_request req =
 type shard = {
   mutable sh_ep : endpoint;  (* swapped on respawn by the fleet *)
   sh_rng : Rng.t;  (* per-shard backoff jitter stream *)
-  mutable sh_breaker : Sup.breaker;
+  mutable sh_breaker : Breaker.state;
   mutable sh_routed : int;  (* requests this shard answered *)
   mutable sh_failures : int;  (* failed contact attempts *)
   mutable sh_rerouted : int;  (* owned requests answered elsewhere *)
@@ -180,9 +179,8 @@ let create ?(config = default_config) ?cache ?report ?sleep ~fingerprint
               Hashtbl.replace tbl ep.ep_name
                 {
                   sh_ep = ep;
-                  (* same per-worker stream mixing as Supervisor.fork *)
-                  sh_rng = Rng.create (config.seed lxor (i * 0x9E3779B9));
-                  sh_breaker = Sup.Closed 0;
+                  sh_rng = Rng.create (Rng.index_seed config.seed i);
+                  sh_breaker = Breaker.initial;
                   sh_routed = 0;
                   sh_failures = 0;
                   sh_rerouted = 0;
@@ -237,50 +235,9 @@ let quarantine t name ~crashes =
       let sh = find t name in
       if sh.sh_quarantined = None then begin
         sh.sh_quarantined <- Some crashes;
-        sh.sh_breaker <- Sup.Open max_int;
         (match Ring.remove t.ring name with
         | ring -> t.ring <- ring
         | exception Invalid_argument _ -> ())
-      end)
-
-(* Symmetric re-join: the shard's vnodes come back, capturing exactly
-   the keys it owned before (Ring.add moves only the joiner's keys). *)
-let rejoin t name =
-  Mutex.protect t.lock (fun () ->
-      let sh = find t name in
-      if sh.sh_quarantined <> None then begin
-        sh.sh_quarantined <- None;
-        sh.sh_breaker <- Sup.Closed 0;
-        if not (List.mem name (Ring.shards t.ring)) then
-          t.ring <- Ring.add t.ring name
-      end)
-
-(* A brand-new shard joins both rings and the endpoint order. *)
-let add_shard t ep =
-  Mutex.protect t.lock (fun () ->
-      if Hashtbl.mem t.tbl ep.ep_name then
-        Error (Printf.sprintf "shard %s already joined" ep.ep_name)
-      else begin
-        let i = List.length t.order in
-        Hashtbl.replace t.tbl ep.ep_name
-          {
-            sh_ep = ep;
-            sh_rng = Rng.create (t.cfg.seed lxor (i * 0x9E3779B9));
-            sh_breaker = Sup.Closed 0;
-            sh_routed = 0;
-            sh_failures = 0;
-            sh_rerouted = 0;
-            sh_shed = 0;
-            sh_contacts = 0;
-            sh_last_state = None;
-            sh_stalled_at = None;
-            sh_hedged = 0;
-            sh_quarantined = None;
-          };
-        t.order <- t.order @ [ ep.ep_name ];
-        t.ring <- Ring.add t.ring ep.ep_name;
-        t.full_ring <- Ring.add t.full_ring ep.ep_name;
-        Ok ()
       end)
 
 (* Respawn swaps the endpoint in place: counters stay cumulative, the
@@ -289,7 +246,7 @@ let replace_endpoint t name ep =
   Mutex.protect t.lock (fun () ->
       let sh = find t name in
       sh.sh_ep <- ep;
-      sh.sh_breaker <- Sup.Closed 0;
+      sh.sh_breaker <- Breaker.initial;
       sh.sh_stalled_at <- None;
       sh.sh_last_state <- None)
 
@@ -318,49 +275,29 @@ let live_shards t = Mutex.protect t.lock (fun () -> Ring.shards t.ring)
 (* May we contact this shard for this routing decision? An open breaker
    counts down its cooldown in skipped decisions — deterministic, no
    wall clock — and lets exactly one probe request through half-open. *)
-let breaker_admits t sh =
+let breaker_admit t sh =
   Mutex.protect t.lock (fun () ->
-      match sh.sh_breaker with
-      | Sup.Closed _ | Sup.Half_open -> true
-      | Sup.Open k ->
-          if k > 1 then begin
-            sh.sh_breaker <- Sup.Open (k - 1);
-            false
-          end
-          else begin
-            sh.sh_breaker <- Sup.Half_open;
-            true
-          end)
+      let verdict, breaker = Breaker.admit sh.sh_breaker in
+      sh.sh_breaker <- breaker;
+      verdict)
 
 let note_success t sh =
-  Mutex.protect t.lock (fun () -> sh.sh_breaker <- Sup.Closed 0)
+  Mutex.protect t.lock (fun () ->
+      sh.sh_breaker <- Breaker.success sh.sh_breaker)
 
 let note_failure t sh ~detail =
   Report.record t.report ~stage:"router"
     (Fault.Shard_failure { shard = sh.sh_ep.ep_name; detail });
   Mutex.protect t.lock (fun () ->
       sh.sh_failures <- sh.sh_failures + 1;
-      match sh.sh_breaker with
-      | Sup.Half_open ->
-          (* the half-open probe failed: back to a full cooldown *)
-          sh.sh_breaker <- Sup.Open t.cfg.breaker_cooldown
-      | Sup.Closed n ->
-          if n + 1 >= t.cfg.breaker_threshold then
-            sh.sh_breaker <- Sup.Open t.cfg.breaker_cooldown
-          else sh.sh_breaker <- Sup.Closed (n + 1)
-      | Sup.Open _ -> ())
+      sh.sh_breaker <-
+        Breaker.failure ~threshold:t.cfg.breaker_threshold
+          ~cooldown:t.cfg.breaker_cooldown ~counted:true sh.sh_breaker)
 
-(* Seeded exponential backoff, mirroring Supervisor.backoff_delay:
-   base * 2^attempt, jittered to [0.75, 1.25), capped. *)
 let backoff_delay t sh attempt =
-  let expo =
-    t.cfg.backoff_base_s *. (2.0 ** float_of_int (min attempt 16))
-  in
-  let jitter =
-    Mutex.protect t.lock (fun () ->
-        Rng.uniform sh.sh_rng ~lo:0.75 ~hi:1.25)
-  in
-  Float.min t.cfg.backoff_max_s (expo *. jitter)
+  Mutex.protect t.lock (fun () ->
+      Breaker.backoff ~base:t.cfg.backoff_base_s ~max:t.cfg.backoff_max_s
+        sh.sh_rng attempt)
 
 (* ---- health probes ---- *)
 
@@ -412,9 +349,9 @@ let verdict ~what = function
 (* One shard, up to 1 + retries attempts. A half-open breaker gets a
    single probe attempt — retrying a probe would defeat the point. *)
 let try_shard t sh req =
-  if not (breaker_admits t sh && maybe_probe t sh) then None
+  let admitted = breaker_admit t sh in
+  if admitted = Breaker.Skip || not (maybe_probe t sh) then None
   else
-    let single = Mutex.protect t.lock (fun () -> sh.sh_breaker = Sup.Half_open) in
     let rec attempt n =
       match
         Result.bind
@@ -427,15 +364,12 @@ let try_shard t sh req =
       | Error detail ->
           note_failure t sh ~detail;
           let may_retry =
-            (not single) && n < t.cfg.retries
+            admitted <> Breaker.Probe && n < t.cfg.retries
             (* stop the moment the breaker opens mid-loop — the
                Supervisor.guard discipline; without this check the
                retry budget keeps hammering a shard the breaker has
                already declared dead *)
-            && Mutex.protect t.lock (fun () ->
-                   match sh.sh_breaker with
-                   | Sup.Open _ -> false
-                   | Sup.Closed _ | Sup.Half_open -> true)
+            && Mutex.protect t.lock (fun () -> Breaker.closed sh.sh_breaker)
           in
           if may_retry then begin
             t.sleep (backoff_delay t sh n);
@@ -612,7 +546,8 @@ and walk t rs ~owner =
   | name :: rest -> (
       rs.rs_todo <- rest;
       let sh = find t name in
-      if not (breaker_admits t sh && maybe_probe t sh) then walk t rs ~owner
+      if breaker_admit t sh = Breaker.Skip || not (maybe_probe t sh) then
+        walk t rs ~owner
       else
         match contact (fun () -> sh.sh_ep.ep_stream rs.rs_req) with
         | Ok (Ok leg) ->
@@ -692,11 +627,6 @@ type shard_status = {
   ss_state : string;  (* last probed health state, or "unknown" *)
 }
 
-let breaker_name = function
-  | Sup.Closed _ -> "closed"
-  | Sup.Open _ -> "open"
-  | Sup.Half_open -> "half-open"
-
 let status ?(probe = false) t =
   if probe then
     List.iter (fun name -> ignore (probe_shard t (find t name))) t.order;
@@ -708,7 +638,7 @@ let status ?(probe = false) t =
             ss_name = name;
             ss_breaker =
               (if sh.sh_quarantined <> None then "quarantined"
-               else breaker_name sh.sh_breaker);
+               else Breaker.name sh.sh_breaker);
             ss_routed = sh.sh_routed;
             ss_failures = sh.sh_failures;
             ss_rerouted = sh.sh_rerouted;
@@ -830,7 +760,7 @@ let health t =
       List.exists (fun s -> s.Health.h_breaker_open) snaps
       || Mutex.protect t.lock (fun () ->
              List.exists
-               (fun name -> breaker_name (find t name).sh_breaker <> "closed")
+               (fun name -> not (Breaker.closed (find t name).sh_breaker))
                members);
     h_journal_records = sum (fun s -> s.Health.h_journal_records);
     h_journal_lag = sum (fun s -> s.Health.h_journal_lag);

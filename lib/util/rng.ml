@@ -1,6 +1,7 @@
 type t = { mutable state : int64 }
 
 let create seed = { state = Int64.of_int seed }
+let index_seed seed i = seed lxor (i * 0x9E3779B9)
 
 let golden = 0x9E3779B97F4A7C15L
 

@@ -9,6 +9,12 @@ type t
 val create : int -> t
 (** [create seed] makes a fresh generator. Equal seeds give equal streams. *)
 
+val index_seed : int -> int -> int
+(** [index_seed seed i] is the seed of the [i]-th stream in a family
+    sharing base [seed] (golden-ratio mixing): reproducible per index,
+    decorrelated across indices. Supervisor forks, router shards and
+    fleet slots each draw their jitter from one such stream. *)
+
 val split : t -> t
 (** Derive an independent generator; advances the parent. *)
 

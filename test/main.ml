@@ -16,10 +16,12 @@ let () =
       ("absint", Test_absint.suite);
       ("robust", Test_robust.suite);
       ("durable", Test_durable.suite);
+      ("breaker", Test_breaker.suite);
       ("serve", Test_serve.suite);
       ("stream", Test_stream.suite);
       ("shard", Test_shard.suite);
       ("fleet", Test_fleet.suite);
+      ("chaos", Test_chaos.suite);
       ("parallel", Test_parallel.suite);
       ("eval", Test_eval.suite);
       ("endtoend", Test_endtoend.suite);
