@@ -794,20 +794,9 @@ let section_serve (s : setup) =
   let t = s.pipeline in
   let decoder = V.Pipeline.retrieval_decoder t in
   let target = "RISCV" in
-  let fnames =
-    List.map
-      (fun (b : V.Pipeline.bundle) -> b.spec.Vega_corpus.Spec.fname)
-      t.V.Pipeline.prep.bundles
-  in
+  let fnames = V.Pipeline.fnames t in
   let n = List.length fnames in
-  let req ?(client = "bench") fname =
-    {
-      S.Proto.rq_client = client;
-      rq_target = target;
-      rq_fname = fname;
-      rq_deadline_ms = None;
-    }
-  in
+  let req ?(client = "bench") fname = S.Proto.request ~client ~target fname in
   let mk ?paused ?(decoder = decoder) ~domains ~queue_cap () =
     match
       S.Server.create ?paused
@@ -925,11 +914,7 @@ let section_stream (s : setup) =
   let t = s.pipeline in
   let decoder = V.Pipeline.retrieval_decoder t in
   let target = "RISCV" in
-  let fnames =
-    List.map
-      (fun (b : V.Pipeline.bundle) -> b.spec.Vega_corpus.Spec.fname)
-      t.V.Pipeline.prep.bundles
-  in
+  let fnames = V.Pipeline.fnames t in
   let n = List.length fnames in
   (* the function with the most statement boundaries — maximum room for
      the cancel to land mid-decode and for backpressure to build *)
@@ -986,12 +971,9 @@ let section_stream (s : setup) =
         Ev.feed e id
           (S.Proto.encode_command
              (S.Proto.Cstream
-                {
-                  S.Proto.rq_client = Printf.sprintf "b%d" (i mod 7);
-                  rq_target = target;
-                  rq_fname = fname;
-                  rq_deadline_ms = None;
-                })
+                (S.Proto.request
+                   ~client:(Printf.sprintf "b%d" (i mod 7))
+                   ~target fname))
           ^ "\n");
         (id, Buffer.create 128, ref 0, ref None, ref false))
   in
@@ -1090,25 +1072,10 @@ let section_shard (s : setup) =
   let t = s.pipeline in
   let decoder = V.Pipeline.retrieval_decoder t in
   let target = "RISCV" in
-  let fnames =
-    List.map
-      (fun (b : V.Pipeline.bundle) -> b.spec.Vega_corpus.Spec.fname)
-      t.V.Pipeline.prep.bundles
-  in
+  let fnames = V.Pipeline.fnames t in
   let n = List.length fnames in
-  let fingerprint = V.Pipeline.fingerprint t ~target in
-  let desc_hash =
-    Sh.Cache.desc_hash_of_vfs t.V.Pipeline.prep.corpus.Vega_corpus.Corpus.vfs
-      ~target
-  in
-  let req fname =
-    {
-      S.Proto.rq_client = "bench";
-      rq_target = target;
-      rq_fname = fname;
-      rq_deadline_ms = None;
-    }
-  in
+  let fingerprint, desc_hash = Sh.Cache.keys t ~target in
+  let req = S.Proto.request ~client:"bench" ~target in
   let mk_router ?cache shards =
     let eps =
       List.init shards (fun i ->
@@ -1187,25 +1154,10 @@ let section_fleet (s : setup) =
   let t = s.pipeline in
   let decoder = V.Pipeline.retrieval_decoder t in
   let target = "RISCV" in
-  let fnames =
-    List.map
-      (fun (b : V.Pipeline.bundle) -> b.spec.Vega_corpus.Spec.fname)
-      t.V.Pipeline.prep.bundles
-  in
+  let fnames = V.Pipeline.fnames t in
   let n = List.length fnames in
-  let fingerprint = V.Pipeline.fingerprint t ~target in
-  let desc_hash =
-    Sh.Cache.desc_hash_of_vfs t.V.Pipeline.prep.corpus.Vega_corpus.Corpus.vfs
-      ~target
-  in
-  let req fname =
-    {
-      S.Proto.rq_client = "bench";
-      rq_target = target;
-      rq_fname = fname;
-      rq_deadline_ms = None;
-    }
-  in
+  let fingerprint, desc_hash = Sh.Cache.keys t ~target in
+  let req = S.Proto.request ~client:"bench" ~target in
   let scfg =
     {
       S.Server.default_config with
@@ -1319,10 +1271,10 @@ let section_fleet (s : setup) =
                 if i = 0 then
                   {
                     ep with
-                    Sh.Router.ep_request =
+                    Sh.Router.ep_stream =
                       (fun rq ->
                         Unix.sleepf 0.002;
-                        ep.Sh.Router.ep_request rq);
+                        ep.Sh.Router.ep_stream rq);
                   }
                 else ep)
       in

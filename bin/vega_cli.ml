@@ -969,15 +969,7 @@ let route_cmd =
             "Durable fleet: shard $(i,i) journals under $(docv)/shard-$(i,i) \
              and can be resumed from its own segment after a crash.")
   in
-  let queue_cap_arg =
-    Arg.(
-      value
-      & opt int S.Server.default_config.S.Server.queue_cap
-      & info [ "queue-cap" ] ~docv:"K"
-          ~doc:"Per-shard admission queue bound.")
-  in
-  let run socket target model domains shards policy cache_dir run_dir queue_cap
-      =
+  let run socket target model shards policy cache_dir run_dir =
     let policy =
       match Sh.Router.policy_of_name policy with
       | Some p -> p
@@ -992,13 +984,10 @@ let route_cmd =
     end;
     let t, decoder = mk_pipeline ~model in
     let fingerprint, desc_hash = Sh.Cache.keys t ~target in
-    let config =
-      { S.Server.default_config with S.Server.domains; queue_cap }
-    in
     let servers =
       List.init shards (fun i ->
           let run_dir = Option.map (fun d -> Sh.Router.shard_run_dir d i) run_dir in
-          match S.Server.create ~config ?run_dir t ~target ~decoder with
+          match S.Server.create ?run_dir t ~target ~decoder with
           | Ok srv -> (i, srv)
           | Error e ->
               Printf.eprintf "vega-route: shard %d failed to start: %s\n" i e;
@@ -1053,15 +1042,17 @@ let route_cmd =
     (Cmd.info "route"
        ~doc:
          "Run the sharded serving tier: a consistent-hash router over N \
-          worker shards with per-shard circuit breakers, deterministic \
+          in-process shards with per-shard circuit breakers, seeded retry \
+          backoff, hedging around stalled shards, deterministic \
           reroute-or-shed degrade, and an optional content-addressed \
           result cache; speaks the same socket protocol as $(b,serve), on \
-          the same event loop (default slots and wait cap; $(b,--domains) \
-          and $(b,--queue-cap) size each shard), relaying streams live \
-          from the owning shard")
+          the same event loop (default slots and wait cap). Every request, \
+          plain or streamed, is stepped one statement at a time on its \
+          owning shard, so a decode never holds up other connections and \
+          a half-close or reset cancels it")
     Term.(
-      const run $ socket_arg $ target_arg $ model_flag $ domains_arg
-      $ shards_arg $ policy_arg $ cache_dir_arg $ run_dir_arg $ queue_cap_arg)
+      const run $ socket_arg $ target_arg $ model_flag $ shards_arg
+      $ policy_arg $ cache_dir_arg $ run_dir_arg)
 
 let fleet_cmd =
   let shards_arg =
@@ -1116,7 +1107,7 @@ let fleet_cmd =
             "Optional content-addressed result cache shared by the fleet; \
              rerouted keys warm-start from it.")
   in
-  let run target model shards seed passes kill run_dir cache_dir json domains =
+  let run target model shards seed passes kill run_dir cache_dir json =
     if shards < 1 then begin
       Printf.eprintf "vega-fleet: need at least one shard\n";
       exit 1
@@ -1132,9 +1123,7 @@ let fleet_cmd =
     let scfg =
       {
         S.Server.default_config with
-        S.Server.domains;
-        queue_cap = 128;
-        client_burst = 100000.0;
+        S.Server.client_burst = 100000.0;
         client_rate = 0.0;
       }
     in
@@ -1285,12 +1274,13 @@ let fleet_cmd =
           deterministic health probing on the routing decision clock, \
           crash detection and journal-resumed respawn with seeded backoff, \
           flap quarantine with live ring reconfiguration, and hedged \
-          requests around stalled shards; optionally arm a simulated crash \
-          with $(b,--kill) and watch the fleet heal")
+          requests around stalled shards. Each request runs the path a \
+          $(b,route) daemon serves: a stream stepped to its final on the \
+          owning shard. Optionally arm a simulated crash with $(b,--kill) \
+          and watch the fleet heal")
     Term.(
       const run $ target_arg $ model_flag $ shards_arg $ seed_arg
-      $ passes_arg $ kill_arg $ run_dir_arg $ cache_dir_arg $ json_flag
-      $ domains_arg)
+      $ passes_arg $ kill_arg $ run_dir_arg $ cache_dir_arg $ json_flag)
 
 let shard_status_cmd =
   let run socket json =

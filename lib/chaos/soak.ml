@@ -135,10 +135,10 @@ let run (cx : Ctx.t) ~rounds =
             let wrap_endpoint nm ep =
               {
                 ep with
-                Sh.Router.ep_request =
+                Sh.Router.ep_stream =
                   (fun rq ->
                     Hashtbl.replace contacts nm (hits nm + 1);
-                    ep.Sh.Router.ep_request rq);
+                    ep.Sh.Router.ep_stream rq);
               }
             in
             let pinj = R.Inject.create ~seed:sub R.Inject.Probe_drop in

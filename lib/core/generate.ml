@@ -45,7 +45,6 @@ type stepper = {
   sp_fname : string;
   sp_tpl : Template.t;
   sp_target : string;
-  sp_total : int;
   sp_sup : Vega_robust.Supervisor.t option;
   sp_report : Report.t option;
   sp_on_stmt : (gen_stmt -> unit) option;
@@ -199,7 +198,6 @@ let start ?fallback ?report ?sup ?on_stmt ctx (tpl : Template.t) analysis hints
     sp_fname = fname;
     sp_tpl = tpl;
     sp_target = target;
-    sp_total = List.length fvs;
     sp_sup = sup;
     sp_report = report;
     sp_on_stmt = on_stmt;
@@ -211,9 +209,6 @@ let start ?fallback ?report ?sup ?on_stmt ctx (tpl : Template.t) analysis hints
   }
 
 let fname sp = sp.sp_fname
-let total_stmts sp = sp.sp_total
-let emitted_stmts sp = sp.sp_index
-let partial_stmts sp = List.rev sp.sp_acc
 
 let step sp =
   match (sp.sp_finished, sp.sp_remaining) with

@@ -65,12 +65,6 @@ val step : stepper -> step
     the same [Step_done]. *)
 
 val fname : stepper -> string
-val total_stmts : stepper -> int
-val emitted_stmts : stepper -> int
-
-val partial_stmts : stepper -> gen_stmt list
-(** Statements emitted so far, in stream order — the clean prefix a
-    cancelled decode leaves behind. *)
 
 val run :
   ?fallback:decoder ->

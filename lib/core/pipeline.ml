@@ -376,47 +376,47 @@ let check_snapshot report ~cpath ~fp completed =
       if Sys.file_exists cpath then
         reject (Printf.sprintf "corrupt snapshot (%s); using journal replay" e)
 
+let open_journal ?kill_at ~report ~resume ~fp ~target run_dir =
+  mkdir_p run_dir;
+  let jpath = journal_path run_dir in
+  if resume then begin
+    let rc = J.read ~report ~path:jpath () in
+    match J.replay rc.J.r_records with
+    | Some (J.Header h), completed
+      when h.version = J.version && h.target = target && h.fingerprint = fp ->
+        (* compact the torn tail away so fresh appends extend the
+           recovered prefix, not a half-written record *)
+        if rc.J.r_torn then J.rewrite ~path:jpath rc.J.r_records;
+        Ok (J.open_append ?kill_at ~path:jpath (), completed, rc.J.r_torn)
+    | Some (J.Header _), _ ->
+        Error
+          "journal belongs to a different run (target or pipeline \
+           fingerprint mismatch)"
+    | _ -> Error "journal has no valid header; nothing to resume"
+  end
+  else if Sys.file_exists jpath then
+    Error
+      (Printf.sprintf "%s already exists; resume the run instead of starting \
+                       a new one"
+         jpath)
+  else
+    Ok
+      ( J.create ?kill_at ~path:jpath
+          (J.Header { version = J.version; target; fingerprint = fp }),
+        [],
+        false )
+
 let generate_backend_durable ?fallback ?report ?sup ?(resume = false) ?kill_at
     ?(checkpoint_every = 4) ?(domains = 1) ~run_dir t ~target ~decoder =
   let report =
     match report with Some r -> r | None -> Vega_robust.Report.create ()
   in
-  mkdir_p run_dir;
-  let jpath = journal_path run_dir and cpath = checkpoint_path run_dir in
+  let cpath = checkpoint_path run_dir in
   let fp = fingerprint t ~target in
-  let setup =
-    if resume then begin
-      let rc = J.read ~report ~path:jpath () in
-      match J.replay rc.J.r_records with
-      | Some (J.Header h), completed
-        when h.version = J.version && h.target = target && h.fingerprint = fp
-        ->
-          (* compact the torn tail away so fresh appends extend the
-             recovered prefix, not a half-written record *)
-          if rc.J.r_torn then J.rewrite ~path:jpath rc.J.r_records;
-          check_snapshot report ~cpath ~fp completed;
-          Ok (J.open_append ?kill_at ~path:jpath (), completed, rc.J.r_torn)
-      | Some (J.Header _), _ ->
-          Error
-            "journal belongs to a different run (target or pipeline \
-             fingerprint mismatch)"
-      | _ -> Error "journal has no valid header; nothing to resume"
-    end
-    else if Sys.file_exists jpath then
-      Error
-        (Printf.sprintf "%s already exists; resume the run instead of starting \
-                         a new one"
-           jpath)
-    else
-      Ok
-        ( J.create ?kill_at ~path:jpath
-            (J.Header { version = J.version; target; fingerprint = fp }),
-          [],
-          false )
-  in
-  match setup with
+  match open_journal ?kill_at ~report ~resume ~fp ~target run_dir with
   | Error _ as e -> e
   | Ok (w, completed, torn) ->
+      if resume then check_snapshot report ~cpath ~fp completed;
       let done_tbl = Hashtbl.create 64 in
       List.iter
         (fun (c : J.completed) -> Hashtbl.replace done_tbl c.J.c_fname c)

@@ -132,6 +132,27 @@ val journal_path : string -> string
 val checkpoint_path : string -> string
 (** Layout of a run directory. *)
 
+val mkdir_p : string -> unit
+(** Create a directory and its missing parents. *)
+
+val open_journal :
+  ?kill_at:int ->
+  report:Vega_robust.Report.t ->
+  resume:bool ->
+  fp:string ->
+  target:string ->
+  string ->
+  (Vega_robust.Journal.writer * Vega_robust.Journal.completed list * bool,
+   string)
+  result
+(** Open the journal of a run directory (created if missing), shared by
+    {!generate_backend_durable} and the serving layer. A fresh run
+    refuses an existing journal and writes the header; [resume:true]
+    checks the header against [target] and the fingerprint [fp],
+    compacts a torn tail away and reopens for appending. Returns the
+    writer, the functions the journal completed, and whether its tail
+    was torn; [Error] says why the directory cannot be used. *)
+
 val stmt_of_gen : string -> Generate.gen_stmt -> Vega_robust.Journal.stmt
 val completed_of_gen :
   string -> Generate.gen_func -> Vega_robust.Journal.completed

@@ -274,8 +274,8 @@ let crash_detected t s ~now =
     push t (Respawn_scheduled { shard = s.sl_name; due; attempt })
   end
 
-(* Respawn: retire the corpse (drain releases its worker domains; the
-   Killed it re-raises *is* the crash being recovered from), then spawn
+(* Respawn: retire the corpse (drain closes its journal; the Killed
+   it re-raises *is* the crash being recovered from), then spawn
    a fresh server on the same run-dir segment with [resume:true] — the
    journal replay makes the restart bit-identical — and swap the new
    endpoint into the router in place. *)

@@ -30,7 +30,6 @@ type cancel_token = bool Atomic.t
 
 let new_cancel () : cancel_token = Atomic.make false
 let cancel (tok : cancel_token) = Atomic.set tok true
-let cancel_requested (tok : cancel_token) = Atomic.get tok
 
 type stats = {
   mutable sup_functions : int;

@@ -40,7 +40,6 @@ type cancel_token
 
 val new_cancel : unit -> cancel_token
 val cancel : cancel_token -> unit
-val cancel_requested : cancel_token -> bool
 
 type stats = {
   mutable sup_functions : int;

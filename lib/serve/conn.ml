@@ -26,13 +26,6 @@
 
 type phase = Reading | Admitted | Streaming | Draining | Closed
 
-let phase_name = function
-  | Reading -> "reading"
-  | Admitted -> "admitted"
-  | Streaming -> "streaming"
-  | Draining -> "draining"
-  | Closed -> "closed"
-
 type t = {
   c_id : int;
   mutable c_phase : phase;
@@ -41,7 +34,6 @@ type t = {
   mutable c_woff : int;  (* bytes of the queue head already taken *)
   mutable c_wbytes : int;  (* unsent bytes across the whole queue *)
   c_opened_at : int;  (* tick the connection was accepted *)
-  mutable c_last_read : int;  (* tick of last input activity *)
   mutable c_wfull_since : int option;  (* write buffer over the limit since *)
   mutable c_drain_since : int option;  (* tick [Draining] was entered *)
   mutable c_input_open : bool;  (* false after EOF / half-close *)
@@ -57,7 +49,6 @@ let make ~id ~tick =
     c_woff = 0;
     c_wbytes = 0;
     c_opened_at = tick;
-    c_last_read = tick;
     c_wfull_since = None;
     c_drain_since = None;
     c_input_open = true;
@@ -67,7 +58,6 @@ let make ~id ~tick =
 let id t = t.c_id
 let phase t = t.c_phase
 let opened_at t = t.c_opened_at
-let last_read t = t.c_last_read
 let input_open t = t.c_input_open
 let peer_gone t = t.c_peer_gone
 let wfull_since t = t.c_wfull_since
@@ -86,8 +76,7 @@ let mark_draining_at t tick = t.c_drain_since <- Some tick
    The residual partial line is bounded by [limit]: a peer trickling an
    endless unterminated line is reported as [`Oversize] instead of
    growing the buffer without bound. *)
-let feed t ~tick ~limit data =
-  if String.length data > 0 then t.c_last_read <- tick;
+let feed t ~limit data =
   Buffer.add_string t.c_rbuf data;
   let s = Buffer.contents t.c_rbuf in
   let lines = ref [] in

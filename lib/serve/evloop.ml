@@ -428,8 +428,7 @@ let feed t id data =
       if Conn.input_open cs.cs_conn && Conn.phase cs.cs_conn <> Conn.Closed
       then begin
         match
-          Conn.feed cs.cs_conn ~tick:t.e_tick ~limit:Wire.max_record_bytes
-            data
+          Conn.feed cs.cs_conn ~limit:Wire.max_record_bytes data
         with
         | `Oversize bytes ->
             logf t cs "oversize";
@@ -790,8 +789,11 @@ let daemon_run d =
              if pending_output e id > 0 then Some fd else None)
            d.d_fds
        in
+       (* an active stream has its next step due now: only an idle
+          loop waits out the tick *)
+       let timeout = if e.e_active > 0 then 0.0 else d.d_tick_s in
        let r, w, _ =
-         try Unix.select rds wrs [] d.d_tick_s
+         try Unix.select rds wrs [] timeout
          with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
        in
        if List.mem d.d_lfd r then daemon_accept d;

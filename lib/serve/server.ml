@@ -5,11 +5,16 @@
    thread, in a fixed order — readiness, target/function validity,
    per-client token bucket, bounded queue — so under a deterministic
    submission order the accept/reject sequence is deterministic too
-   (`faultcheck serve-overload` replays it). Queued work is executed by
-   a persistent Par.Pool of domains, spawned with the first queued
-   request, each owning a forked supervisor (per-worker jitter stream,
-   per-request deadline budget); streams are stepped by their caller
-   (the event loop) instead. In durable
+   (`faultcheck serve-overload` replays it).
+
+   Every admitted request runs one way: as a stream, a [Generate]
+   stepper advanced one statement boundary per [stream_step]. The
+   event loop and the router step the streams they open
+   ([stream_start]), each on its own forked supervisor with a cancel
+   token. Queued requests ([submit], [request]) are stepped to their
+   final by a persistent Par.Pool of worker domains, spawned with the
+   first queued request, each stepping on its own forked supervisor
+   (per-worker jitter stream, per-request deadline budget). In durable
    mode every request's statements are write-ahead-journaled exactly as
    in Pipeline.generate_backend_durable, so a kill mid-request resumes
    to bit-identical output.
@@ -57,8 +62,8 @@ type job = {
   jb_req : Proto.request;
   jb_ticket : ticket;
   jb_enqueued : float;
-  jb_deadline : float option;  (* absolute; expiry while queued *)
-  jb_budget_s : float option;  (* supervisor budget while executing *)
+  jb_budget_s : float option;  (* deadline budget: expiry while queued,
+                                  supervisor budget while executing *)
 }
 
 (* A completed function plus whether it was restored from the journal
@@ -75,7 +80,9 @@ type t = {
   bucket : Bucket.t;
   q : job Admission.t;
   now : unit -> float;
-  base_sup : Sup.t;  (* fork parent for workers and stream jobs *)
+  base_sup : Sup.t;
+      (* fork parent for workers and streams; a stream's own fork is
+         folded back in when it settles *)
   sups : Sup.t array;  (* one forked supervisor per worker *)
   journal : J.writer option;
   cancel_fault_sub : unit -> unit;
@@ -97,12 +104,6 @@ type t = {
   epoch : int;  (* respawn generation, stamped by the fleet supervisor *)
 }
 
-let rec mkdir_p dir =
-  if dir <> "" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let deliver ticket reply =
   Mutex.protect ticket.tk_lock (fun () ->
       ticket.tk_reply <- Some reply;
@@ -114,6 +115,9 @@ let await ticket =
         Condition.wait ticket.tk_cond ticket.tk_lock
       done;
       Option.get ticket.tk_reply)
+
+(* What a request caught by a simulated crash answers. *)
+let killed_message = "simulated crash: journal writer killed"
 
 let degraded_count (gf : Generate.gen_func) =
   List.length
@@ -131,8 +135,6 @@ let done_reply t (gf : Generate.gen_func) ~restored =
       r_resumed = restored;
       r_source = Generate.source_of gf;
     }
-
-(* ---- execution (worker side) ---- *)
 
 let record_completed t fname (gf : Generate.gen_func) =
   let c = Pipeline.completed_of_gen fname gf in
@@ -163,90 +165,6 @@ let expired t ~enqueued ~deadline =
            { waited_ms = int_of_float ((t.now () -. enqueued) *. 1000.0) })
   | _ -> None
 
-let exec t sup (job : job) =
-  let req = job.jb_req in
-  match expired t ~enqueued:job.jb_enqueued ~deadline:job.jb_deadline with
-  | Some r -> Proto.Rejected r
-  | None -> (
-      let cached =
-        Mutex.protect t.st_lock (fun () ->
-            Hashtbl.find_opt t.done_tbl req.rq_fname)
-      in
-      let bundle =
-        (* validated at submit; [None] is unreachable *)
-        Option.get (Pipeline.bundle_for t.pipeline.Pipeline.prep req.rq_fname)
-      in
-      match cached with
-      | Some { de_completed; de_restored } ->
-          (* idempotent replay — journal-restored or generated earlier in
-             this process; never regenerated, so repeats are bit-identical *)
-          let gf = Pipeline.func_of_completed bundle t.target de_completed in
-          done_reply t gf ~restored:de_restored
-      | None ->
-          Sup.set_budget sup job.jb_budget_s;
-          Fun.protect
-            ~finally:(fun () -> Sup.set_budget sup None)
-            (fun () ->
-              Option.iter
-                (fun w -> J.append w (J.Func_begin req.rq_fname))
-                t.journal;
-              let on_stmt =
-                Option.map
-                  (fun w s ->
-                    J.append w (J.Stmt (Pipeline.stmt_of_gen req.rq_fname s)))
-                  t.journal
-              in
-              let gf =
-                Generate.run ?fallback:t.fallback ~report:t.report ~sup
-                  ?on_stmt t.pipeline.Pipeline.prep.Pipeline.ctx bundle.Pipeline.tpl
-                  bundle.Pipeline.analysis bundle.Pipeline.hints
-                  ~target:t.target ~decoder:t.decoder
-              in
-              Option.iter
-                (fun w ->
-                  J.append w
-                    (J.Func_end
-                       {
-                         fname = req.rq_fname;
-                         confidence = gf.Generate.gf_confidence;
-                         n_stmts = List.length gf.Generate.gf_stmts;
-                       }))
-                t.journal;
-              record_completed t req.rq_fname gf;
-              done_reply t gf ~restored:false))
-
-let worker t w =
-  let sup = t.sups.(w) in
-  let rec loop () =
-    match Admission.take t.q with
-    | None -> ()
-    | Some job ->
-        Mutex.protect t.st_lock (fun () -> t.busy <- t.busy + 1);
-        let reply, crashed =
-          match exec t sup job with
-          | reply -> (reply, false)
-          | exception J.Killed n ->
-              (* simulated hard crash: remember it, stop admitting, stop
-                 this worker; peers die the same way on their next append *)
-              Mutex.protect t.st_lock (fun () ->
-                  if t.killed = None then t.killed <- Some n);
-              Admission.close t.q;
-              (Proto.Failed "simulated crash: journal writer killed", true)
-          | exception e -> (Proto.Failed (Printexc.to_string e), false)
-        in
-        (* count before delivering: a caller that reads [health] as soon
-           as its reply arrives must see this job settled *)
-        Mutex.protect t.st_lock (fun () ->
-            t.busy <- t.busy - 1;
-            t.completed <- t.completed + 1;
-            match reply with
-            | Proto.Rejected _ -> t.rejected <- t.rejected + 1
-            | Proto.Done _ | Proto.Failed _ -> ());
-        deliver job.jb_ticket reply;
-        if crashed then () else loop ()
-  in
-  loop ()
-
 (* ---- creation ---- *)
 
 let create ?(config = default_config) ?fallback ?report ?sup_config ?now
@@ -260,36 +178,10 @@ let create ?(config = default_config) ?fallback ?report ?sup_config ?now
   let journal_setup =
     match run_dir with
     | None -> Ok (None, [])
-    | Some dir -> (
-        mkdir_p dir;
-        let jpath = Pipeline.journal_path dir in
-        if resume then begin
-          let rc = J.read ~report ~path:jpath () in
-          match J.replay rc.J.r_records with
-          | Some (J.Header h), completed
-            when h.version = J.version && h.target = target
-                 && h.fingerprint = fp ->
-              if rc.J.r_torn then J.rewrite ~path:jpath rc.J.r_records;
-              Ok (Some (J.open_append ?kill_at ~path:jpath ()), completed)
-          | Some (J.Header _), _ ->
-              Error
-                "journal belongs to a different run (target or pipeline \
-                 fingerprint mismatch)"
-          | _ -> Error "journal has no valid header; nothing to resume"
-        end
-        else if Sys.file_exists jpath then
-          Error
-            (Printf.sprintf
-               "%s already exists; resume the run instead of starting a new \
-                one"
-               jpath)
-        else
-          Ok
-            ( Some
-                (J.create ?kill_at ~path:jpath
-                   (J.Header
-                      { version = J.version; target; fingerprint = fp })),
-              [] ))
+    | Some dir ->
+        Result.map
+          (fun (w, completed, _torn) -> (Some w, completed))
+          (Pipeline.open_journal ?kill_at ~report ~resume ~fp ~target dir)
   in
   match journal_setup with
   | Error _ as e -> e
@@ -366,10 +258,15 @@ let target t = t.target
 
 (* Shared admission prefix (readiness → target → function → bucket),
    identical for queued and streamed requests so both observe the same
-   deterministic accept/reject order. *)
+   deterministic accept/reject order. A simulated crash leaves [state]
+   at Ready, but a killed server admits nothing: it answers [Draining],
+   as its closed queue always has. *)
 let gate t (req : Proto.request) =
-  let state = Mutex.protect t.st_lock (fun () -> t.state) in
-  if state <> Health.Ready then Error Proto.Draining
+  let up =
+    Mutex.protect t.st_lock (fun () ->
+        t.state = Health.Ready && t.killed = None)
+  in
+  if not up then Error Proto.Draining
   else if req.rq_target <> t.target then
     Error
       (Proto.Bad_request
@@ -386,6 +283,11 @@ let gate t (req : Proto.request) =
     Error (Proto.Budget_exhausted { client = req.rq_client })
   else Ok ()
 
+(* A request the server turns away counts as rejected. *)
+let refuse t r =
+  Mutex.protect t.st_lock (fun () -> t.rejected <- t.rejected + 1);
+  Error r
+
 let request_budget_s t (req : Proto.request) =
   match req.rq_deadline_ms with
   | Some ms -> Some (float_of_int ms /. 1000.0)
@@ -394,70 +296,19 @@ let request_budget_s t (req : Proto.request) =
         Some (float_of_int t.cfg.deadline_ms /. 1000.0)
       else None
 
-(* The worker pool starts with the first queued request, so a server
-   driven only through streams (an event-loop daemon) never spawns
-   domains it would not use. Spawned under [st_lock] while Ready: a
-   drain, which leaves Ready under the same lock, always sees it. *)
-let ensure_pool t =
-  Mutex.protect t.st_lock (fun () ->
-      if Option.is_none t.pool && t.state = Health.Ready then
-        t.pool <-
-          Some (Vega_util.Par.Pool.spawn ~domains:t.cfg.domains (worker t)))
+(* ---- streams (statement granular) ----
 
-let submit t (req : Proto.request) =
-  let reject r =
-    Mutex.protect t.st_lock (fun () -> t.rejected <- t.rejected + 1);
-    Error r
-  in
-  match gate t req with
-  | Error r -> reject r
-  | Ok () -> begin
-    ensure_pool t;
-    let enq = t.now () in
-    let budget_s = request_budget_s t req in
-    let job =
-      {
-        jb_req = req;
-        jb_ticket =
-          {
-            tk_lock = Mutex.create ();
-            tk_cond = Condition.create ();
-            tk_reply = None;
-          };
-        jb_enqueued = enq;
-        jb_deadline = Option.map (fun b -> enq +. b) budget_s;
-        jb_budget_s = budget_s;
-      }
-    in
-    match Admission.offer t.q job with
-    | Admission.Closed -> reject Proto.Draining
-    | Admission.Shed depth ->
-        reject (Proto.Queue_full { depth; cap = t.cfg.queue_cap })
-    | Admission.Accepted _ ->
-        Mutex.protect t.st_lock (fun () -> t.accepted <- t.accepted + 1);
-        Ok job.jb_ticket
-  end
-
-let request t req =
-  match submit t req with
-  | Error r -> Proto.Rejected r
-  | Ok ticket -> await ticket
-
-let resume_workers t = Admission.resume t.q
-
-(* ---- streaming (caller-driven, statement granular) ----
-
-   A stream is a request whose decode the *caller* advances one
-   statement at a time: the event loop interleaves many streams on one
-   thread, calling [stream_step] round-robin, and can observe (and
-   ship) every statement as it is produced. Cancellation arrives
-   through a {!Sup.cancel_token} attached to the stream's own forked
-   supervisor, so it is checked at every statement boundary wherever
-   the decode runs. A stream never rides the worker queue — streamed
-   concurrency is the caller's slot discipline — but it passes the same
-   admission gate and settles the same counters, so `accepted -
-   completed` converges to zero whether a request finished, failed,
-   expired or was cancelled. *)
+   Every request runs as a stream: its decode advances one statement
+   boundary per [stream_step]. The event loop and the router step the
+   streams they open with [stream_start], interleaving many on one
+   thread and shipping every statement as it is produced; a worker
+   steps a queued request's stream to its final. Cancellation arrives
+   through a {!Sup.cancel_token} attached to an opened stream's own
+   forked supervisor, so it is checked at every statement boundary
+   wherever the decode runs. Every stream passes the same admission
+   gate and settles the same counters, so `accepted - completed`
+   converges to zero whether a request finished, failed, expired or
+   was cancelled. *)
 
 type stream_kind =
   | Sunstarted  (* admitted, waiting for a decode slot *)
@@ -469,6 +320,7 @@ type stream = {
   sr_enqueued : float;
   sr_deadline : float option;  (* absolute; expiry while waiting *)
   sr_sup : Sup.t;
+  sr_forked : bool;  (* [sr_sup] is this stream's own fork *)
   sr_token : Sup.cancel_token;
   mutable sr_kind : stream_kind;
   mutable sr_result : Proto.reply option;  (* set once settled *)
@@ -489,13 +341,26 @@ let stmt_frame ~index (s : Generate.gen_stmt) =
       f_tokens = s.Generate.g_tokens;
     }
 
+(* The decode itself begins lazily at the first [stream_step]: an
+   admitted stream may wait for a slot, and a stream aborted while
+   waiting must leave no journal trace. *)
+let new_stream ~sup ~forked ~token ~enqueued ~budget_s req =
+  {
+    sr_req = req;
+    sr_enqueued = enqueued;
+    sr_deadline = Option.map (fun b -> enqueued +. b) budget_s;
+    sr_sup = sup;
+    sr_forked = forked;
+    sr_token = token;
+    sr_kind = Sunstarted;
+    sr_result = None;
+  }
+
 let stream_start t (req : Proto.request) =
   match gate t req with
-  | Error r ->
-      Mutex.protect t.st_lock (fun () -> t.rejected <- t.rejected + 1);
-      Error r
+  | Error r -> refuse t r
   | Ok () ->
-      let sup, seq =
+      let sup =
         Mutex.protect t.st_lock (fun () ->
             let seq = t.stream_seq in
             t.stream_seq <- seq + 1;
@@ -503,27 +368,14 @@ let stream_start t (req : Proto.request) =
             t.busy <- t.busy + 1;
             (* indices above the worker range: stream jitter streams
                never collide with a worker's *)
-            (Sup.fork ~index:(t.cfg.domains + seq) t.base_sup, seq))
+            Sup.fork ~index:(t.cfg.domains + seq) t.base_sup)
       in
-      ignore seq;
       let budget_s = request_budget_s t req in
       Sup.set_budget sup budget_s;
       let token = Sup.new_cancel () in
       Sup.set_cancel sup (Some token);
-      let enq = t.now () in
-      (* the decode itself begins lazily at the first [stream_step]:
-         an admitted stream may wait for a slot, and a stream aborted
-         while waiting must leave no journal trace *)
-      Ok
-        {
-          sr_req = req;
-          sr_enqueued = enq;
-          sr_deadline = Option.map (fun b -> enq +. b) budget_s;
-          sr_sup = sup;
-          sr_token = token;
-          sr_kind = Sunstarted;
-          sr_result = None;
-        }
+      let enqueued = t.now () in
+      Ok (new_stream ~sup ~forked:true ~token ~enqueued ~budget_s req)
 
 (* Decide replay-vs-generate and journal [Func_begin] — at slot
    assignment, not admission, so the done-table is consulted as late as
@@ -554,7 +406,8 @@ let stream_begin t s =
              ~decoder:t.decoder))
 
 (* Settle exactly once: every started stream ends here whatever its
-   fate, so the journal-lag accounting cannot drift. *)
+   fate, so the journal-lag accounting cannot drift. A stream's own
+   fork is folded into [base_sup] here, where [health] counts it. *)
 let settle t s ?(cancelled = false) reply =
   if s.sr_result = None then begin
     s.sr_result <- Some reply;
@@ -562,6 +415,7 @@ let settle t s ?(cancelled = false) reply =
         t.busy <- t.busy - 1;
         t.completed <- t.completed + 1;
         if cancelled then t.cancelled <- t.cancelled + 1;
+        if s.sr_forked then Sup.absorb t.base_sup s.sr_sup;
         match reply with
         | Proto.Rejected _ -> t.rejected <- t.rejected + 1
         | Proto.Done _ | Proto.Failed _ -> ())
@@ -640,15 +494,100 @@ let stream_step t s =
             (Proto.Rejected (Proto.Cancelled { at_stmt }));
           Scancelled { at_stmt }
       | exception J.Killed n ->
-          (* simulated hard crash: same protocol as the worker path *)
+          (* simulated hard crash: remember it (the gate admits nothing
+             more), close the queue, settle the stream as crashed and
+             let the crash unwind *)
           Mutex.protect t.st_lock (fun () ->
               if t.killed = None then t.killed <- Some n);
           Admission.close t.q;
+          settle t s (Proto.Failed killed_message);
           raise (J.Killed n)
       | exception e ->
           let reply = Proto.Failed (Printexc.to_string e) in
           settle t s reply;
           Sdone reply)
+
+(* ---- the worker pool (queued requests) ---- *)
+
+(* A worker steps each job's stream to its final on the worker's own
+   supervisor, under the request's budget. The stream settles the
+   counters before the reply is delivered, so a caller that reads
+   [health] as soon as its reply arrives sees the job settled. A
+   simulated crash stops the worker; its peers die the same way on
+   their next append. *)
+let worker t w =
+  let sup = t.sups.(w) in
+  let rec loop () =
+    match Admission.take t.q with
+    | None -> ()
+    | Some job ->
+        Mutex.protect t.st_lock (fun () -> t.busy <- t.busy + 1);
+        let s =
+          new_stream ~sup ~forked:false ~token:(Sup.new_cancel ())
+            ~enqueued:job.jb_enqueued ~budget_s:job.jb_budget_s job.jb_req
+        in
+        let rec drive () =
+          match stream_step t s with
+          | Sstmt _ -> drive ()
+          | Sdone _ | Scancelled _ -> ()
+        in
+        Sup.set_budget sup job.jb_budget_s;
+        let crashed =
+          match
+            Fun.protect ~finally:(fun () -> Sup.set_budget sup None) drive
+          with
+          | () -> false
+          | exception J.Killed _ -> true
+        in
+        deliver job.jb_ticket (Option.get s.sr_result);
+        if not crashed then loop ()
+  in
+  loop ()
+
+(* The worker pool starts with the first queued request, so a server
+   driven only through streams (an event-loop daemon, a router's shard)
+   never spawns domains it would not use. Spawned under [st_lock] while
+   Ready: a drain, which leaves Ready under the same lock, always sees
+   it. *)
+let ensure_pool t =
+  Mutex.protect t.st_lock (fun () ->
+      if Option.is_none t.pool && t.state = Health.Ready then
+        t.pool <-
+          Some (Vega_util.Par.Pool.spawn ~domains:t.cfg.domains (worker t)))
+
+let submit t (req : Proto.request) =
+  match gate t req with
+  | Error r -> refuse t r
+  | Ok () -> begin
+    ensure_pool t;
+    let job =
+      {
+        jb_req = req;
+        jb_ticket =
+          {
+            tk_lock = Mutex.create ();
+            tk_cond = Condition.create ();
+            tk_reply = None;
+          };
+        jb_enqueued = t.now ();
+        jb_budget_s = request_budget_s t req;
+      }
+    in
+    match Admission.offer t.q job with
+    | Admission.Closed -> refuse t Proto.Draining
+    | Admission.Shed depth ->
+        refuse t (Proto.Queue_full { depth; cap = t.cfg.queue_cap })
+    | Admission.Accepted _ ->
+        Mutex.protect t.st_lock (fun () -> t.accepted <- t.accepted + 1);
+        Ok job.jb_ticket
+  end
+
+let request t req =
+  match submit t req with
+  | Error r -> Proto.Rejected r
+  | Ok ticket -> await ticket
+
+let resume_workers t = Admission.resume t.q
 
 (* ---- health ---- *)
 
@@ -657,12 +596,12 @@ let breaker_open t =
     (fun s -> not (Vega_robust.Breaker.closed (Sup.breaker_state s)))
     t.sups
 
-(* workers run on the forks only; the base supervisor is just the fork
-   parent, so summing the forks counts every hit exactly once *)
+(* settled streams' forks are folded into the base supervisor, workers
+   keep theirs: base plus worker forks counts every hit exactly once *)
 let deadline_hits t =
   Array.fold_left
     (fun n s -> n + (Sup.stats s).Sup.sup_deadline_hits)
-    0 t.sups
+    (Sup.stats t.base_sup).Sup.sup_deadline_hits t.sups
 
 let health t =
   Mutex.protect t.st_lock (fun () ->

@@ -42,13 +42,3 @@ let of_server srv =
     sv_drain = (fun () -> Server.drain srv);
     sv_shards = None;
   }
-
-(* A stream without statement frames: its one step computes the whole
-   reply. A router answers plain requests this way; endpoints that only
-   speak whole replies stream this way. *)
-let once reply =
-  {
-    st_step = (fun () -> Server.Sdone (reply ()));
-    st_cancel = ignore;
-    st_abort = (fun ~cancelled:_ _ -> ());
-  }

@@ -70,14 +70,8 @@ let keys (t : Vega.Pipeline.t) ~target =
   let vfs = t.Vega.Pipeline.prep.Vega.Pipeline.corpus.Vega_corpus.Corpus.vfs in
   (fingerprint, desc_hash_of_vfs vfs ~target)
 
-let rec mkdir_p dir =
-  if not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let create ?report ~dir ~fingerprint ~desc_hash () =
-  mkdir_p dir;
+  Vega.Pipeline.mkdir_p dir;
   {
     dir;
     fingerprint;

@@ -100,10 +100,10 @@ let default_config =
    (or a test stub). *)
 type endpoint = {
   ep_name : string;
-  ep_request : Proto.request -> Proto.reply;
   ep_stream : Proto.request -> (Service.stream, Proto.reject_reason) result;
-      (* open a stream on the shard: admission answers at once, then
-         the router steps it one statement boundary at a time *)
+      (* open a stream on the shard (one contact): admission answers at
+         once, then the router steps it one statement boundary at a
+         time *)
   ep_health : unit -> Health.snapshot option;
   ep_drain : unit -> Health.snapshot option;
 }
@@ -111,8 +111,13 @@ type endpoint = {
 (* Degenerate streaming for endpoints that only speak whole replies
    (test stubs): no statement frames, just the final verdict — the same
    shape a cache hit produces. *)
-let buffered_stream ep_request req =
-  Ok (Service.once (fun () -> ep_request req))
+let buffered_stream reply req =
+  Ok
+    {
+      Service.st_step = (fun () -> Server.Sdone (reply req));
+      st_cancel = ignore;
+      st_abort = (fun ~cancelled:_ _ -> ());
+    }
 
 type shard = {
   mutable sh_ep : endpoint;  (* swapped on respawn by the fleet *)
@@ -155,7 +160,6 @@ let shard_run_dir base i = Filename.concat base (Printf.sprintf "shard-%d" i)
 let of_server ~name srv =
   {
     ep_name = name;
-    ep_request = (fun req -> Server.request srv req);
     ep_stream = (Service.of_server srv).Service.sv_start ~plain:false;
     ep_health = (fun () -> Some (Server.health srv));
     ep_drain =
@@ -329,55 +333,27 @@ let maybe_probe t sh =
 
 (* ---- routing ---- *)
 
-(* One contact with a shard; raising means the shard is gone. *)
-let contact f =
+let failed ~what m = Printf.sprintf "shard failed %s: %s" what m
+
+(* One contact with a shard; raising means the shard is gone. A
+   simulated crash is a shard dying mid-leg. *)
+let contact ~what f =
   match f () with
   | v -> Ok v
   | exception Fault.Fault fault -> Error (Fault.to_string fault)
   | exception Unix.Unix_error (e, fn, _) ->
       Error (Printf.sprintf "%s: %s" fn (Unix.error_message e))
+  | exception Vega_robust.Journal.Killed _ ->
+      Error (failed ~what Server.killed_message)
 
 (* A shard's reply as the ladder sees it: a failed or draining shard is
    a failed contact, anything else is the shard speaking. A typed
    admission rejection on a half-open probe closes the breaker exactly
    like a clean [Done]: overload is not death. *)
 let verdict ~what = function
-  | Proto.Failed m -> Error (Printf.sprintf "shard failed %s: %s" what m)
+  | Proto.Failed m -> Error (failed ~what m)
   | Proto.Rejected Proto.Draining -> Error "shard draining"
   | (Proto.Done _ | Proto.Rejected _) as reply -> Ok reply
-
-(* One shard, up to 1 + retries attempts. A half-open breaker gets a
-   single probe attempt — retrying a probe would defeat the point. *)
-let try_shard t sh req =
-  let admitted = breaker_admit t sh in
-  if admitted = Breaker.Skip || not (maybe_probe t sh) then None
-  else
-    let rec attempt n =
-      match
-        Result.bind
-          (contact (fun () -> sh.sh_ep.ep_request req))
-          (verdict ~what:"request")
-      with
-      | Ok reply ->
-          note_success t sh;
-          Some reply
-      | Error detail ->
-          note_failure t sh ~detail;
-          let may_retry =
-            admitted <> Breaker.Probe && n < t.cfg.retries
-            (* stop the moment the breaker opens mid-loop — the
-               Supervisor.guard discipline; without this check the
-               retry budget keeps hammering a shard the breaker has
-               already declared dead *)
-            && Mutex.protect t.lock (fun () -> Breaker.closed sh.sh_breaker)
-          in
-          if may_retry then begin
-            t.sleep (backoff_delay t sh n);
-            attempt (n + 1)
-          end
-          else None
-    in
-    attempt 0
 
 let request_key t ~fname =
   Cache.request_key ~fingerprint:t.fingerprint ~desc_hash:t.desc_hash ~fname
@@ -385,8 +361,8 @@ let request_key t ~fname =
 let log_decision t c =
   Mutex.protect t.lock (fun () -> Buffer.add_char t.dlog c)
 
-(* The head both ladders share — one routing decision: cache 'C', then
-   a quarantined owner under Shed 'Q'. Otherwise the owner and the
+(* The head of the ladder — one routing decision: cache 'C', then a
+   quarantined owner under Shed 'Q'. Otherwise the owner and the
    candidates to walk, plus whether the owner has been stalled past the
    hedge budget. *)
 type decision =
@@ -462,123 +438,117 @@ let answered t ~fname ~owner name letter reply =
   log_decision t letter;
   match t.cache with Some c -> ignore (Cache.put c ~fname reply) | None -> ()
 
-(* Decision order, first match wins: cache 'C' → quarantined owner
-   ('Q' under Shed, live-ring reroute under Reroute) → hedge 'H' →
-   owner 'A' → successor reroute 'R' → shed 'D'. *)
-let route t (req : Proto.request) =
-  let fname = req.Proto.rq_fname in
-  match decide t ~fname with
-  | Answer reply -> reply
-  | Walk { owner; candidates; hedging } ->
-      (* Hedge: the owner leg has been stalled past the budget, so the
-         duplicate to the ring successor is driven first and wins on
-         any clean reply; the stalled owner leg runs only if the hedge
-         leg fails (the race, resolved on the decision clock).
-         Reordering the walk is the cancellation: the loser is simply
-         never driven to completion. *)
-      let candidates, hedge_target =
-        if not hedging then (candidates, None)
-        else
-          match candidates with
-          | first :: second :: rest when first = owner ->
-              Mutex.protect t.lock (fun () ->
-                  t.hedges <- t.hedges + 1;
-                  (find t owner).sh_hedged <- (find t owner).sh_hedged + 1);
-              (second :: first :: rest, Some second)
-          | _ -> (candidates, None)
-      in
-      let rec walk = function
-        | [] -> shed t ~owner
-        | name :: rest -> (
-            match try_shard t (find t name) req with
-            | Some reply ->
-                answered t ~fname ~owner name
-                  (if hedge_target = Some name then 'H'
-                   else if name = owner then 'A'
-                   else 'R')
-                  reply;
-                reply
-            | None -> walk rest)
-      in
-      walk candidates
+(* ---- the ladder ----
 
-(* ---- streaming ----
+   Every routed request is a stream stepped one statement boundary at
+   a time: the event loop interleaves it with every other connection,
+   [route] steps it to its final in process. The decision is taken at
+   the first step, the loop's slot assignment; then each candidate's
+   own stream (the leg) is relayed statement by statement. Order, first
+   match wins: cache 'C' → quarantined owner ('Q' under Shed, live-ring
+   reroute under Reroute) → hedge 'H' → owner 'A' → successor reroute
+   'R' → shed 'D'.
 
-   The streaming ladder runs one step at a time, so the event loop
-   interleaves a routed stream with every other connection. The
-   decision is taken at the first step, which is the loop's slot
-   assignment; then the chosen shard's own stream (the leg) is relayed
-   statement by statement. Same ladder as [route], minus hedging and
-   minus mid-stream retry: once a statement frame has reached the
-   client, replaying the decode on another shard would duplicate
-   frames. A candidate that fails *before* relaying anything is skipped
-   with the usual breaker bookkeeping; a failure *after* the first
-   relayed frame ends the stream with a typed [Shard_down] final. A
-   cache hit streams no statement frames, only the final verdict. The
-   router owns the final in every path: a leg's own final is classified
-   here, never relayed. *)
+   A hedge tries the ring successor before an owner stalled past the
+   budget: it wins on any clean reply, and the stalled owner is
+   contacted only if it fails (the race, resolved on the decision
+   clock; the loser is never contacted). Each candidate is admitted
+   through its breaker and probed, then gets up to [1 + retries] legs
+   with a seeded backoff sleep between them, while nothing has reached
+   the client, its breaker is closed and it was not admitted as the
+   half-open probe (retrying a probe would defeat the point). Once a
+   framed stream has relayed a statement frame, a failing leg ends it
+   with a typed [Shard_down] final, since a replay elsewhere would
+   duplicate frames; a plain stream relays nothing, so its failing leg
+   is retried or rerouted. The router owns the final: a leg's own final
+   is classified here, never relayed. *)
 
 type stream = {
   rs_req : Proto.request;
+  rs_plain : bool;  (* the client sees no statement frames *)
   mutable rs_owner : string option;  (* set by the decision *)
+  mutable rs_hedge : string option;  (* the successor hedged to *)
   mutable rs_todo : string list;  (* candidates not tried yet *)
-  mutable rs_leg : (string * Service.stream) option;  (* relaying shard *)
+  mutable rs_shard : (string * Breaker.verdict * int) option;
+      (* the candidate being tried: its admission and the legs it has
+         already failed *)
+  mutable rs_leg : Service.stream option;  (* its open leg *)
   mutable rs_relayed : bool;  (* a statement frame reached the client *)
   mutable rs_cancelled : bool;
 }
 
+let what rs = if rs.rs_plain then "request" else "stream"
+
+(* Move the ring successor ahead of the stalled owner. *)
+let hedge t rs ~owner =
+  match rs.rs_todo with
+  | first :: second :: rest when first = owner ->
+      Mutex.protect t.lock (fun () ->
+          t.hedges <- t.hedges + 1;
+          (find t owner).sh_hedged <- (find t owner).sh_hedged + 1);
+      rs.rs_todo <- second :: first :: rest;
+      rs.rs_hedge <- Some second
+  | _ -> ()
+
 let rec stream_step t rs =
   match (rs.rs_owner, rs.rs_leg) with
-  | Some owner, Some (name, leg) -> relay t rs ~owner name leg
+  | Some owner, Some leg -> relay t rs ~owner leg
   | Some owner, None -> walk t rs ~owner
   | None, _ -> (
       match decide t ~fname:rs.rs_req.Proto.rq_fname with
       | Answer reply -> Server.Sdone reply
-      | Walk { owner; candidates; hedging = _ } ->
+      | Walk { owner; candidates; hedging } ->
           rs.rs_owner <- Some owner;
           rs.rs_todo <- candidates;
+          if hedging then hedge t rs ~owner;
           walk t rs ~owner)
 
-(* Open the next admitting candidate's leg and take its first step. *)
+(* Admit the next candidate and open its first leg. *)
 and walk t rs ~owner =
   match rs.rs_todo with
   | [] -> Server.Sdone (shed t ~owner)
-  | name :: rest -> (
+  | name :: rest ->
       rs.rs_todo <- rest;
       let sh = find t name in
-      if breaker_admit t sh = Breaker.Skip || not (maybe_probe t sh) then
-        walk t rs ~owner
-      else
-        match contact (fun () -> sh.sh_ep.ep_stream rs.rs_req) with
-        | Ok (Ok leg) ->
-            if rs.rs_cancelled then leg.Service.st_cancel ();
-            rs.rs_leg <- Some (name, leg);
-            relay t rs ~owner name leg
-        | Ok (Error r) ->
-            settle t rs ~owner name (verdict ~what:"stream" (Proto.Rejected r))
-        | Error detail -> settle t rs ~owner name (Error detail))
+      let admitted = breaker_admit t sh in
+      if admitted = Breaker.Skip || not (maybe_probe t sh) then walk t rs ~owner
+      else open_leg t rs ~owner name admitted 0
 
-and relay t rs ~owner name leg =
-  match contact leg.Service.st_step with
+and open_leg t rs ~owner name admitted failed_legs =
+  rs.rs_shard <- Some (name, admitted, failed_legs);
+  let what = what rs in
+  match contact ~what (fun () -> (find t name).sh_ep.ep_stream rs.rs_req) with
+  | Ok (Ok leg) ->
+      if rs.rs_cancelled then leg.Service.st_cancel ();
+      rs.rs_leg <- Some leg;
+      relay t rs ~owner leg
+  | Ok (Error r) -> settle t rs ~owner (verdict ~what (Proto.Rejected r))
+  | Error detail -> settle t rs ~owner (Error detail)
+
+and relay t rs ~owner leg =
+  let what = what rs in
+  match contact ~what leg.Service.st_step with
   | Ok (Server.Sstmt _ as ev) ->
-      rs.rs_relayed <- true;
+      if not rs.rs_plain then rs.rs_relayed <- true;
       ev
-  | Ok (Server.Sdone reply) ->
-      settle t rs ~owner name (verdict ~what:"stream" reply)
+  | Ok (Server.Sdone reply) -> settle t rs ~owner (verdict ~what reply)
   | Ok (Server.Scancelled { at_stmt }) ->
-      settle t rs ~owner name
-        (Ok (Proto.Rejected (Proto.Cancelled { at_stmt })))
-  | Error detail -> settle t rs ~owner name (Error detail)
+      settle t rs ~owner (Ok (Proto.Rejected (Proto.Cancelled { at_stmt })))
+  | Error detail -> settle t rs ~owner (Error detail)
 
-(* The leg on [name] ended: the stream's final, or the next candidate. *)
-and settle t rs ~owner name outcome =
+(* The current leg ended: the stream's final, a retry on the same
+   shard, or the next candidate. *)
+and settle t rs ~owner outcome =
+  let name, admitted, failed_legs = Option.get rs.rs_shard in
   let sh = find t name in
   rs.rs_leg <- None;
   match outcome with
   | Ok reply -> (
       note_success t sh;
       answered t ~fname:rs.rs_req.Proto.rq_fname ~owner name
-        (if name = owner then 'A' else 'R')
+        (if rs.rs_hedge = Some name then 'H'
+         else if name = owner then 'A'
+         else 'R')
         reply;
       match reply with
       | Proto.Rejected (Proto.Cancelled { at_stmt }) ->
@@ -586,24 +556,41 @@ and settle t rs ~owner name outcome =
       | _ -> Server.Sdone reply)
   | Error detail ->
       note_failure t sh ~detail;
-      (* frames already reached the client: no retry *)
-      if rs.rs_relayed then Server.Sdone (shed t ~owner) else walk t rs ~owner
+      (* stop the moment the breaker opens mid-loop — the
+         Supervisor.guard discipline; without this check the retry
+         budget keeps hammering a shard the breaker has already
+         declared dead *)
+      let may_retry () =
+        admitted <> Breaker.Probe
+        && failed_legs < t.cfg.retries
+        && Mutex.protect t.lock (fun () -> Breaker.closed sh.sh_breaker)
+      in
+      if rs.rs_relayed then Server.Sdone (shed t ~owner)
+      else if may_retry () then begin
+        t.sleep (backoff_delay t sh failed_legs);
+        open_leg t rs ~owner name admitted (failed_legs + 1)
+      end
+      else walk t rs ~owner
 
 (* A cancel (frame, EOF or reset) reaches the leg's token, which the
    shard observes at its next statement boundary. *)
 let stream_cancel rs =
   rs.rs_cancelled <- true;
-  Option.iter (fun (_, leg) -> leg.Service.st_cancel ()) rs.rs_leg
+  Option.iter (fun leg -> leg.Service.st_cancel ()) rs.rs_leg
 
-(* A routed stream as the event loop drives it. Nothing is decided
-   before the first step, so a stream aborted while it waits for a slot
+(* A routed request as the event loop drives it; [plain] requests hide
+   their statement frames from the client. Nothing is decided before
+   the first step, so a stream aborted while it waits for a slot
    leaves no trace. *)
-let stream t req =
+let stream ?(plain = false) t req =
   let rs =
     {
       rs_req = req;
+      rs_plain = plain;
       rs_owner = None;
+      rs_hedge = None;
       rs_todo = [];
+      rs_shard = None;
       rs_leg = None;
       rs_relayed = false;
       rs_cancelled = false;
@@ -614,6 +601,18 @@ let stream t req =
     st_cancel = (fun () -> stream_cancel rs);
     st_abort = (fun ~cancelled:_ _ -> ());
   }
+
+(* One request, in process: its plain stream stepped to the final. *)
+let route t req =
+  let s = stream ~plain:true t req in
+  let rec go () =
+    match s.Service.st_step () with
+    | Server.Sstmt _ -> go ()
+    | Server.Sdone reply -> reply
+    | Server.Scancelled { at_stmt } ->
+        Proto.Rejected (Proto.Cancelled { at_stmt })
+  in
+  go ()
 
 (* ---- status ---- *)
 

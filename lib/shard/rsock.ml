@@ -3,13 +3,13 @@
    single shard and existing clients (vega-cli request) talk to it
    without knowing it is one.
 
-   Plain requests go through {!Router.route}, hedging and backoff
-   included; a cold one holds up the loop's tick while its shard
-   decodes. Streams are {!Router.stream}s, stepped by the loop between
-   every other connection, and cancellable at the owning shard's next
-   statement boundary. `shards` answers the per-shard status line
-   routers alone can produce; plain servers reject that command, which
-   is how a client can tell the two apart. *)
+   Every request, plain or framed, is a {!Router.stream}, stepped by the
+   loop between every other connection and cancellable at the owning
+   shard's next statement boundary; the loop hides a plain request's
+   statement frames and answers its final as the reply. `shards`
+   answers the per-shard status line routers alone can produce; plain
+   servers reject that command, which is how a client can tell the two
+   apart. *)
 
 module Evloop = Vega_serve.Evloop
 module Service = Vega_serve.Service
@@ -19,11 +19,7 @@ type listener = Evloop.handle
 
 let service router =
   {
-    Service.sv_start =
-      (fun ~plain req ->
-        Ok
-          (if plain then Service.once (fun () -> Router.route router req)
-           else Router.stream router req));
+    Service.sv_start = (fun ~plain req -> Ok (Router.stream ~plain router req));
     sv_health = (fun () -> Router.health router);
     sv_drain = (fun () -> Router.drain router);
     sv_shards =

@@ -20,6 +20,7 @@ let () =
       ("serve", Test_serve.suite);
       ("stream", Test_stream.suite);
       ("shard", Test_shard.suite);
+      ("ladder", Test_ladder.suite);
       ("fleet", Test_fleet.suite);
       ("chaos", Test_chaos.suite);
       ("parallel", Test_parallel.suite);

@@ -246,10 +246,10 @@ let test_flap_quarantine () =
     let wrap_endpoint name ep =
       {
         ep with
-        Sh.Router.ep_request =
+        Sh.Router.ep_stream =
           (fun req ->
             Hashtbl.replace requests name (hits name + 1);
-            ep.Sh.Router.ep_request req);
+            ep.Sh.Router.ep_stream req);
       }
     in
     let fleet =

@@ -84,12 +84,6 @@ let mk_router ?(config = rcfg) ?cache ?report eps =
 let dead_endpoint ?(contacts = ref 0) name =
   {
     Sh.Router.ep_name = name;
-    ep_request =
-      (fun _ ->
-        incr contacts;
-        raise
-          (R.Fault.Fault
-             (R.Fault.Shard_failure { shard = name; detail = "dead" })));
     ep_stream =
       (fun _ ->
         incr contacts;
@@ -480,8 +474,8 @@ let test_breaker_transition_table () =
   let scripted =
     {
       Sh.Router.ep_name = "s";
-      ep_request =
-        (fun _ ->
+      ep_stream =
+        Sh.Router.buffered_stream (fun _ ->
           incr contacts;
           match !script with
           | [] -> Alcotest.fail "unscripted contact"
@@ -496,7 +490,6 @@ let test_breaker_transition_table () =
               | `Reject ->
                   S.Proto.Rejected (S.Proto.Queue_full { depth = 9; cap = 8 })
               | `Done -> done_reply fname));
-      ep_stream = Sh.Router.buffered_stream (fun _ -> done_reply fname);
       ep_health = (fun () -> None);
       ep_drain = (fun () -> None);
     }
@@ -1030,6 +1023,82 @@ let test_router_stream_concurrent () =
   Sh.Rsock.stop l;
   Alcotest.(check int) "stream settled" 0 (S.Server.health srv).S.Health.h_busy
 
+(* Poll a shard until [pred] holds on its health. *)
+let await_health srv what pred =
+  let deadline = Unix.gettimeofday () +. 30.0 in
+  while not (pred (S.Server.health srv)) do
+    if Unix.gettimeofday () > deadline then Alcotest.failf "never %s" what;
+    Unix.sleepf 0.001
+  done
+
+(* A router over one shard whose decoder takes 20 ms a statement. *)
+let slow_router () =
+  let t = Lazy.force pipeline in
+  let base = V.Pipeline.retrieval_decoder t in
+  let slow fv =
+    Unix.sleepf 0.02;
+    base fv
+  in
+  let srv = mk_server ~decoder:(Some slow) () in
+  (srv, mk_router [ Sh.Router.of_server ~name:"s0" srv ])
+
+(* A cold plain request through the router is stepped like a stream, so
+   it no longer holds the front door: a second connection's health is
+   answered while it decodes, and its reply equals the in-process
+   route. *)
+let test_router_plain_concurrent () =
+  let _, busy = Lazy.force Test_stream.busiest_fname in
+  let srv, router = slow_router () in
+  let socket = Test_stream.sock_path () in
+  let l = Sh.Rsock.start ~cfg:one_step router ~path:socket in
+  let plain =
+    Domain.spawn (fun () -> S.Sock.request ~timeout_s:60.0 ~socket (mk busy))
+  in
+  await_health srv "reached the shard" (fun h -> h.S.Health.h_busy = 1);
+  (match S.Sock.health ~timeout_s:10.0 ~socket () with
+  | Some h ->
+      Alcotest.(check int) "health answered mid-decode" 1 h.S.Health.h_busy
+  | None -> Alcotest.fail "no health reply while a plain request decodes");
+  let reply = Domain.join plain in
+  expect_done reply;
+  Sh.Rsock.stop l;
+  let fresh = mk_server () in
+  let in_proc =
+    Sh.Router.route
+      (mk_router [ Sh.Router.of_server ~name:"s0" fresh ])
+      (mk busy)
+  in
+  Alcotest.(check string) "socket reply = in-process route"
+    (S.Proto.encode_reply in_proc)
+    (S.Proto.encode_reply reply);
+  S.Server.drain fresh
+
+(* A plain request is cancellable too: a client that half-closes
+   mid-decode reaches the owning shard's token, and the shard settles
+   the request as cancelled. *)
+let test_router_plain_half_close () =
+  let _, busy = Lazy.force Test_stream.busiest_fname in
+  let srv, router = slow_router () in
+  let socket = Test_stream.sock_path () in
+  let l = Sh.Rsock.start ~cfg:one_step router ~path:socket in
+  S.Sock.with_conn ~timeout_s:60.0 ~socket (fun fd deadline ->
+      S.Sock.write_line fd (S.Proto.encode_command (S.Proto.Creq (mk busy)));
+      await_health srv "reached the shard" (fun h -> h.S.Health.h_busy = 1);
+      Unix.shutdown fd Unix.SHUTDOWN_SEND;
+      match S.Sock.read_bounded_line ?deadline fd with
+      | `Line line -> (
+          match S.Proto.decode_reply line with
+          | S.Proto.Decoded (S.Proto.Rejected (S.Proto.Cancelled _)) -> ()
+          | _ ->
+              Alcotest.failf "expected a cancelled reply: %s"
+                (String.sub line 0 (min 60 (String.length line))))
+      | `Eof | `Oversize _ -> Alcotest.fail "no reply after the half-close");
+  await_health srv "settled" (fun h -> h.S.Health.h_busy = 0);
+  let h = S.Server.health srv in
+  Alcotest.(check (pair int int)) "shard: cancelled 1, busy 0" (1, 0)
+    (h.S.Health.h_cancelled, h.S.Health.h_busy);
+  Sh.Rsock.stop l
+
 (* Drain through the router: its in-flight streams finish on the shard
    before the router drains it. *)
 let test_router_drain_in_flight () =
@@ -1067,4 +1136,8 @@ let suite =
       test_router_stream_concurrent;
     Alcotest.test_case "router drain finishes in-flight streams" `Quick
       test_router_drain_in_flight;
+    Alcotest.test_case "plain router request does not block the front door"
+      `Quick test_router_plain_concurrent;
+    Alcotest.test_case "plain router request cancels on half-close" `Quick
+      test_router_plain_half_close;
   ]

@@ -994,6 +994,134 @@ let test_socket_daemon_log_flat () =
     (String.length (Ev.log (Ev.engine h)));
   Ev.stop h
 
+(* A socket daemon with an active stream takes its next step at once
+   instead of waiting out the tick in select: on a quarter-second tick
+   and one statement per tick, a plain request for the busiest function
+   returns in a fraction of [n] ticks, while an idle daemon still ticks
+   at most once per tick. *)
+let test_daemon_steps_without_idling () =
+  let n, busy = Lazy.force busiest_fname in
+  let srv = mk_server () in
+  let socket = sock_path () in
+  let tick_s = 0.25 in
+  let cfg = { Ev.default_config with Ev.ev_steps_per_tick = 1 } in
+  let started = Unix.gettimeofday () in
+  let h = Ev.start ~cfg ~tick_s srv ~path:socket in
+  Unix.sleepf 0.6;
+  let ticks = (Ev.stats (Ev.engine h)).Ev.ev_ticks in
+  let idle = Unix.gettimeofday () -. started in
+  Alcotest.(check bool)
+    (Printf.sprintf "idle: %d ticks in %.2f s" ticks idle)
+    true
+    (float_of_int ticks <= (idle /. tick_s) +. 1.0);
+  let t0 = Unix.gettimeofday () in
+  (match S.Sock.request ~timeout_s:60.0 ~socket (mk busy) with
+  | S.Proto.Done _ -> ()
+  | r -> Alcotest.failf "request failed: %s" (S.Proto.encode_reply r));
+  let took = Unix.gettimeofday () -. t0 in
+  let bound = float_of_int n *. tick_s /. 4.0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d statements in %.3f s, bound %.3f s" n took bound)
+    true (took < bound);
+  Ev.stop h
+
+(* A stream runs on its own supervisor fork, folded into the server's
+   when it settles: deadline hits taken by stream decodes show up in
+   [health]. Same stalling decoder and virtual clock as faultcheck's
+   serve-deadline scenario. *)
+let test_stream_deadline_hits_in_health () =
+  let t = Lazy.force pipeline in
+  let base = V.Pipeline.retrieval_decoder t in
+  let vnow = ref 0.0 in
+  let inj = R.Inject.create ~seed:13 ~every:1 R.Inject.Decoder_stall in
+  let stalling fv =
+    R.Inject.wrap_stalling_decoder inj
+      ~stall:(fun () -> vnow := !vnow +. 1.0)
+      base fv
+  in
+  match
+    S.Server.create
+      ~config:{ tcfg with S.Server.deadline_ms = 50 }
+      ~now:(fun () -> !vnow)
+      ~sleep:(fun d -> vnow := !vnow +. d)
+      ~fallback:base t ~target ~decoder:stalling
+  with
+  | Error e -> Alcotest.failf "server create failed: %s" e
+  | Ok srv ->
+      (match S.Server.stream_start srv (mk (List.hd (fnames t))) with
+      | Error r -> Alcotest.failf "rejected: %s" (S.Proto.reject_label r)
+      | Ok s ->
+          let rec go () =
+            match S.Server.stream_step srv s with
+            | S.Server.Sstmt _ -> go ()
+            | S.Server.Sdone (S.Proto.Done _) -> ()
+            | S.Server.Sdone r ->
+                Alcotest.failf "stream failed: %s" (S.Proto.encode_reply r)
+            | S.Server.Scancelled _ -> Alcotest.fail "stream cancelled"
+          in
+          go ());
+      let h = S.Server.health srv in
+      Alcotest.(check bool)
+        (Printf.sprintf "stream deadline hits counted (%d)"
+           h.S.Health.h_deadline_hits)
+        true
+        (h.S.Health.h_deadline_hits > 0);
+      S.Server.drain srv
+
+(* A simulated crash leaves the lifecycle state at Ready, but a killed
+   server admits nothing: a stream for a function it completed before
+   the crash is refused as Draining instead of replayed, the answer a
+   queued request has always had. *)
+let test_killed_server_admits_nothing () =
+  let t = Lazy.force pipeline in
+  let first, second =
+    match fnames t with
+    | a :: b :: _ -> (a, b)
+    | _ -> Alcotest.fail "corpus has fewer than two functions"
+  in
+  let run srv f =
+    match S.Server.stream_start srv (mk f) with
+    | Error r -> S.Proto.Rejected r
+    | Ok s ->
+        let rec go () =
+          match S.Server.stream_step srv s with
+          | S.Server.Sstmt _ -> go ()
+          | S.Server.Sdone r -> r
+          | S.Server.Scancelled { at_stmt } ->
+              S.Proto.Rejected (S.Proto.Cancelled { at_stmt })
+        in
+        go ()
+  in
+  let is_done = function S.Proto.Done _ -> true | _ -> false in
+  (* the journal records one completed function leaves behind *)
+  let probe = mk_server ~run_dir:(fresh_dir "kill_probe") () in
+  Alcotest.(check bool) "first function completes" true
+    (is_done (run probe first));
+  let records = (S.Server.health probe).S.Health.h_journal_records in
+  S.Server.drain probe;
+  match
+    S.Server.create ~config:tcfg ~run_dir:(fresh_dir "kill_gate")
+      ~kill_at:(records + 2) t ~target
+      ~decoder:(V.Pipeline.retrieval_decoder t)
+  with
+  | Error e -> Alcotest.failf "server create failed: %s" e
+  | Ok srv ->
+      Alcotest.(check bool) "completes before the crash" true
+        (is_done (run srv first));
+      (match run srv second with
+      | exception R.Journal.Killed _ -> ()
+      | _ -> Alcotest.fail "the crash never fired");
+      (match S.Server.stream_start srv (mk first) with
+      | Error S.Proto.Draining -> ()
+      | Error r ->
+          Alcotest.failf "expected draining, got %s" (S.Proto.reject_label r)
+      | Ok _ -> Alcotest.fail "a killed server admitted a stream");
+      let h = S.Server.health srv in
+      Alcotest.(check bool) "stopped, crashed stream settled" true
+        (h.S.Health.h_state = S.Health.Stopped
+        && h.S.Health.h_busy = 0);
+      (try S.Server.drain srv with R.Journal.Killed _ -> ())
+
 let suite =
   [
     QCheck_alcotest.to_alcotest test_frame_roundtrip;
@@ -1030,4 +1158,10 @@ let suite =
       test_socket_drain_in_flight;
     Alcotest.test_case "daemon steps streams in parallel" `Quick
       test_daemon_steps_in_parallel;
+    Alcotest.test_case "daemon steps active streams without idling" `Quick
+      test_daemon_steps_without_idling;
+    Alcotest.test_case "stream deadline hits reach health" `Quick
+      test_stream_deadline_hits_in_health;
+    Alcotest.test_case "killed server admits nothing" `Quick
+      test_killed_server_admits_nothing;
   ]
