@@ -245,12 +245,14 @@ let retrieval_decoder t = Retrieval.decode t.retrieval
 
 (* Bundles are independent, so whole-backend generation fans out over a
    domain pool: every shared structure on the path is read-only at
-   generation time (vfs, vocab, model weights, retrieval entries,
-   pre-registered target catalogs), the autodiff tape is domain-local,
-   and the report is mutex-guarded. The supervisor carries per-function
-   mutable state, so each worker gets a fork whose stats the parent
-   absorbs after the join. Results keep bundle order regardless of
-   scheduling, so parallel output is bit-identical to sequential. *)
+   generation time (vfs, vocab, model weights, pre-registered target
+   catalogs, and the retrieval index, which nothing writes after
+   [Retrieval.build]; its score accumulator is domain-local). The
+   autodiff tape is domain-local and the report is mutex-guarded. The
+   supervisor carries per-function mutable state, so each worker gets a
+   fork whose stats the parent absorbs after the join. Results keep
+   bundle order regardless of scheduling, so parallel output is
+   bit-identical to sequential. *)
 let with_worker_sups ?sup ~domains run =
   let subs =
     Array.init domains (fun w ->

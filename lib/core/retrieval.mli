@@ -4,7 +4,12 @@
     For each generation FV it returns the output of the nearest training
     FV by bag-of-tokens cosine similarity over inputs. Presence and value
     arrangement therefore come from the single most similar training
-    statement instead of a learned combination. *)
+    statement instead of a learned combination.
+
+    The index is inverted (token to entries), so a query scores only the
+    entries that share a token with it; scores and tie-breaking equal a
+    linear scan over every entry, bit for bit. It is read-only after
+    [build], so one decoder may run on several domains at once. *)
 
 type t
 

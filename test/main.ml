@@ -1,4 +1,6 @@
-(* Test entry point: one alcotest run covering every library. *)
+(* Test entry point: one alcotest run covering every library. Suite names
+   stay within eight characters: alcotest cuts long test names to fit the
+   widest suite name, so a longer one changes how those names print. *)
 let () =
   Alcotest.run "vega"
     [
@@ -11,6 +13,7 @@ let () =
       ("ir", Test_ir.suite);
       ("nn", Test_nn.suite);
       ("core", Test_core.suite);
+      ("retrieve", Test_retrieval.suite);
       ("backend", Test_backend.suite);
       ("analysis", Test_analysis.suite);
       ("absint", Test_absint.suite);

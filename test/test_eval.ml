@@ -112,43 +112,57 @@ let test_generated_getreloctype_passes () =
   Alcotest.(check bool) "enumerates riscv fixups" true
     (Vega_util.Strutil.contains_sub ~sub:"fixup_riscv_branch" source)
 
+(* One evaluation per held-out target and arm, shared by the tests
+   below, in [Registry.held_out] order. *)
+let per_target evaluate =
+  lazy
+    (List.map
+       (fun (p : Vega_target.Profile.t) -> (p.name, evaluate p))
+       Vega_target.Registry.held_out)
+
+let generated =
+  per_target (fun p ->
+      let t = Lazy.force pipeline in
+      E.Metrics.evaluate_target t ~decoder:(V.Pipeline.retrieval_decoder t) p
+        ~cases:quick_cases ())
+
+let forked =
+  per_target (fun p ->
+      E.Metrics.evaluate_forkflow (Lazy.force pipeline).V.Pipeline.prep p
+        ~cases:quick_cases ())
+
+let fn_accuracy te = E.Metrics.fn_accuracy te.E.Metrics.te_fns
+
 let test_generated_backend_accuracy_floor () =
-  (* even the retrieval arm must beat ForkFlow by an order of magnitude *)
-  let t = Lazy.force pipeline in
-  let te =
-    E.Metrics.evaluate_target t ~decoder:(V.Pipeline.retrieval_decoder t) riscv
-      ~cases:quick_cases ()
-  in
-  let acc = E.Metrics.fn_accuracy te.E.Metrics.te_fns in
-  Alcotest.(check bool)
-    (Printf.sprintf "retrieval accuracy %.2f above floor" acc)
-    true (acc > 0.35)
+  (* the retrieval arm scores about 0.59-0.73 on these cases *)
+  List.iter
+    (fun (name, te) ->
+      let acc = fn_accuracy te in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s retrieval accuracy %.2f above floor" name acc)
+        true (acc > 0.35))
+    (Lazy.force generated)
 
 let test_forkflow_accuracy_ceiling () =
   (* our corpus is more uniform than real LLVM, so ForkFlow lands higher
-     than the paper's <8%; the claim that survives scaling is the gap *)
-  let t = Lazy.force pipeline in
-  let fork =
-    E.Metrics.evaluate_forkflow t.V.Pipeline.prep riscv ~cases:quick_cases ()
-  in
-  let gen =
-    E.Metrics.evaluate_target t ~decoder:(V.Pipeline.retrieval_decoder t) riscv
-      ~cases:quick_cases ()
-  in
-  let fa = E.Metrics.fn_accuracy fork.E.Metrics.te_fns in
-  let ga = E.Metrics.fn_accuracy gen.E.Metrics.te_fns in
-  Alcotest.(check bool)
-    (Printf.sprintf "vega %.2f beats forkflow %.2f" ga fa)
-    true (ga > fa)
+     than the paper's <8% (about 0.48-0.52 here); the claim that survives
+     scaling is the gap, about 0.07-0.25 per target *)
+  List.iter2
+    (fun (name, gen) (_, fork) ->
+      let ga = fn_accuracy gen and fa = fn_accuracy fork in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: vega %.2f beats forkflow %.2f" name ga fa)
+        true (ga > fa))
+    (Lazy.force generated) (Lazy.force forked)
 
 let test_effort_model () =
-  let t = Lazy.force pipeline in
-  let te =
-    E.Metrics.evaluate_target t ~decoder:(V.Pipeline.retrieval_decoder t) riscv
-      ~cases:quick_cases ()
-  in
-  let h = E.Effort.total_hours E.Effort.developer_a te in
-  Alcotest.(check bool) "hours positive and bounded" true (h >= 0.0 && h < 200.0)
+  List.iter
+    (fun (name, te) ->
+      let h = E.Effort.total_hours E.Effort.developer_a te in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s hours positive and bounded" name)
+        true (h >= 0.0 && h < 200.0))
+    (Lazy.force generated)
 
 let suite =
   [
