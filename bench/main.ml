@@ -786,120 +786,6 @@ let section_verify () =
   metric "verify_parallel_identical" (if identical then "true" else "false")
 
 (* ------------------------------------------------------------------ *)
-(* Serving layer                                                       *)
-
-let section_serve (s : setup) =
-  heading "Serving — vega-serve request throughput, overload shedding, drain";
-  let module S = Vega_serve in
-  let t = s.pipeline in
-  let decoder = V.Pipeline.retrieval_decoder t in
-  let target = "RISCV" in
-  let fnames = V.Pipeline.fnames t in
-  let n = List.length fnames in
-  let req ?(client = "bench") fname = S.Proto.request ~client ~target fname in
-  let mk ?paused ?(decoder = decoder) ~domains ~queue_cap () =
-    match
-      S.Server.create ?paused
-        ~config:
-          {
-            S.Server.default_config with
-            S.Server.domains;
-            queue_cap;
-            client_burst = float_of_int (16 * n);
-            client_rate = 0.0;
-          }
-        t ~target ~decoder
-    with
-    | Ok srv -> srv
-    | Error e -> failwith e
-  in
-  (* the cold round generates every interface function; the warm round
-     hits the idempotent replay cache, isolating serving-layer overhead *)
-  let tab = T.create ~headers:[ "Domains"; "Cold (req/s)"; "Warm (req/s)" ] in
-  List.iter
-    (fun domains ->
-      let srv = mk ~domains ~queue_cap:(n + 4) () in
-      let round () =
-        let tickets =
-          List.filter_map
-            (fun f -> Result.to_option (S.Server.submit srv (req f)))
-            fnames
-        in
-        List.iter (fun tk -> ignore (S.Server.await tk)) tickets
-      in
-      let cold = Vega_util.Timer.time_s round in
-      let warm = Vega_util.Timer.time_s round in
-      S.Server.drain srv;
-      let rps secs = float_of_int n /. secs in
-      T.add_row tab [ string_of_int domains; f2 (rps cold); f2 (rps warm) ];
-      metric_f (Printf.sprintf "serve_cold_rps_domains_%d" domains) (rps cold);
-      metric_f (Printf.sprintf "serve_warm_rps_domains_%d" domains) (rps warm))
-    [ 1; 2; 4 ];
-  print_string (T.render tab);
-  (* model decoder under the worker pool: one engine per request vs the
-     continuous batcher coalescing concurrent requests into shared
-     batched steps. One cold round per server — every fname is distinct,
-     so the idempotent replay cache never answers *)
-  let model_rps decoder =
-    let srv = mk ~decoder ~domains:4 ~queue_cap:(n + 4) () in
-    let secs =
-      Vega_util.Timer.time_s (fun () ->
-          let tickets =
-            List.filter_map
-              (fun f -> Result.to_option (S.Server.submit srv (req f)))
-              fnames
-          in
-          List.iter (fun tk -> ignore (S.Server.await tk)) tickets)
-    in
-    S.Server.drain srv;
-    float_of_int n /. secs
-  in
-  let seq_rps = model_rps (V.Pipeline.model_decoder t) in
-  let batch_rps =
-    match V.Pipeline.new_batcher t ~slots:4 with
-    | Some b -> model_rps (V.Pipeline.model_decoder ~batch:b t)
-    | None -> seq_rps
-  in
-  Printf.printf
-    "model decoder, 4 domains: %.2f req/s one engine per request, %.2f \
-     req/s batched (%.2fx)\n"
-    seq_rps batch_rps (batch_rps /. seq_rps);
-  metric_f "serve_model_seq_rps" seq_rps;
-  metric_f "serve_model_batch_rps" batch_rps;
-  metric_f "serve_model_batch_speedup_x" (batch_rps /. seq_rps);
-  (* overload: workers paused, storm 4x the queue capacity — the excess
-     must shed synchronously at submit, and accounting must close *)
-  let cap = 4 in
-  let storm = 4 * cap in
-  let srv = mk ~paused:true ~domains:1 ~queue_cap:cap () in
-  let accepted, shed =
-    List.fold_left
-      (fun (a, r) i ->
-        match
-          S.Server.submit srv
-            (req
-               ~client:(Printf.sprintf "c%d" (i mod 3))
-               (List.nth fnames (i mod n)))
-        with
-        | Ok tk -> (tk :: a, r)
-        | Error _ -> (a, r + 1))
-      ([], 0)
-      (List.init storm Fun.id)
-  in
-  S.Server.resume_workers srv;
-  List.iter (fun tk -> ignore (S.Server.await tk)) accepted;
-  let drain_s = Vega_util.Timer.time_s (fun () -> S.Server.drain srv) in
-  Printf.printf
-    "overload at %dx queue capacity: %d accepted, %d shed (cap %d); \
-     graceful drain %.2f ms\n\
-     (shedding is synchronous in the submit path — the queue bound is a\n\
-    \ hard memory bound; accepted + shed must equal the storm size)\n"
-    (storm / cap) (List.length accepted) shed cap (1000.0 *. drain_s);
-  metric "serve_overload_accepted" (string_of_int (List.length accepted));
-  metric "serve_overload_shed" (string_of_int shed);
-  metric_f "serve_drain_ms" (1000.0 *. drain_s)
-
-(* ------------------------------------------------------------------ *)
 (* Streaming event loop                                                *)
 
 (* ≥256 concurrent streaming connections on one engine, with a slow
@@ -932,9 +818,7 @@ let section_stream (s : setup) =
         ~config:
           {
             S.Server.default_config with
-            S.Server.domains = 1;
-            queue_cap = 16;
-            client_burst = 1.0e9;
+            S.Server.client_burst = 1.0e9;
             client_rate = 0.0;
           }
         t ~target ~decoder
@@ -1084,9 +968,7 @@ let section_shard (s : setup) =
               ~config:
                 {
                   S.Server.default_config with
-                  S.Server.domains = 1;
-                  queue_cap = n + 4;
-                  client_burst = float_of_int (16 * n);
+                  S.Server.client_burst = float_of_int (16 * n);
                   client_rate = 0.0;
                 }
               t ~target ~decoder
@@ -1161,9 +1043,7 @@ let section_fleet (s : setup) =
   let scfg =
     {
       S.Server.default_config with
-      S.Server.domains = 1;
-      queue_cap = (4 * n) + 8;
-      client_burst = float_of_int (64 * n);
+      S.Server.client_burst = float_of_int (64 * n);
       client_rate = 0.0;
     }
   in
@@ -1457,7 +1337,6 @@ let () =
   if want "decode" then section_decode ();
   if want "verify" then section_verify ();
   if want "parallel" then section_parallel (s ());
-  if want "serve" then section_serve (s ());
   if want "stream" then section_stream (s ());
   if want "shard" then section_shard (s ());
   if want "fleet" then section_fleet (s ());

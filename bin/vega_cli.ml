@@ -621,10 +621,10 @@ let serve_cmd =
   let queue_cap_arg =
     Arg.(
       value
-      & opt int S.Server.default_config.S.Server.queue_cap
+      & opt int 16
       & info [ "queue-cap" ] ~docv:"K"
           ~doc:
-            "Admission queue bound: the $(docv)+1'th concurrent request is \
+            "Bound on the requests waiting for a decode slot: one more is \
              shed with a queue-full rejection instead of growing memory.")
   in
   let deadline_arg =
@@ -681,14 +681,7 @@ let serve_cmd =
         | None -> decoder
       else decoder
     in
-    let config =
-      {
-        S.Server.default_config with
-        S.Server.domains;
-        queue_cap;
-        deadline_ms;
-      }
-    in
+    let config = { S.Server.default_config with S.Server.deadline_ms } in
     match
       S.Server.create ~config ?run_dir ~resume ?kill_at t ~target ~decoder
     with
@@ -723,7 +716,7 @@ let serve_cmd =
         match S.Evloop.wait h with
         | () ->
             Printf.printf "vega-serve: drained — %s\n"
-              (S.Health.summary (S.Server.health server))
+              (S.Health.summary (S.Evloop.health (S.Evloop.engine h)))
         | exception Vega_robust.Journal.Killed n ->
             Printf.eprintf
               "vega-serve: simulated crash after %d journal record(s); \

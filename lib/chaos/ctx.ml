@@ -122,12 +122,10 @@ let clear_cache dir =
         then rmf (Filename.concat dir f))
       (Sys.readdir dir)
 
-(* A one-domain server that never rate-limits a client. *)
-let server_config ~queue_cap ~burst =
+(* A server that never rate-limits a client. *)
+let server_config ~burst =
   {
     S.Server.default_config with
-    S.Server.domains = 1;
-    queue_cap;
-    client_burst = burst;
+    S.Server.client_burst = burst;
     client_rate = 0.0;
   }

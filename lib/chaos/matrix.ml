@@ -382,55 +382,61 @@ let run (cx : Ctx.t) =
   let serve_fnames = cx.Ctx.fnames in
   check "corpus has function templates to serve" (serve_fnames <> []);
 
-  (* overload at 4x queue capacity: the bounded queue sheds instead of
-     growing, and — the workers being paused while the seeded storm
-     submits — the accept/reject sequence is a pure function of the
-     submission order, so equal seeds give equal sequences ---- *)
+  (* overload at 4x the event loop's capacity (one slot, [cap - 1]
+     waiting): the loop sheds instead of queueing more, and — every
+     request of the seeded storm being fed before the first tick — the
+     accept/reject sequence is a pure function of the submission
+     order, so equal seeds give equal sequences ---- *)
   (let name = "serve-overload" in
    scenario name;
    let cap = 4 in
    let n = 4 * cap in
-   let scfg = Ctx.server_config ~queue_cap:cap ~burst:(float_of_int (2 * n)) in
+   let scfg = Ctx.server_config ~burst:(float_of_int (2 * n)) in
+   let ecfg =
+     {
+       S.Evloop.default_config with
+       S.Evloop.ev_slots = 1;
+       ev_wait_cap = cap - 1;
+     }
+   in
    let storm = R.Inject.create ~seed R.Inject.Queue_storm in
    let order = R.Inject.storm_order storm n in
    let run_once () =
-     match S.Server.create ~config:scfg ~paused:true t ~target ~decoder with
+     match S.Server.create ~config:scfg t ~target ~decoder with
      | Error e -> Error e
      | Ok srv ->
-         let tickets =
-           List.map
-             (fun i ->
-               S.Server.submit srv
-                 (S.Proto.request ~target
-                    ~client:(Printf.sprintf "c%d" (i mod 3))
-                    (List.nth serve_fnames (i mod List.length serve_fnames))))
-             order
+         let e = S.Evloop.create ~cfg:ecfg srv in
+         let res =
+           Streaming.run_chaos e ~target
+             (List.map
+                (fun i ->
+                  Streaming.chaos_plain
+                    (List.nth serve_fnames (i mod List.length serve_fnames)))
+                order)
          in
+         let finals = List.map (fun r -> r.Streaming.cr_final) res in
          let seq =
            String.concat ""
              (List.map
                 (function
-                  | Ok _ -> "A"
-                  | Error (S.Proto.Queue_full _) -> "S"
-                  | Error _ -> "R")
-                tickets)
-         in
-         S.Server.resume_workers srv;
-         let replies =
-           List.filter_map
-             (function
-               | Ok tk -> Some (S.Server.await tk) | Error _ -> None)
-             tickets
+                  | Some (S.Proto.Rejected (S.Proto.Queue_full _)) -> "S"
+                  | Some (S.Proto.Rejected _) | None -> "R"
+                  | Some (S.Proto.Done _ | S.Proto.Failed _) -> "A")
+                finals)
          in
          S.Server.drain srv;
-         Ok (seq, replies, S.Server.health srv)
+         Ok
+           ( seq,
+             List.filter_map Fun.id finals,
+             S.Evloop.stats e,
+             S.Evloop.health e )
    in
    match (run_once (), run_once ()) with
    | Error e, _ | _, Error e ->
        violation "%s: server creation failed (%s)" name e
-   | Ok (seq1, replies1, h1), Ok (seq2, _, _) ->
+   | Ok (seq1, replies1, st1, h1), Ok (seq2, _, _, _) ->
        check (name ^ ": queue never grows past its cap")
-         (h1.S.Health.h_accepted = cap
+         (st1.S.Evloop.ev_streams = cap
          && h1.S.Health.h_rejected = n - cap);
        check (name ^ ": same seed, same accept/reject sequence")
          (seq1 = seq2);
@@ -453,17 +459,13 @@ let run (cx : Ctx.t) =
   (* ---- per-request deadline on a stalled decoder: the supervisor
      budget fires and the ladder degrades the statement — the request
      completes (capped) instead of hanging; a request whose deadline
-     lapses while queued is rejected at dequeue ---- *)
+     lapses while it waits for an event-loop slot is rejected when the
+     slot comes ---- *)
   (let name = "serve-deadline" in
    scenario name;
    let vnow = ref 0.0 in
    let scfg =
-     {
-       (Ctx.server_config ~queue_cap:(List.length serve_fnames + 4)
-          ~burst:1000.0)
-       with
-       S.Server.deadline_ms = 50;
-     }
+     { (Ctx.server_config ~burst:1000.0) with S.Server.deadline_ms = 50 }
    in
    let inj = R.Inject.create ~seed ~every:1 R.Inject.Decoder_stall in
    let stalling fv =
@@ -502,43 +504,46 @@ let run (cx : Ctx.t) =
          (h.S.Health.h_deadline_hits > 0);
        info "%d deadline hit(s) across %d request(s)"
          h.S.Health.h_deadline_hits (List.length replies));
-   (* expiry in queue: while the first request's stalled execution burns
-      the clock, the second sits queued past its deadline *)
+   (* expiry while waiting: the loop has one slot, and while the first
+      stream's stalled decode burns the clock, the second waits for the
+      slot past its deadline *)
    match
-     S.Server.create ~config:scfg ~paused:true
+     S.Server.create ~config:scfg
        ~now:(fun () -> !vnow)
        ~sleep:(fun d -> vnow := !vnow +. d)
        ~fallback:decoder t ~target ~decoder:stalling
    with
    | Error e -> violation "%s: expiry server creation failed (%s)" name e
-   | Ok srv -> (
-       let first = S.Server.submit srv (mk (List.hd serve_fnames)) in
-       let second = S.Server.submit srv (mk (List.hd serve_fnames)) in
-       S.Server.resume_workers srv;
-       match (first, second) with
-       | Ok k1, Ok k2 ->
-           let r1 = S.Server.await k1 and r2 = S.Server.await k2 in
+   | Ok srv ->
+       let e =
+         S.Evloop.create
+           ~cfg:{ S.Evloop.default_config with S.Evloop.ev_slots = 1 }
+           srv
+       in
+       let f = Streaming.chaos_plain (List.hd serve_fnames) in
+       (match
+          List.map
+            (fun r -> r.Streaming.cr_final)
+            (Streaming.run_chaos e ~target [ f; f ])
+        with
+       | [ r1; r2 ] ->
            check (name ^ ": first request completes")
-             (match r1 with S.Proto.Done _ -> true | _ -> false);
+             (match r1 with Some (S.Proto.Done _) -> true | _ -> false);
            check
              (name
-            ^ ": request queued past its deadline is rejected as expired")
+            ^ ": request waiting past its deadline is rejected as expired")
              (match r2 with
-             | S.Proto.Rejected (S.Proto.Expired _) -> true
-             | _ -> false);
-           S.Server.drain srv
-       | _ ->
-           violation "%s: expiry submissions were rejected" name;
-           S.Server.drain srv));
+             | Some (S.Proto.Rejected (S.Proto.Expired _)) -> true
+             | _ -> false)
+       | _ -> violation "%s: expiry streams went unanswered" name);
+       S.Server.drain srv);
 
   (* ---- durable serving: drain checkpoints, a kill mid-request loses
      nothing durable, and a restarted server resumes to bit-identical
      output ---- *)
   (let name = "serve-drain-kill-resume" in
    scenario name;
-   let dcfg =
-     Ctx.server_config ~queue_cap:(List.length serve_fnames + 4) ~burst:1000.0
-   in
+   let dcfg = Ctx.server_config ~burst:1000.0 in
    let mk = S.Proto.request ~client:"kr" ~target in
    let ref_dir = Filename.concat run_dir "serve-ref" in
    clear ref_dir;
@@ -574,17 +579,14 @@ let run (cx : Ctx.t) =
        with
        | Error e -> violation "%s: killed server failed (%s)" name e
        | Ok ksrv -> (
-           let tickets =
-             List.map (fun f -> S.Server.submit ksrv (mk f)) serve_fnames
-           in
+           (* in order on the caller: the crash answers its request
+              [Failed], and the killed server refuses the rest *)
+           List.iter
+             (fun f -> ignore (S.Server.request ksrv (mk f)))
+             serve_fnames;
            (match S.Server.drain ksrv with
            | () -> violation "%s: kill-at %d never fired" name k
            | exception R.Journal.Killed n -> Ctx.check_kill cx name k n);
-           (* every accepted request was answered (crash or flush) *)
-           List.iter
-             (function
-               | Ok tk -> ignore (S.Server.await tk) | Error _ -> ())
-             tickets;
            if k > 1 then
              R.Journal.tear ~path:(Vega.Pipeline.journal_path dir);
            match

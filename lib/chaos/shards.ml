@@ -28,9 +28,7 @@ let run (cx : Ctx.t) =
      Atomic.incr decodes;
      decoder fv
    in
-   let scfg =
-     Ctx.server_config ~queue_cap:(List.length fleet_fnames + 4) ~burst:1000.0
-   in
+   let scfg = Ctx.server_config ~burst:1000.0 in
    let cache_dir = Filename.concat run_dir "shard-cache" in
    Ctx.clear_cache cache_dir;
    let report = R.Report.create () in
@@ -135,7 +133,7 @@ let run (cx : Ctx.t) =
                      st.Sh.Cache.c_puts st.Sh.Cache.c_evictions
                      st.Sh.Cache.c_entries))));
 
-  (* ---- kill 1 of 3 shards at 4x aggregate queue capacity mid-storm:
+  (* ---- kill 1 of 3 shards mid-storm ([cap] only sizes the storm):
      the accept/reroute/shed sequence is byte-reproducible under the
      seed, the restarted shard resumes from its own journal, and the
      final generated outputs are bit-identical to the unkilled run ---- *)
@@ -145,7 +143,7 @@ let run (cx : Ctx.t) =
    let cap = 4 in
    let nf = List.length fleet_fnames in
    let n = 4 * shards_n * cap in
-   let scfg = Ctx.server_config ~queue_cap:cap ~burst:(float_of_int (2 * n)) in
+   let scfg = Ctx.server_config ~burst:(float_of_int (2 * n)) in
    let storm = R.Inject.create ~seed R.Inject.Queue_storm in
    let storm_fnames =
      List.map

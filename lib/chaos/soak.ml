@@ -46,7 +46,7 @@ let run (cx : Ctx.t) ~rounds =
   if nf > 0 then begin
     let shards_n = 3 in
     let rounds = max 1 rounds in
-    let scfg = Ctx.server_config ~queue_cap:128 ~burst:100000.0 in
+    let scfg = Ctx.server_config ~burst:100000.0 in
     (* the unkilled single-shard reference every round must match *)
     match S.Server.create ~config:scfg t ~target ~decoder with
     | Error e -> violation "%s: reference server failed to start (%s)" name e

@@ -142,7 +142,7 @@ let run (cx : Ctx.t) =
   let info fmt = Sink.info sink fmt in
   let render = Ctx.render and clear = Ctx.clear in
   let module Ev = S.Evloop in
-  let scfg = Ctx.server_config ~queue_cap:256 ~burst:1.0e9 in
+  let scfg = Ctx.server_config ~burst:1.0e9 in
   let stream_server ?run_dir ?resume ?(dec = decoder) () =
     match
       S.Server.create ~config:scfg ?run_dir ?resume t ~target ~decoder:dec

@@ -14,16 +14,17 @@
    byte-for-byte under a fixed seed; the socket front-end merely
    translates readiness into the same calls.
 
-   Scheduling: at most [ev_slots] streams decode concurrently
-   ([ev_steps_per_tick] statement boundaries each per tick, applied in
-   accept order); admitted streams beyond that wait in FIFO accept
-   order up to [ev_wait_cap], past which the request is shed with a
-   typed [Queue_full] — the same shape the worker-queue path produces,
-   so clients cannot tell which engine rejected them. A waiting request
-   whose deadline passes is expired by the service when its slot comes,
-   as the worker queue does. A scripted engine steps its active streams
-   one after another; a socket daemon steps them in parallel, one
-   domain per slot, which is where a daemon's decode parallelism lives.
+   Scheduling: the loop is the one place requests queue and shed. At
+   most [ev_slots] streams decode concurrently ([ev_steps_per_tick]
+   statement boundaries each per tick, applied in accept order);
+   admitted streams beyond that wait in FIFO accept order up to
+   [ev_wait_cap], past which the request is shed with a typed
+   [Queue_full]. A waiting request whose deadline passes is expired by
+   the service when its slot comes. A scripted engine steps its active
+   streams one after another; a socket daemon steps them in parallel,
+   one domain per slot, which is where a daemon's decode parallelism
+   lives. Every health and drain reply carries the loop's own queue
+   depth and cap, busy slots and slot count.
 
    Drain: the gate closes at once (new requests are rejected as
    [Draining]); the service drains and the drain reply goes out once
@@ -191,6 +192,17 @@ let waiting_count t =
        (fun cs -> cs.cs_stream <> None && not cs.cs_active)
        t.e_conns)
 
+(* The service's snapshot, with the four fields only the loop knows:
+   its waiting streams, wait cap, busy slots and slot count. *)
+let health t =
+  {
+    (t.e_service.sv_health ()) with
+    Health.h_queue_depth = waiting_count t;
+    h_queue_cap = t.e_cfg.ev_wait_cap;
+    h_busy = t.e_active;
+    h_domains = t.e_cfg.ev_slots;
+  }
+
 (* ---- replies ---- *)
 
 (* Queue the connection's last line and start draining. *)
@@ -331,7 +343,6 @@ let admit t cs (req : Proto.request) =
       else begin
         let depth = waiting_count t - 1 in
         if depth >= t.e_cfg.ev_wait_cap then begin
-          (* same typed shape the worker queue produces *)
           let r = Proto.Queue_full { depth; cap = t.e_cfg.ev_wait_cap } in
           s.Service.st_abort ~cancelled:false r;
           (* aborted before starting: never held a slot, never ran *)
@@ -360,7 +371,7 @@ let finish_drain t =
     List.iter
       (fun cs ->
         if Conn.phase cs.cs_conn <> Conn.Closed then
-          answer t cs (Health.encode (t.e_service.sv_health ())))
+          answer t cs (Health.encode (health t)))
       (List.rev t.e_drain_waiters);
     t.e_drain_waiters <- []
   end
@@ -388,7 +399,7 @@ let handle_command t cs line =
         (Proto.Rejected (Proto.Bad_request "cancel outside a stream"))
   | Proto.Decoded Proto.Chealth ->
       logf t cs "health";
-      answer t cs (Health.encode (t.e_service.sv_health ()))
+      answer t cs (Health.encode (health t))
   | Proto.Decoded Proto.Cping ->
       logf t cs "ping";
       answer t cs (Wire.encode_line [ "pong" ])

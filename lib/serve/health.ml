@@ -4,7 +4,11 @@
    plus a wire encoding so the socket's `health` command ships the same
    fields. Readiness is the admission gate: only [Ready] admits; a
    [Draining] server finishes (or checkpoints) what it has and a
-   [Stopped] one has joined its workers. *)
+   [Stopped] one has closed its journal.
+
+   The queue and slot fields belong to the event loop, which fills them
+   into every health and drain reply it sends; a bare server reports 0
+   for depth, cap and slots. *)
 
 module Wire = Vega_robust.Wire
 
@@ -25,17 +29,20 @@ let state_of_name = function
 
 type snapshot = {
   h_state : state;
-  h_queue_depth : int;
-  h_queue_cap : int;
-  h_busy : int;  (* requests executing on a worker right now *)
-  h_domains : int;
+  h_queue_depth : int;  (* requests waiting for a decode slot *)
+  h_queue_cap : int;  (* the loop's wait cap *)
+  h_busy : int;
+      (* decode slots in use; a bare server: admitted, unsettled streams *)
+  h_domains : int;  (* the loop's decode slots *)
   h_accepted : int;
   h_rejected : int;
   h_completed : int;  (* replies delivered, including Failed *)
-  h_deadline_hits : int;  (* supervisor deadline trips, all workers *)
-  h_breaker_open : bool;  (* any worker breaker Open or Half_open *)
+  h_deadline_hits : int;  (* supervisor deadline trips, settled streams *)
+  h_breaker_open : bool;
+      (* a router's shard breaker Open or Half_open; false for a bare
+         server, whose requests keep their breakers on their own forks *)
   h_journal_records : int;  (* records appended this process; 0 ephemeral *)
-  h_journal_lag : int;  (* accepted - completed: queued + in flight *)
+  h_journal_lag : int;  (* accepted - completed: waiting + in flight *)
   h_cancelled : int;  (* streams aborted by client cancel/disconnect *)
   h_epoch : int;  (* respawn generation: 0 first boot, +1 per restart *)
 }

@@ -1,28 +1,23 @@
-(* The vega-serve core: a single-process, multi-domain request server
-   around the generation pipeline.
+(* The vega-serve core: admission, streams and durability around the
+   generation pipeline, with no executor of its own.
 
-   Admission is synchronous and happens entirely in the submitting
-   thread, in a fixed order — readiness, target/function validity,
-   per-client token bucket, bounded queue — so under a deterministic
-   submission order the accept/reject sequence is deterministic too
-   (`faultcheck serve-overload` replays it).
+   Admission is synchronous and happens entirely in the caller, in a
+   fixed order — readiness, target/function validity, per-client token
+   bucket — so under a deterministic submission order the accept/reject
+   sequence is deterministic too.
 
    Every admitted request runs one way: as a stream, a [Generate]
-   stepper advanced one statement boundary per [stream_step]. The
-   event loop and the router step the streams they open
-   ([stream_start]), each on its own forked supervisor with a cancel
-   token. Queued requests ([submit], [request]) are stepped to their
-   final by a persistent Par.Pool of worker domains, spawned with the
-   first queued request, each stepping on its own forked supervisor
-   (per-worker jitter stream, per-request deadline budget). In durable
-   mode every request's statements are write-ahead-journaled exactly as
-   in Pipeline.generate_backend_durable, so a kill mid-request resumes
-   to bit-identical output.
+   stepper advanced one statement boundary per [stream_step], on its
+   own forked supervisor with a cancel token. Whoever opens a stream
+   ([stream_start]) steps it: the event loop, which alone queues,
+   sheds and parallelises streams; the router; or [request], which
+   steps one to its final on the calling domain. In durable mode every
+   request's statements are write-ahead-journaled exactly as in
+   Pipeline.generate_backend_durable, so a kill mid-request resumes to
+   bit-identical output.
 
-   Lock order: a thread holds at most one of [st_lock], the queue lock,
-   a reply cell's lock, the journal lock at a time — except [health],
-   which takes the queue lock under [st_lock] (nothing takes them in the
-   opposite order). *)
+   Lock order: a thread holds at most one of [st_lock] and the journal
+   lock at a time. *)
 
 module Sup = Vega_robust.Supervisor
 module J = Vega_robust.Journal
@@ -33,8 +28,12 @@ module Pipeline = Vega.Pipeline
 module Generate = Vega.Generate
 
 type config = {
-  domains : int;  (* worker pool size *)
-  queue_cap : int;  (* admission queue bound *)
+  domains : int;
+  queue_cap : int;
+      (* [domains] and [queue_cap] are read by nothing: the event loop's
+         [ev_slots] and [ev_wait_cap] bound concurrency and waiting.
+         They stay only because perfbench writes them, and go with its
+         next change. *)
   deadline_ms : int;  (* default per-request budget; 0 = none *)
   client_burst : float;  (* token-bucket capacity per client *)
   client_rate : float;  (* token refill per second *)
@@ -51,21 +50,6 @@ let default_config =
     checkpoint_every = 4;
   }
 
-(* One-shot reply cell: the worker fills it once, awaiters block on it. *)
-type ticket = {
-  tk_lock : Mutex.t;
-  tk_cond : Condition.t;
-  mutable tk_reply : Proto.reply option;
-}
-
-type job = {
-  jb_req : Proto.request;
-  jb_ticket : ticket;
-  jb_enqueued : float;
-  jb_budget_s : float option;  (* deadline budget: expiry while queued,
-                                  supervisor budget while executing *)
-}
-
 (* A completed function plus whether it was restored from the journal
    (as opposed to generated by this process). *)
 type done_entry = { de_completed : J.completed; de_restored : bool }
@@ -78,12 +62,10 @@ type t = {
   fallback : Generate.decoder option;
   report : Report.t;
   bucket : Bucket.t;
-  q : job Admission.t;
   now : unit -> float;
   base_sup : Sup.t;
-      (* fork parent for workers and streams; a stream's own fork is
-         folded back in when it settles *)
-  sups : Sup.t array;  (* one forked supervisor per worker *)
+      (* fork parent for streams; a stream's own fork is folded back in
+         when it settles *)
   journal : J.writer option;
   cancel_fault_sub : unit -> unit;
   fp : string;
@@ -99,22 +81,9 @@ type t = {
   mutable busy : int;
   mutable generated : int;
   mutable killed : int option;  (* Journal.Killed payload, if crashed *)
-  mutable pool : Vega_util.Par.Pool.t option;
   run_dir : string option;
   epoch : int;  (* respawn generation, stamped by the fleet supervisor *)
 }
-
-let deliver ticket reply =
-  Mutex.protect ticket.tk_lock (fun () ->
-      ticket.tk_reply <- Some reply;
-      Condition.broadcast ticket.tk_cond)
-
-let await ticket =
-  Mutex.protect ticket.tk_lock (fun () ->
-      while ticket.tk_reply = None do
-        Condition.wait ticket.tk_cond ticket.tk_lock
-      done;
-      Option.get ticket.tk_reply)
 
 (* What a request caught by a simulated crash answers. *)
 let killed_message = "simulated crash: journal writer killed"
@@ -154,9 +123,9 @@ let record_completed t fname (gf : Generate.gen_func) =
             }
       | _ -> ())
 
-(* A request whose deadline passed while it waited — for a worker or
-   for an event-loop slot — is rejected there and never started: the
-   caller has already given up on it. *)
+(* A request whose deadline passed while it waited for an event-loop
+   slot is rejected there and never started: the caller has already
+   given up on it. *)
 let expired t ~enqueued ~deadline =
   match deadline with
   | Some d when t.now () >= d ->
@@ -168,7 +137,7 @@ let expired t ~enqueued ~deadline =
 (* ---- creation ---- *)
 
 let create ?(config = default_config) ?fallback ?report ?sup_config ?now
-    ?sleep ?run_dir ?(resume = false) ?kill_at ?(paused = false) ?(epoch = 0)
+    ?sleep ?run_dir ?(resume = false) ?kill_at ?(epoch = 0)
     pipeline ~target ~decoder =
   let report = match report with Some r -> r | None -> Report.create () in
   let now = match now with Some f -> f | None -> Unix.gettimeofday in
@@ -199,10 +168,9 @@ let create ?(config = default_config) ?fallback ?report ?sup_config ?now
                        backtrace = ev.Report.ev_backtrace;
                      }))
       in
-      let domains = max 1 config.domains in
       let t =
         {
-          cfg = { config with domains };
+          cfg = config;
           pipeline;
           target;
           decoder;
@@ -211,10 +179,8 @@ let create ?(config = default_config) ?fallback ?report ?sup_config ?now
           bucket =
             Bucket.create ~now ~rate:config.client_rate
               ~burst:config.client_burst ();
-          q = Admission.create ~paused ~cap:config.queue_cap ();
           now;
           base_sup;
-          sups = Array.init domains (fun w -> Sup.fork ~index:w base_sup);
           journal;
           cancel_fault_sub;
           fp;
@@ -230,7 +196,6 @@ let create ?(config = default_config) ?fallback ?report ?sup_config ?now
           busy = 0;
           generated = 0;
           killed = None;
-          pool = None;
           run_dir;
           epoch;
         }
@@ -256,11 +221,9 @@ let target t = t.target
 
 (* ---- admission (caller side) ---- *)
 
-(* Shared admission prefix (readiness → target → function → bucket),
-   identical for queued and streamed requests so both observe the same
-   deterministic accept/reject order. A simulated crash leaves [state]
-   at Ready, but a killed server admits nothing: it answers [Draining],
-   as its closed queue always has. *)
+(* Admission (readiness → target → function → bucket), the same for
+   every request whoever steps it. A simulated crash leaves [state] at
+   Ready, but a killed server admits nothing: it answers [Draining]. *)
 let gate t (req : Proto.request) =
   let up =
     Mutex.protect t.st_lock (fun () ->
@@ -279,7 +242,7 @@ let gate t (req : Proto.request) =
          (Printf.sprintf "unknown interface function %S" req.rq_fname))
   else if not (Bucket.take t.bucket req.rq_client) then
     (* the bucket charges the attempt itself — a storming client cannot
-       convert its whole burst into free queue probes *)
+       convert its whole burst into free admission probes *)
     Error (Proto.Budget_exhausted { client = req.rq_client })
   else Ok ()
 
@@ -301,14 +264,14 @@ let request_budget_s t (req : Proto.request) =
    Every request runs as a stream: its decode advances one statement
    boundary per [stream_step]. The event loop and the router step the
    streams they open with [stream_start], interleaving many on one
-   thread and shipping every statement as it is produced; a worker
-   steps a queued request's stream to its final. Cancellation arrives
-   through a {!Sup.cancel_token} attached to an opened stream's own
-   forked supervisor, so it is checked at every statement boundary
-   wherever the decode runs. Every stream passes the same admission
-   gate and settles the same counters, so `accepted - completed`
-   converges to zero whether a request finished, failed, expired or
-   was cancelled. *)
+   thread and shipping every statement as it is produced; [request]
+   steps one to its final on the caller. Cancellation arrives through
+   a {!Sup.cancel_token} attached to the stream's own forked
+   supervisor, so it is checked at every statement boundary wherever
+   the decode runs. Every stream passes the same admission gate and
+   settles the same counters, so `accepted - completed` converges to
+   zero whether a request finished, failed, expired or was
+   cancelled. *)
 
 type stream_kind =
   | Sunstarted  (* admitted, waiting for a decode slot *)
@@ -319,8 +282,7 @@ type stream = {
   sr_req : Proto.request;
   sr_enqueued : float;
   sr_deadline : float option;  (* absolute; expiry while waiting *)
-  sr_sup : Sup.t;
-  sr_forked : bool;  (* [sr_sup] is this stream's own fork *)
+  sr_sup : Sup.t;  (* this stream's own fork *)
   sr_token : Sup.cancel_token;
   mutable sr_kind : stream_kind;
   mutable sr_result : Proto.reply option;  (* set once settled *)
@@ -344,18 +306,6 @@ let stmt_frame ~index (s : Generate.gen_stmt) =
 (* The decode itself begins lazily at the first [stream_step]: an
    admitted stream may wait for a slot, and a stream aborted while
    waiting must leave no journal trace. *)
-let new_stream ~sup ~forked ~token ~enqueued ~budget_s req =
-  {
-    sr_req = req;
-    sr_enqueued = enqueued;
-    sr_deadline = Option.map (fun b -> enqueued +. b) budget_s;
-    sr_sup = sup;
-    sr_forked = forked;
-    sr_token = token;
-    sr_kind = Sunstarted;
-    sr_result = None;
-  }
-
 let stream_start t (req : Proto.request) =
   match gate t req with
   | Error r -> refuse t r
@@ -366,16 +316,23 @@ let stream_start t (req : Proto.request) =
             t.stream_seq <- seq + 1;
             t.accepted <- t.accepted + 1;
             t.busy <- t.busy + 1;
-            (* indices above the worker range: stream jitter streams
-               never collide with a worker's *)
-            Sup.fork ~index:(t.cfg.domains + seq) t.base_sup)
+            Sup.fork ~index:seq t.base_sup)
       in
       let budget_s = request_budget_s t req in
       Sup.set_budget sup budget_s;
       let token = Sup.new_cancel () in
       Sup.set_cancel sup (Some token);
       let enqueued = t.now () in
-      Ok (new_stream ~sup ~forked:true ~token ~enqueued ~budget_s req)
+      Ok
+        {
+          sr_req = req;
+          sr_enqueued = enqueued;
+          sr_deadline = Option.map (fun b -> enqueued +. b) budget_s;
+          sr_sup = sup;
+          sr_token = token;
+          sr_kind = Sunstarted;
+          sr_result = None;
+        }
 
 (* Decide replay-vs-generate and journal [Func_begin] — at slot
    assignment, not admission, so the done-table is consulted as late as
@@ -406,8 +363,8 @@ let stream_begin t s =
              ~decoder:t.decoder))
 
 (* Settle exactly once: every started stream ends here whatever its
-   fate, so the journal-lag accounting cannot drift. A stream's own
-   fork is folded into [base_sup] here, where [health] counts it. *)
+   fate, so the journal-lag accounting cannot drift. The stream's fork
+   is folded into [base_sup] here, where [health] counts it. *)
 let settle t s ?(cancelled = false) reply =
   if s.sr_result = None then begin
     s.sr_result <- Some reply;
@@ -415,7 +372,7 @@ let settle t s ?(cancelled = false) reply =
         t.busy <- t.busy - 1;
         t.completed <- t.completed + 1;
         if cancelled then t.cancelled <- t.cancelled + 1;
-        if s.sr_forked then Sup.absorb t.base_sup s.sr_sup;
+        Sup.absorb t.base_sup s.sr_sup;
         match reply with
         | Proto.Rejected _ -> t.rejected <- t.rejected + 1
         | Proto.Done _ | Proto.Failed _ -> ())
@@ -495,11 +452,10 @@ let stream_step t s =
           Scancelled { at_stmt }
       | exception J.Killed n ->
           (* simulated hard crash: remember it (the gate admits nothing
-             more), close the queue, settle the stream as crashed and
-             let the crash unwind *)
+             more), settle the stream as crashed and let the crash
+             unwind *)
           Mutex.protect t.st_lock (fun () ->
               if t.killed = None then t.killed <- Some n);
-          Admission.close t.q;
           settle t s (Proto.Failed killed_message);
           raise (J.Killed n)
       | exception e ->
@@ -507,117 +463,51 @@ let stream_step t s =
           settle t s reply;
           Sdone reply)
 
-(* ---- the worker pool (queued requests) ---- *)
+(* ---- in-process requests ---- *)
 
-(* A worker steps each job's stream to its final on the worker's own
-   supervisor, under the request's budget. The stream settles the
-   counters before the reply is delivered, so a caller that reads
-   [health] as soon as its reply arrives sees the job settled. A
-   simulated crash stops the worker; its peers die the same way on
-   their next append. *)
-let worker t w =
-  let sup = t.sups.(w) in
-  let rec loop () =
-    match Admission.take t.q with
-    | None -> ()
-    | Some job ->
-        Mutex.protect t.st_lock (fun () -> t.busy <- t.busy + 1);
-        let s =
-          new_stream ~sup ~forked:false ~token:(Sup.new_cancel ())
-            ~enqueued:job.jb_enqueued ~budget_s:job.jb_budget_s job.jb_req
-        in
-        let rec drive () =
-          match stream_step t s with
-          | Sstmt _ -> drive ()
-          | Sdone _ | Scancelled _ -> ()
-        in
-        Sup.set_budget sup job.jb_budget_s;
-        let crashed =
-          match
-            Fun.protect ~finally:(fun () -> Sup.set_budget sup None) drive
-          with
-          | () -> false
-          | exception J.Killed _ -> true
-        in
-        deliver job.jb_ticket (Option.get s.sr_result);
-        if not crashed then loop ()
+(* A stream stepped to its final on the calling domain, statement
+   events skipped: how [request] and the router's [route] answer a
+   request in process. *)
+let step_to_final step =
+  let rec go () =
+    match step () with
+    | Sstmt _ -> go ()
+    | Sdone reply -> reply
+    | Scancelled { at_stmt } -> Proto.Rejected (Proto.Cancelled { at_stmt })
   in
-  loop ()
+  go ()
 
-(* The worker pool starts with the first queued request, so a server
-   driven only through streams (an event-loop daemon, a router's shard)
-   never spawns domains it would not use. Spawned under [st_lock] while
-   Ready: a drain, which leaves Ready under the same lock, always sees
-   it. *)
-let ensure_pool t =
-  Mutex.protect t.st_lock (fun () ->
-      if Option.is_none t.pool && t.state = Health.Ready then
-        t.pool <-
-          Some (Vega_util.Par.Pool.spawn ~domains:t.cfg.domains (worker t)))
-
-let submit t (req : Proto.request) =
-  match gate t req with
-  | Error r -> refuse t r
-  | Ok () -> begin
-    ensure_pool t;
-    let job =
-      {
-        jb_req = req;
-        jb_ticket =
-          {
-            tk_lock = Mutex.create ();
-            tk_cond = Condition.create ();
-            tk_reply = None;
-          };
-        jb_enqueued = t.now ();
-        jb_budget_s = request_budget_s t req;
-      }
-    in
-    match Admission.offer t.q job with
-    | Admission.Closed -> refuse t Proto.Draining
-    | Admission.Shed depth ->
-        refuse t (Proto.Queue_full { depth; cap = t.cfg.queue_cap })
-    | Admission.Accepted _ ->
-        Mutex.protect t.st_lock (fun () -> t.accepted <- t.accepted + 1);
-        Ok job.jb_ticket
-  end
-
+(* One request, in process. A simulated crash answers the stream's
+   settled [Failed] here; the server is marked killed, and [drain]
+   re-raises the crash. *)
 let request t req =
-  match submit t req with
+  match stream_start t req with
   | Error r -> Proto.Rejected r
-  | Ok ticket -> await ticket
-
-let resume_workers t = Admission.resume t.q
+  | Ok s -> (
+      try step_to_final (fun () -> stream_step t s)
+      with J.Killed _ -> Option.get s.sr_result)
 
 (* ---- health ---- *)
 
-let breaker_open t =
-  Array.exists
-    (fun s -> not (Vega_robust.Breaker.closed (Sup.breaker_state s)))
-    t.sups
-
-(* settled streams' forks are folded into the base supervisor, workers
-   keep theirs: base plus worker forks counts every hit exactly once *)
-let deadline_hits t =
-  Array.fold_left
-    (fun n s -> n + (Sup.stats s).Sup.sup_deadline_hits)
-    (Sup.stats t.base_sup).Sup.sup_deadline_hits t.sups
-
+(* Queue depth and cap, busy slots and slot count belong to whoever
+   steps the streams: the event loop fills them into the replies it
+   sends. A bare server knows only its admitted, unsettled streams,
+   and every request's breaker lives and dies on its own fork. *)
 let health t =
   Mutex.protect t.st_lock (fun () ->
       {
         (* a killed journal writer is a crash, whatever lifecycle state
-           the worker died in — probes must see it as not-Ready *)
+           the server died in — probes must see it as not-Ready *)
         Health.h_state = (if t.killed <> None then Health.Stopped else t.state);
-        h_queue_depth = Admission.depth t.q;
-        h_queue_cap = t.cfg.queue_cap;
+        h_queue_depth = 0;
+        h_queue_cap = 0;
         h_busy = t.busy;
-        h_domains = t.cfg.domains;
+        h_domains = 0;
         h_accepted = t.accepted;
         h_rejected = t.rejected;
         h_completed = t.completed;
-        h_deadline_hits = deadline_hits t;
-        h_breaker_open = breaker_open t;
+        h_deadline_hits = (Sup.stats t.base_sup).Sup.sup_deadline_hits;
+        h_breaker_open = false;
         h_journal_records =
           (match t.journal with Some w -> J.written w | None -> 0);
         h_journal_lag = t.accepted - t.completed;
@@ -649,23 +539,6 @@ let drain t =
             true)
   in
   if proceed then begin
-    (* stop admitting; the backlog drains (or dies with the kill) *)
-    Admission.close t.q;
-    Option.iter Vega_util.Par.Pool.join t.pool;
-    t.pool <- None;
-    (* jobs no worker ever took (the kill path): answer them so awaiters
-       unblock, then account for them *)
-    let rec flush () =
-      match Admission.take t.q with
-      | Some job ->
-          Mutex.protect t.st_lock (fun () ->
-              t.completed <- t.completed + 1);
-          deliver job.jb_ticket
-            (Proto.Failed "server stopped before execution");
-          flush ()
-      | None -> ()
-    in
-    flush ();
     let killed = Mutex.protect t.st_lock (fun () -> t.killed) in
     (* final checkpoint — unless the simulated crash happened, in which
        case the process "died" and must leave only the journal behind *)

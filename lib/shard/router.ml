@@ -604,15 +604,7 @@ let stream ?(plain = false) t req =
 
 (* One request, in process: its plain stream stepped to the final. *)
 let route t req =
-  let s = stream ~plain:true t req in
-  let rec go () =
-    match s.Service.st_step () with
-    | Server.Sstmt _ -> go ()
-    | Server.Sdone reply -> reply
-    | Server.Scancelled { at_stmt } ->
-        Proto.Rejected (Proto.Cancelled { at_stmt })
-  in
-  go ()
+  Server.step_to_final (stream ~plain:true t req).Service.st_step
 
 (* ---- status ---- *)
 

@@ -386,17 +386,6 @@ let mk_router c endpoint =
 
 let unused_stream _ _ = failwith "the reference routes by whole replies"
 
-(* A framed stream stepped to its final, frames skipped. *)
-let final (s : S.Service.stream) =
-  let rec go () =
-    match s.S.Service.st_step () with
-    | S.Server.Sstmt _ -> go ()
-    | S.Server.Sdone reply -> reply
-    | S.Server.Scancelled { at_stmt } ->
-        Proto.Rejected (Proto.Cancelled { at_stmt })
-  in
-  go ()
-
 let same_as_reference ~framed c =
   let rr, rshards, rsleeps = mk_router c unused_stream in
   let nr, nshards, nsleeps = mk_router c stream_view in
@@ -420,7 +409,8 @@ let same_as_reference ~framed c =
           let req = Proto.request ~client:"q" ~target:"T" f in
           let want = Ref.route call rr req in
           let got =
-            if framed then final (Router.stream nr req)
+            if framed then
+              S.Server.step_to_final (Router.stream nr req).S.Service.st_step
             else Router.route nr req
           in
           if Proto.encode_reply want <> Proto.encode_reply got then

@@ -1,7 +1,7 @@
-(* Tests for the resilient serving layer: token bucket, bounded
-   admission queue, wire protocol, health snapshots, the server's
-   shedding / deadline / drain / resume behaviour, and in-process vs
-   socket parity through the event-loop front end. *)
+(* Tests for the resilient serving layer: token bucket, wire protocol,
+   health snapshots, in-process requests stepped on the caller, the
+   server's budget / deadline / drain / resume behaviour, and in-process
+   vs socket parity through the event-loop front end. *)
 
 module V = Vega
 module R = Vega_robust
@@ -39,9 +39,7 @@ let fnames t =
 let tcfg =
   {
     S.Server.default_config with
-    S.Server.domains = 1;
-    queue_cap = 128;
-    client_burst = 1000.0;
+    S.Server.client_burst = 1000.0;
     client_rate = 0.0;
   }
 
@@ -75,57 +73,6 @@ let test_bucket () =
   Alcotest.(check bool) "one take" true (S.Bucket.take frozen "c");
   now := 1.0e9;
   Alcotest.(check bool) "never refills" false (S.Bucket.take frozen "c")
-
-(* ---------------- admission queue ---------------- *)
-
-let test_admission () =
-  let q = S.Admission.create ~cap:2 () in
-  Alcotest.(check int) "capacity" 2 (S.Admission.capacity q);
-  (match S.Admission.offer q "a" with
-  | S.Admission.Accepted 1 -> ()
-  | _ -> Alcotest.fail "first offer accepted at depth 1");
-  (match S.Admission.offer q "b" with
-  | S.Admission.Accepted 2 -> ()
-  | _ -> Alcotest.fail "second offer accepted at depth 2");
-  (* at capacity: shed synchronously, never grow *)
-  (match S.Admission.offer q "c" with
-  | S.Admission.Shed 2 -> ()
-  | _ -> Alcotest.fail "third offer shed at depth 2");
-  Alcotest.(check int) "depth bounded" 2 (S.Admission.depth q);
-  (* a take frees a slot *)
-  Alcotest.(check (option string)) "fifo take" (Some "a") (S.Admission.take q);
-  (match S.Admission.offer q "c" with
-  | S.Admission.Accepted 2 -> ()
-  | _ -> Alcotest.fail "freed slot admits again");
-  (* close: no more admission, but the backlog drains *)
-  S.Admission.close q;
-  (match S.Admission.offer q "d" with
-  | S.Admission.Closed -> ()
-  | _ -> Alcotest.fail "closed queue rejects");
-  Alcotest.(check bool) "reports closed" true (S.Admission.closed q);
-  Alcotest.(check (option string)) "backlog drains" (Some "b")
-    (S.Admission.take q);
-  Alcotest.(check (option string)) "backlog drains in order" (Some "c")
-    (S.Admission.take q);
-  Alcotest.(check (option string)) "exhausted after drain" None
-    (S.Admission.take q)
-
-let test_admission_paused () =
-  (* paused: accepted items build up; a blocked taker wakes on resume *)
-  let q = S.Admission.create ~paused:true ~cap:4 () in
-  (match S.Admission.offer q 1 with
-  | S.Admission.Accepted 1 -> ()
-  | _ -> Alcotest.fail "paused queue still admits");
-  let got = Atomic.make None in
-  let d = Domain.spawn (fun () -> Atomic.set got (Some (S.Admission.take q))) in
-  Unix.sleepf 0.05;
-  Alcotest.(check bool) "taker blocked while paused" true
-    (Atomic.get got = None);
-  S.Admission.resume q;
-  Domain.join d;
-  Alcotest.(check bool) "resume releases the taker" true
-    (Atomic.get got = Some (Some 1));
-  S.Admission.close q
 
 (* ---------------- wire protocol ---------------- *)
 
@@ -255,29 +202,33 @@ let test_serve_basic () =
       let r2 = S.Server.request srv (mk fname) in
       Alcotest.(check bool) "idempotent repeat" true (r1 = r2);
       (* bad requests are typed, not crashes *)
-      (match S.Server.submit srv { (mk fname) with S.Proto.rq_target = "ARM" } with
-      | Error (S.Proto.Bad_request _) -> ()
+      let wrong_target = { (mk fname) with S.Proto.rq_target = "ARM" } in
+      (match S.Server.request srv wrong_target with
+      | S.Proto.Rejected (S.Proto.Bad_request _) -> ()
       | _ -> Alcotest.fail "wrong target must be a bad request");
-      (match S.Server.submit srv (mk "noSuchFunction") with
-      | Error (S.Proto.Bad_request _) -> ()
+      (match S.Server.request srv (mk "noSuchFunction") with
+      | S.Proto.Rejected (S.Proto.Bad_request _) -> ()
       | _ -> Alcotest.fail "unknown function must be a bad request");
       let h = S.Server.health srv in
       Alcotest.(check bool) "ready, admissions counted" true
         (h.S.Health.h_state = S.Health.Ready
         && h.S.Health.h_accepted = 2
         && h.S.Health.h_rejected = 2);
+      Alcotest.(check (list int))
+        "a bare server leaves queue depth, cap and slots to the loop"
+        [ 0; 0; 0 ]
+        S.Health.[ h.h_queue_depth; h.h_queue_cap; h.h_domains ];
       Alcotest.(check int) "one function generated" 1
         (List.length (S.Server.functions srv));
       S.Server.drain srv;
-      (* counters are only quiescent once the workers have joined *)
       let h = S.Server.health srv in
       Alcotest.(check bool) "stopped after drain, nothing in flight" true
         (h.S.Health.h_state = S.Health.Stopped
         && h.S.Health.h_completed = 2
         && h.S.Health.h_journal_lag = 0)
 
-(* A worker counts a job before delivering its reply, so [health] read
-   as soon as [request] returns already shows it settled. *)
+(* A stream settles its counters before its final is returned, so
+   [health] read as soon as [request] returns already shows it settled. *)
 let test_health_settled_on_reply () =
   let t = Lazy.force pipeline in
   let decoder = V.Pipeline.retrieval_decoder t in
@@ -298,55 +249,43 @@ let test_health_settled_on_reply () =
       done;
       S.Server.drain srv
 
-let test_queue_full_shedding () =
-  let t = Lazy.force pipeline in
-  let decoder = V.Pipeline.retrieval_decoder t in
-  let cfg = { tcfg with S.Server.queue_cap = 2 } in
-  match S.Server.create ~config:cfg ~paused:true t ~target ~decoder with
-  | Error e -> Alcotest.failf "create failed: %s" e
-  | Ok srv ->
-      let names = fnames t in
-      let submit i = S.Server.submit srv (mk (List.nth names i)) in
-      let r0 = submit 0 and r1 = submit 1 and r2 = submit 2 and r3 = submit 3 in
-      Alcotest.(check bool) "first two admitted" true
-        (Result.is_ok r0 && Result.is_ok r1);
-      (match (r2, r3) with
-      | ( Error (S.Proto.Queue_full { cap = 2; _ }),
-          Error (S.Proto.Queue_full { cap = 2; _ }) ) ->
-          ()
-      | _ -> Alcotest.fail "overflow must shed with the queue's cap");
-      Alcotest.(check int) "sheds counted" 2
-        (S.Server.health srv).S.Health.h_rejected;
-      S.Server.resume_workers srv;
-      List.iter
-        (function Ok tk -> expect_done (S.Server.await tk) | Error _ -> ())
-        [ r0; r1 ];
-      S.Server.drain srv;
-      let h = S.Server.health srv in
-      Alcotest.(check bool) "accepted + shed accounted" true
-        (h.S.Health.h_accepted = 2 && h.S.Health.h_rejected = 2
-        && h.S.Health.h_completed = 2)
-
 let test_budget_exhausted () =
   let t = Lazy.force pipeline in
   let decoder = V.Pipeline.retrieval_decoder t in
   let cfg = { tcfg with S.Server.client_burst = 2.0; client_rate = 0.0 } in
-  match S.Server.create ~config:cfg ~paused:true t ~target ~decoder with
+  match S.Server.create ~config:cfg t ~target ~decoder with
   | Error e -> Alcotest.failf "create failed: %s" e
   | Ok srv ->
       let names = fnames t in
-      let submit client i = S.Server.submit srv (mk ~client (List.nth names i)) in
-      Alcotest.(check bool) "burst admits" true
-        (Result.is_ok (submit "greedy" 0) && Result.is_ok (submit "greedy" 1));
-      (match submit "greedy" 2 with
-      | Error (S.Proto.Budget_exhausted { client = "greedy" }) -> ()
+      let request client i =
+        S.Server.request srv (mk ~client (List.nth names i))
+      in
+      expect_done (request "greedy" 0);
+      expect_done (request "greedy" 1);
+      (match request "greedy" 2 with
+      | S.Proto.Rejected (S.Proto.Budget_exhausted { client = "greedy" }) -> ()
       | _ -> Alcotest.fail "third request must exhaust the client budget");
       (* the budget is per client: others are unaffected *)
-      (match submit "patient" 2 with
-      | Ok _ -> ()
-      | Error r ->
-          Alcotest.failf "other client rejected: %s" (S.Proto.reject_to_string r));
-      S.Server.resume_workers srv;
+      expect_done (request "patient" 2);
+      S.Server.drain srv
+
+(* [request] steps its stream on the calling domain: a server spawns no
+   domain of its own. *)
+let test_request_on_caller () =
+  let t = Lazy.force pipeline in
+  let base = V.Pipeline.retrieval_decoder t in
+  let domains = ref [] in
+  let recording fv =
+    domains := Domain.self () :: !domains;
+    base fv
+  in
+  match S.Server.create ~config:tcfg t ~target ~decoder:recording with
+  | Error e -> Alcotest.failf "create failed: %s" e
+  | Ok srv ->
+      expect_done (S.Server.request srv (mk (List.hd (fnames t))));
+      Alcotest.(check bool) "the decoder ran" true (!domains <> []);
+      Alcotest.(check bool) "every decode on the caller's domain" true
+        (List.for_all (fun d -> d = Domain.self ()) !domains);
       S.Server.drain srv
 
 let test_deadline_degrade () =
@@ -392,41 +331,6 @@ let test_deadline_degrade () =
         ((S.Server.health srv).S.Health.h_deadline_hits > 0);
       S.Server.drain srv
 
-let test_expired_in_queue () =
-  let t = Lazy.force pipeline in
-  let decoder = V.Pipeline.retrieval_decoder t in
-  let now = ref 0.0 in
-  let inj = R.Inject.create ~seed:13 ~every:1 R.Inject.Decoder_stall in
-  let stalling =
-    R.Inject.wrap_stalling_decoder inj ~stall:(fun () -> now := !now +. 1.0)
-      decoder
-  in
-  let cfg = { tcfg with S.Server.deadline_ms = 50 } in
-  match
-    S.Server.create ~config:cfg ~paused:true
-      ~now:(fun () -> !now)
-      ~sleep:(fun d -> now := !now +. d)
-      ~fallback:decoder t ~target ~decoder:stalling
-  with
-  | Error e -> Alcotest.failf "create failed: %s" e
-  | Ok srv -> (
-      let fname = List.hd (fnames t) in
-      (* two requests queue up; executing the first burns far more than
-         50ms of (virtual) clock, so the second expires while queued *)
-      match (S.Server.submit srv (mk fname), S.Server.submit srv (mk fname)) with
-      | Ok k1, Ok k2 ->
-          S.Server.resume_workers srv;
-          expect_done (S.Server.await k1);
-          (match S.Server.await k2 with
-          | S.Proto.Rejected (S.Proto.Expired { waited_ms }) ->
-              Alcotest.(check bool) "waited at least the deadline" true
-                (waited_ms >= 50)
-          | r ->
-              Alcotest.failf "expected expiry, got %s"
-                (S.Proto.encode_reply r));
-          S.Server.drain srv
-      | _ -> Alcotest.fail "both submits must be admitted")
-
 let test_drain_stops_admission () =
   let t = Lazy.force pipeline in
   let decoder = V.Pipeline.retrieval_decoder t in
@@ -435,8 +339,8 @@ let test_drain_stops_admission () =
   | Ok srv ->
       expect_done (S.Server.request srv (mk (List.hd (fnames t))));
       S.Server.drain srv;
-      (match S.Server.submit srv (mk (List.hd (fnames t))) with
-      | Error S.Proto.Draining -> ()
+      (match S.Server.request srv (mk (List.hd (fnames t))) with
+      | S.Proto.Rejected S.Proto.Draining -> ()
       | _ -> Alcotest.fail "a drained server must refuse admission");
       (* drain is idempotent *)
       S.Server.drain srv;
@@ -518,13 +422,14 @@ let test_sock_parity () =
       | None -> Alcotest.fail "no health over the socket"
       | Some h ->
           let h' = S.Server.health srv in
-          (* compare fields that are quiescent between requests; the
-             completed counter trails reply delivery by one lock hop *)
+          let cfg = S.Evloop.default_config in
+          (* the server's counters, and the loop's own wait cap and
+             slot count *)
           Alcotest.(check bool) "socket health matches in-process" true
             (h.S.Health.h_state = h'.S.Health.h_state
             && h.S.Health.h_accepted = h'.S.Health.h_accepted
-            && h.S.Health.h_queue_cap = h'.S.Health.h_queue_cap
-            && h.S.Health.h_domains = h'.S.Health.h_domains));
+            && h.S.Health.h_queue_cap = cfg.S.Evloop.ev_wait_cap
+            && h.S.Health.h_domains = cfg.S.Evloop.ev_slots));
       (* drain over the socket stops the daemon and the listener *)
       (match S.Sock.drain ~socket () with
       | Some h ->
@@ -636,19 +541,17 @@ let test_pool () =
 let suite =
   [
     Alcotest.test_case "token bucket" `Quick test_bucket;
-    Alcotest.test_case "admission queue" `Quick test_admission;
-    Alcotest.test_case "admission pause/resume" `Quick test_admission_paused;
     Alcotest.test_case "protocol round-trip" `Quick test_proto_roundtrip;
     Alcotest.test_case "protocol version skew" `Quick test_proto_version_skew;
     Alcotest.test_case "health wire format" `Quick test_health_wire;
     Alcotest.test_case "serve basic + idempotent" `Quick test_serve_basic;
     Alcotest.test_case "health settled on reply" `Quick
       test_health_settled_on_reply;
-    Alcotest.test_case "queue-full shedding" `Quick test_queue_full_shedding;
+    Alcotest.test_case "request steps on the caller" `Quick
+      test_request_on_caller;
     Alcotest.test_case "per-client budget" `Quick test_budget_exhausted;
     Alcotest.test_case "deadline degrades via ladder" `Quick
       test_deadline_degrade;
-    Alcotest.test_case "expiry while queued" `Quick test_expired_in_queue;
     Alcotest.test_case "drain stops admission" `Quick test_drain_stops_admission;
     Alcotest.test_case "drain/resume bit-identity" `Quick
       test_drain_resume_bit_identity;

@@ -42,9 +42,7 @@ let fnames t =
 let tcfg =
   {
     S.Server.default_config with
-    S.Server.domains = 1;
-    queue_cap = 128;
-    client_burst = 100000.0;
+    S.Server.client_burst = 100000.0;
     client_rate = 0.0;
   }
 

@@ -41,9 +41,7 @@ let fnames t =
 let tcfg =
   {
     S.Server.default_config with
-    S.Server.domains = 1;
-    queue_cap = 128;
-    client_burst = 1000.0;
+    S.Server.client_burst = 1000.0;
     client_rate = 0.0;
   }
 
@@ -553,10 +551,51 @@ let test_slot_handoff_and_queue_full () =
     (h.S.Health.h_journal_lag = 0 && h.S.Health.h_busy = 0);
   S.Server.drain srv
 
+(* Health and drain replies carry the loop's own queue: its waiting
+   streams, wait cap, busy slots and slot count, not the server's. *)
+let test_loop_health () =
+  let t = Lazy.force pipeline in
+  let srv = mk_server () in
+  let e = Ev.create ~cfg:{ ecfg with Ev.ev_slots = 1; ev_wait_cap = 8 } srv in
+  let ids =
+    List.map (open_stream e) (List.filteri (fun i _ -> i < 3) (fnames t))
+  in
+  let ask cmd =
+    match Ev.open_conn e with
+    | None -> Alcotest.fail "engine refused a connection"
+    | Some id ->
+        Ev.feed e id (S.Proto.encode_command cmd ^ "\n");
+        id
+  in
+  let reply id =
+    let out = Ev.take_output e id ~max:max_int in
+    let line = List.hd (String.split_on_char '\n' out) in
+    match S.Health.decode line with
+    | Some h -> h
+    | None -> Alcotest.failf "not a health line: %S" line
+  in
+  let queue h =
+    S.Health.[ h.h_queue_depth; h.h_queue_cap; h.h_busy; h.h_domains ]
+  in
+  Alcotest.(check (list int)) "2 of 8 waiting, 1 busy, 1 slot" [ 2; 8; 1; 1 ]
+    (queue (reply (ask S.Proto.Chealth)));
+  let drain = ask S.Proto.Cdrain in
+  List.iter
+    (fun id ->
+      match expect_final (snd (drive e id)) with
+      | S.Proto.Done _ -> ()
+      | r -> Alcotest.failf "stream failed: %s" (S.Proto.encode_reply r))
+    ids;
+  let h = reply drain in
+  Alcotest.(check (list int)) "drained: none waiting, none busy" [ 0; 8; 0; 1 ]
+    (queue h);
+  Alcotest.(check bool) "drained state" true
+    (h.S.Health.h_state = S.Health.Stopped)
+
 (* A stream that waits for a slot past its deadline is expired when the
-   slot comes, as the worker queue expires a queued job: typed
-   [Expired], no decode, no journal trace. The clock is virtual and
-   the decoder advances it, as in the serve suite's queue-expiry test. *)
+   slot comes: typed [Expired], no decode, no journal trace. The clock
+   is virtual and the decoder advances it, as in faultcheck's
+   serve-deadline scenario. *)
 let test_expired_waiting_for_slot () =
   let t = Lazy.force pipeline in
   let base = V.Pipeline.retrieval_decoder t in
@@ -1070,8 +1109,8 @@ let test_stream_deadline_hits_in_health () =
 
 (* A simulated crash leaves the lifecycle state at Ready, but a killed
    server admits nothing: a stream for a function it completed before
-   the crash is refused as Draining instead of replayed, the answer a
-   queued request has always had. *)
+   the crash is refused as Draining instead of replayed. The request
+   the crash caught answers its settled [Failed]. *)
 let test_killed_server_admits_nothing () =
   let t = Lazy.force pipeline in
   let first, second =
@@ -1079,19 +1118,7 @@ let test_killed_server_admits_nothing () =
     | a :: b :: _ -> (a, b)
     | _ -> Alcotest.fail "corpus has fewer than two functions"
   in
-  let run srv f =
-    match S.Server.stream_start srv (mk f) with
-    | Error r -> S.Proto.Rejected r
-    | Ok s ->
-        let rec go () =
-          match S.Server.stream_step srv s with
-          | S.Server.Sstmt _ -> go ()
-          | S.Server.Sdone r -> r
-          | S.Server.Scancelled { at_stmt } ->
-              S.Proto.Rejected (S.Proto.Cancelled { at_stmt })
-        in
-        go ()
-  in
+  let run srv f = S.Server.request srv (mk f) in
   let is_done = function S.Proto.Done _ -> true | _ -> false in
   (* the journal records one completed function leaves behind *)
   let probe = mk_server ~run_dir:(fresh_dir "kill_probe") () in
@@ -1109,8 +1136,10 @@ let test_killed_server_admits_nothing () =
       Alcotest.(check bool) "completes before the crash" true
         (is_done (run srv first));
       (match run srv second with
-      | exception R.Journal.Killed _ -> ()
-      | _ -> Alcotest.fail "the crash never fired");
+      | S.Proto.Failed m when m = S.Server.killed_message -> ()
+      | r ->
+          Alcotest.failf "expected the crash's failure, got %s"
+            (S.Proto.encode_reply r));
       (match S.Server.stream_start srv (mk first) with
       | Error S.Proto.Draining -> ()
       | Error r ->
@@ -1120,7 +1149,9 @@ let test_killed_server_admits_nothing () =
       Alcotest.(check bool) "stopped, crashed stream settled" true
         (h.S.Health.h_state = S.Health.Stopped
         && h.S.Health.h_busy = 0);
-      (try S.Server.drain srv with R.Journal.Killed _ -> ())
+      match S.Server.drain srv with
+      | () -> Alcotest.fail "drain must re-raise the crash"
+      | exception R.Journal.Killed _ -> ()
 
 let suite =
   [
@@ -1139,6 +1170,8 @@ let suite =
       test_idle_and_slow_loris_shed;
     Alcotest.test_case "slot handoff and wait-cap shed" `Quick
       test_slot_handoff_and_queue_full;
+    Alcotest.test_case "health reports the loop's queue" `Quick
+      test_loop_health;
     Alcotest.test_case "expiry while waiting for a slot" `Quick
       test_expired_waiting_for_slot;
     Alcotest.test_case "drain waits for in-flight streams" `Quick
