@@ -1,15 +1,16 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (Sec. 4) against this reproduction, plus bechamel
-   micro-benchmarks of the pipeline's hot stages and the ablations called
-   out in DESIGN.md.
+   evaluation (Sec. 4) against this reproduction, plus the ablations
+   called out in DESIGN.md. Throughput and latency of the serving stack
+   are perfbench's (perfbench/README.md).
 
    Usage:
      bench/main.exe            full run (trains CodeBE; ~15-30 min)
      bench/main.exe --quick    retrieval decoder, no training (~2 min)
      bench/main.exe fig8       one section only (setup is built lazily,
-                               so e.g. `decode` runs in seconds)
-     bench/main.exe --json-out FILE   also write the measured numbers as
-                               one JSON object (CI artifact)  *)
+                               so e.g. `fig6` runs in seconds)
+
+   Sections: corpus fig6 fig7 fig8 fig9 table2 table3 table4 fig10
+   robustness model_ablation rnn_ablation split_ablation. *)
 
 module V = Vega
 module E = Vega_eval
@@ -22,21 +23,6 @@ let f2 = T.fmt_f ~digits:2
 let heading title =
   Printf.printf "\n============================================================\n%s\n============================================================\n"
     title
-
-(* machine-readable metrics, written as one JSON object by --json-out *)
-let json_metrics : (string * string) list ref = ref []
-let metric k v = json_metrics := (k, v) :: !json_metrics
-let metric_f k v = metric k (Printf.sprintf "%.6g" v)
-
-let write_json_metrics path =
-  let oc = open_out path in
-  output_string oc
-    ("{"
-    ^ String.concat ","
-        (List.rev_map (fun (k, v) -> Printf.sprintf "%S:%s" k v) !json_metrics)
-    ^ "}\n");
-  close_out oc;
-  Printf.printf "metrics written to %s\n" path
 
 (* ------------------------------------------------------------------ *)
 (* Shared setup                                                        *)
@@ -278,13 +264,7 @@ let section_table2 (s : setup) =
           string_of_int (E.Metrics.sem_error_count te.te_fns);
           pct (E.Metrics.sem_flag_rate te.te_fns);
           pct (E.Metrics.sem_false_alarm_rate te.te_fns);
-        ];
-      metric (name ^ "_sem_errors")
-        (string_of_int (E.Metrics.sem_error_count te.te_fns));
-      metric_f (name ^ "_sem_flag_rate") (E.Metrics.sem_flag_rate te.te_fns);
-      metric_f
-        (name ^ "_sem_false_alarm_rate")
-        (E.Metrics.sem_false_alarm_rate te.te_fns))
+        ])
     s.evals;
   print_string (T.render tab)
 
@@ -391,107 +371,6 @@ let section_robustness (s : setup) =
       Printf.printf "VEGA^%s: %s\n" p.name (if ok then "PASS" else "FAIL"))
     Vega_target.Registry.held_out
 
-let section_faults (s : setup) =
-  heading "Robustness counters — degradation ladder under decoder faults (seed 13)";
-  let module R = Vega_robust in
-  let tab =
-    T.create
-      ~headers:
-        [
-          "Target"; "CleanDegr"; "CleanOmit"; "Timeouts"; "Injected"; "Faults";
-          "Retry"; "Fallback"; "TplDefault";
-        ]
-  in
-  List.iter
-    (fun (p : Vega_target.Profile.t) ->
-      let te = List.assoc p.Vega_target.Profile.name s.evals in
-      (* seeded decoder-fault injection: every 3rd decode raises; the
-         ladder must absorb each one without aborting the backend *)
-      let inj = R.Inject.create ~seed:13 ~every:3 R.Inject.Decoder_raise in
-      let report = R.Report.create () in
-      let wrapped fv = R.Inject.wrap_decoder inj s.decoder fv in
-      ignore
-        (V.Pipeline.generate_backend ~fallback:s.decoder ~report s.pipeline
-           ~target:p.Vega_target.Profile.name ~decoder:wrapped);
-      let lvl l = string_of_int (R.Report.count_level report l) in
-      T.add_row tab
-        [
-          p.name;
-          string_of_int (E.Metrics.degraded_stmts te.te_fns);
-          string_of_int (E.Metrics.omitted_stmts te.te_fns);
-          string_of_int (E.Metrics.timeout_count te.te_fns);
-          string_of_int (R.Inject.injected inj);
-          string_of_int (R.Report.total report);
-          lvl R.Degrade.Retry;
-          lvl R.Degrade.Retrieval_fallback;
-          lvl R.Degrade.Template_default;
-        ])
-    Vega_target.Registry.held_out;
-  print_string (T.render tab);
-  Printf.printf
-    "(clean-run columns must be zero; under injection every fault is\n\
-    \ observed and absorbed by a ladder rung — the run never aborts)\n"
-
-let section_killresume (s : setup) =
-  heading "Crash-safe run loop — kill/resume determinism (write-ahead journal)";
-  let module R = Vega_robust in
-  let target = "RISCV" in
-  let decoder = V.Pipeline.retrieval_decoder s.pipeline in
-  let root =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "vega_bench_killresume_%d" (Unix.getpid ()))
-  in
-  let render gfs =
-    String.concat "\n"
-      (List.map
-         (fun (gf : V.Generate.gen_func) ->
-           Printf.sprintf "%s %h %d" gf.V.Generate.gf_fname
-             gf.V.Generate.gf_confidence
-             (List.length gf.V.Generate.gf_stmts))
-         gfs)
-  in
-  let run ?kill_at ?resume dir =
-    V.Pipeline.generate_backend_durable ?kill_at ?resume
-      ~run_dir:(Filename.concat root dir) s.pipeline ~target ~decoder
-  in
-  match run "ref" with
-  | Error e -> Printf.printf "reference durable run failed: %s\n" e
-  | Ok refo ->
-      let expect = render refo.V.Pipeline.d_funcs in
-      let total = refo.V.Pipeline.d_records in
-      let tab =
-        T.create
-          ~headers:
-            [ "KillAt"; "Records"; "Resumed"; "Regen"; "Torn"; "Identical" ]
-      in
-      List.iter
-        (fun k ->
-          let dir = Printf.sprintf "kill%d" k in
-          (match run ~kill_at:k dir with
-          | exception R.Journal.Killed _ ->
-              if k > 1 then
-                R.Journal.tear
-                  ~path:
-                    (V.Pipeline.journal_path (Filename.concat root dir))
-          | Ok _ | Error _ -> ());
-          match run ~resume:true dir with
-          | Error e -> Printf.printf "resume at %d failed: %s\n" k e
-          | Ok o ->
-              T.add_row tab
-                [
-                  string_of_int k;
-                  string_of_int total;
-                  string_of_int o.V.Pipeline.d_resumed;
-                  string_of_int o.V.Pipeline.d_generated;
-                  (if o.V.Pipeline.d_torn then "yes" else "no");
-                  (if render o.V.Pipeline.d_funcs = expect then "yes"
-                   else "NO");
-                ])
-        (List.sort_uniq compare [ 1; total / 4; total / 2; total - 1 ]);
-      print_string (T.render tab);
-      Printf.printf
-        "(each row: a run hard-killed after KillAt journal records, its final\n\
-        \ record torn mid-write, then resumed — output must be bit-identical)\n"
 
 let section_split_ablation (s : setup) ~quick =
   heading "Split ablation (Sec. 4.1.2) — function-group vs backend split";
@@ -564,754 +443,10 @@ let section_rnn_ablation (s : setup) ~quick =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Decode and parallel-generation throughput                           *)
-
-let section_decode () =
-  heading "Decode throughput — one-slot engine vs full re-decode";
-  let module NN = Vega_nn.Transformer in
-  let cfg =
-    {
-      NN.d_model = 32;
-      heads = 4;
-      d_ff = 64;
-      n_layers = 2;
-      max_len = 96;
-      vocab_size = 64;
-    }
-  in
-  let m = NN.create ~seed:7 cfg in
-  let steps = cfg.NN.max_len in
-  let src_of i =
-    Array.init 24 (fun k -> ((k * 5) + 1 + (3 * i)) mod cfg.NN.vocab_size)
-  in
-  let forced i k = ((k * 7) + 3 + (11 * i)) mod cfg.NN.vocab_size in
-  (* forced [steps]-long decodes (no EOS stop), the worst case the engine
-     sees: the reference re-runs the whole prefix per token. [decode
-     ~slots reqs] feeds requests [reqs] through one engine of [slots]
-     slots; [check r k row] sees request [reqs.(r)]'s logits after step
-     [k] *)
-  let decode ?check ~slots reqs =
-    let b = NN.new_batch m ~slots in
-    let slot = Array.map (fun i -> NN.batch_join b ~src:(src_of i)) reqs in
-    for k = 0 to steps - 1 do
-      NN.batch_step b (Array.mapi (fun r s -> (s, forced reqs.(r) k)) slot);
-      Option.iter
-        (fun check ->
-          Array.iteri (fun r s -> check r k (NN.batch_logits b ~slot:s)) slot)
-        check
-    done
-  in
-  let run_uncached () =
-    let memory = NN.encode m (src_of 0) in
-    for k = 1 to steps do
-      ignore (NN.decode_logits m ~memory (Array.init k (forced 0)))
-    done
-  in
-  (* every engine row against the last row of a full re-decode of the
-     same prefix, before timing anything *)
-  let rows_identical ~slots reqs =
-    let memory = Array.map (fun i -> NN.encode m (src_of i)) reqs in
-    let ok = ref true in
-    decode ~slots reqs ~check:(fun r k row ->
-        let logits =
-          NN.decode_logits m ~memory:memory.(r)
-            (Array.init (k + 1) (forced reqs.(r)))
-        in
-        Array.iteri
-          (fun j v ->
-            if Int64.bits_of_float v
-               <> Int64.bits_of_float (Vega_nn.Tensor.get logits k j)
-            then ok := false)
-          row);
-    !ok
-  in
-  (* best-of-3 with a clean heap before each timing, so GC debt left by
-     one path is never charged to (or spares) another *)
-  let rounds = 5 in
-  let time_best f =
-    let best = ref infinity in
-    for _ = 1 to 3 do
-      Gc.full_major ();
-      let t =
-        Vega_util.Timer.time_s (fun () ->
-            for _ = 1 to rounds do
-              f ()
-            done)
-      in
-      if t < !best then best := t
-    done;
-    !best
-  in
-  let identical = rows_identical ~slots:1 [| 0 |] in
-  let cached_s = time_best (fun () -> decode ~slots:1 [| 0 |]) in
-  let uncached_s = time_best run_uncached in
-  let toks t = float_of_int (rounds * steps) /. t in
-  let speedup = uncached_s /. cached_s in
-  let tab = T.create ~headers:[ "Path"; "tokens/s"; "Speedup" ] in
-  T.add_row tab [ "full re-decode"; f2 (toks uncached_s); "1.00x" ];
-  T.add_row tab [ "one-slot engine"; f2 (toks cached_s); f2 speedup ^ "x" ];
-  print_string (T.render tab);
-  Printf.printf
-    "logits bit-identical across all %d steps: %s\n\
-     (acceptance floor: >= 3x at max_len-deep prefixes)\n"
-    steps
-    (if identical then "yes" else "NO");
-  metric_f "decode_cached_tokens_per_s" (toks cached_s);
-  metric_f "decode_uncached_tokens_per_s" (toks uncached_s);
-  metric_f "decode_speedup" speedup;
-  metric "decode_bit_identical" (if identical then "true" else "false");
-  metric "decode_speedup_floor_met"
-    (if speedup >= 3.0 && identical then "true" else "false");
-  (* --- continuous batched decode: 4 concurrent requests per step ---
-     The engine advances one transformer step for every active slot,
-     streaming each weight matrix across the whole batch; the baseline
-     is the same four requests decoded one after another, each through
-     its own one-slot engine, as [generate] runs them. *)
-  let reqs = [| 0; 1; 2; 3 |] in
-  let batch_identical = rows_identical ~slots:4 reqs in
-  let seq4_s =
-    time_best (fun () -> Array.iter (fun i -> decode ~slots:1 [| i |]) reqs)
-  in
-  let batch4_s = time_best (fun () -> decode ~slots:4 reqs) in
-  let toks4 t = float_of_int (rounds * Array.length reqs * steps) /. t in
-  let bspeed = seq4_s /. batch4_s in
-  let tab = T.create ~headers:[ "Path"; "tokens/s"; "Speedup" ] in
-  T.add_row tab [ "4x sequential (batch 1)"; f2 (toks4 seq4_s); "1.00x" ];
-  T.add_row tab [ "batched engine (batch 4)"; f2 (toks4 batch4_s); f2 bspeed ^ "x" ];
-  print_string (T.render tab);
-  Printf.printf "batch-4 rows bit-identical to full re-decode: %s\n"
-    (if batch_identical then "yes" else "NO");
-  metric_f "decode_seq4_tokens_per_s" (toks4 seq4_s);
-  metric_f "decode_batch4_tokens_per_s" (toks4 batch4_s);
-  metric_f "decode_batch_speedup_x" bspeed;
-  metric "decode_batch_bit_identical" (if batch_identical then "true" else "false")
-
-let section_parallel (s : setup) =
-  heading "Parallel backend generation — wall clock vs domain count";
-  let t = s.pipeline in
-  (* the deterministic retrieval decoder: parallel speedup must come
-     from the pool, not from decoder variance *)
-  let decoder = V.Pipeline.retrieval_decoder t in
-  let target = "RISCV" in
-  let render gfs =
-    String.concat "\n"
-      (List.map
-         (fun (gf : V.Generate.gen_func) ->
-           Printf.sprintf "%s %Lx %s" gf.V.Generate.gf_fname
-             (Int64.bits_of_float gf.V.Generate.gf_confidence)
-             (V.Generate.source_of_all gf))
-         gfs)
-  in
-  let base = render (V.Pipeline.generate_backend t ~target ~decoder) in
-  let tab = T.create ~headers:[ "Domains"; "Wall (s)"; "Speedup"; "Identical" ] in
-  let t1 = ref 1.0 in
-  List.iter
-    (fun domains ->
-      let gfs, secs =
-        Vega_util.Timer.time (fun () ->
-            V.Pipeline.generate_backend ~domains t ~target ~decoder)
-      in
-      if domains = 1 then t1 := secs;
-      let same = render gfs = base in
-      T.add_row tab
-        [
-          string_of_int domains;
-          f2 secs;
-          f2 (!t1 /. secs) ^ "x";
-          (if same then "yes" else "NO");
-        ];
-      metric_f (Printf.sprintf "parallel_wall_s_domains_%d" domains) secs;
-      metric
-        (Printf.sprintf "parallel_identical_domains_%d" domains)
-        (if same then "true" else "false"))
-    [ 1; 2; 4 ];
-  print_string (T.render tab);
-  let cores = Domain.recommended_domain_count () in
-  metric "parallel_host_cores" (string_of_int cores);
-  Printf.printf
-    "(every row must be bit-identical to the sequential run; speedup is\n\
-    \ bounded by the host's core count — this host reports %d — and by\n\
-    \ the per-function work distribution)\n"
-    cores
-
-(* ------------------------------------------------------------------ *)
-(* Semantic verification                                                *)
-
-let section_verify () =
-  heading "Semantic verification — absint over every reference backend";
-  let module Verify = Vega_absint.Verify in
-  let corpus = Vega_corpus.Corpus.build () in
-  let vfs = corpus.Vega_corpus.Corpus.vfs in
-  let targets = Vega_target.Registry.all in
-  let verify_all ~domains =
-    Vega_util.Par.map ~domains (fun p -> Verify.verify_target vfs p) targets
-  in
-  let reports, secs1 = Vega_util.Timer.time (fun () -> verify_all ~domains:1) in
-  let dn = Vega_util.Par.default_domains () in
-  let reports_par, secs_n =
-    Vega_util.Timer.time (fun () -> verify_all ~domains:dn)
-  in
-  let tab = T.create ~headers:[ "Target"; "Funcs"; "Diags"; "Sem" ] in
-  let total_sem = ref 0 in
-  List.iter
-    (fun (r : Verify.report) ->
-      let sem = Verify.sem_count r in
-      total_sem := !total_sem + sem;
-      T.add_row tab
-        [
-          r.Verify.v_target;
-          string_of_int (List.length r.Verify.v_funcs);
-          string_of_int (Verify.diag_count r);
-          string_of_int sem;
-        ];
-      metric
-        (Printf.sprintf "verify_sem_%s" r.Verify.v_target)
-        (string_of_int sem))
-    reports;
-  print_string (T.render tab);
-  let identical =
-    List.for_all2
-      (fun a b -> Verify.diag_count a = Verify.diag_count b)
-      reports reports_par
-  in
-  Printf.printf
-    "verdicts: %d semantic diagnostic(s) over %d target(s) (must be 0)\n\
-     wall: %.2f s single-domain, %.2f s over %d domains (%.2fx)%s\n"
-    !total_sem (List.length targets) secs1 secs_n dn
-    (secs1 /. Float.max secs_n 1e-9)
-    (if identical then "" else "  [MISMATCH vs single-domain]");
-  metric "verify_sem_total" (string_of_int !total_sem);
-  metric_f "verify_wall_s_domains_1" secs1;
-  metric_f (Printf.sprintf "verify_wall_s_domains_%d" dn) secs_n;
-  metric "verify_parallel_identical" (if identical then "true" else "false")
-
-(* ------------------------------------------------------------------ *)
-(* Streaming event loop                                                *)
-
-(* ≥256 concurrent streaming connections on one engine, with a slow
-   reader mixed in and one peer cancelling mid-decode. The storm must
-   complete with every connection answered exactly once, and the
-   cancellation must free its decode slot within a bounded number of
-   statement boundaries — measured, not assumed. *)
-let section_stream (s : setup) =
-  heading "Streaming — event-loop storm, slow reader, cancellation latency";
-  let module S = Vega_serve in
-  let module Ev = S.Evloop in
-  let t = s.pipeline in
-  let decoder = V.Pipeline.retrieval_decoder t in
-  let target = "RISCV" in
-  let fnames = V.Pipeline.fnames t in
-  let n = List.length fnames in
-  (* the function with the most statement boundaries — maximum room for
-     the cancel to land mid-decode and for backpressure to build *)
-  let busiest =
-    List.fold_left
-      (fun (bn, bf) (gf : V.Generate.gen_func) ->
-        let m = List.length gf.V.Generate.gf_stmts in
-        if m > bn then (m, gf.V.Generate.gf_fname) else (bn, bf))
-      (0, List.hd fnames)
-      (V.Pipeline.generate_backend t ~target ~decoder)
-  in
-  let srv =
-    match
-      S.Server.create
-        ~config:
-          {
-            S.Server.default_config with
-            S.Server.client_burst = 1.0e9;
-            client_rate = 0.0;
-          }
-        t ~target ~decoder
-    with
-    | Ok srv -> srv
-    | Error e -> failwith e
-  in
-  let conns = 256 in
-  let cfg =
-    {
-      Ev.ev_slots = 8;
-      ev_wait_cap = conns + 8;
-      ev_steps_per_tick = 1;
-      ev_idle_ticks = 100_000;
-      ev_stall_ticks = 4;
-      ev_wbuf_limit = 64;
-      ev_max_conns = conns + 8;
-    }
-  in
-  let e = Ev.create ~cfg srv in
-  (* client 0 streams the busiest function and cancels after its first
-     statement frame; client 1 reads the same function one byte per
-     tick; everyone else reads at full speed *)
-  let clients =
-    Array.init conns (fun i ->
-        let fname =
-          if i <= 1 then snd busiest else List.nth fnames (i mod n)
-        in
-        let id =
-          match Ev.open_conn e with
-          | Some id -> id
-          | None -> failwith "stream bench: engine refused a connection"
-        in
-        Ev.feed e id
-          (S.Proto.encode_command
-             (S.Proto.Cstream
-                (S.Proto.request
-                   ~client:(Printf.sprintf "b%d" (i mod 7))
-                   ~target fname))
-          ^ "\n");
-        (id, Buffer.create 128, ref 0, ref None, ref false))
-  in
-  let budget i = if i = 1 then 1 else max_int in
-  let unfinished (id, _, _, final, _) =
-    !final = None && Ev.conn_phase e id <> None
-  in
-  let ticks = ref 0 in
-  let frames = ref 0 in
-  let wall =
-    Vega_util.Timer.time_s (fun () ->
-        while Array.exists unfinished clients && !ticks < 500_000 do
-          incr ticks;
-          Ev.tick e;
-          Array.iteri
-            (fun i ((id, buf, stmts, final, cancelled) as c) ->
-              if unfinished c then begin
-                if i = 0 && (not !cancelled) && !stmts >= 1 then begin
-                  cancelled := true;
-                  Ev.feed e id (S.Proto.encode_command S.Proto.Ccancel ^ "\n")
-                end;
-                Buffer.add_string buf (Ev.take_output e id ~max:(budget i));
-                let data = Buffer.contents buf in
-                Buffer.clear buf;
-                let rec go = function
-                  | [] -> ()
-                  | [ partial ] -> Buffer.add_string buf partial
-                  | line :: rest ->
-                      (match S.Proto.decode_frame line with
-                      | S.Proto.Decoded (S.Proto.Fstmt _) ->
-                          incr stmts;
-                          incr frames
-                      | S.Proto.Decoded (S.Proto.Ffinal r) -> final := Some r
-                      | S.Proto.Version_skew _ | S.Proto.Malformed ->
-                          failwith ("stream bench: bad frame: " ^ line));
-                      go rest
-                in
-                go (String.split_on_char '\n' data)
-              end)
-            clients;
-          ignore (Ev.reap e)
-        done)
-  in
-  let finals =
-    Array.fold_left
-      (fun a (_, _, _, final, _) -> if !final = None then a else a + 1)
-      0 clients
-  in
-  let verdict_of i =
-    let _, _, _, final, _ = clients.(i) in
-    match !final with
-    | Some (S.Proto.Done _) -> "done"
-    | Some (S.Proto.Rejected r) -> S.Proto.reject_label r
-    | Some (S.Proto.Failed _) -> "failed"
-    | None -> "none"
-  in
-  let cancel_boundaries =
-    let _, _, _, final, _ = clients.(0) in
-    match !final with
-    | Some (S.Proto.Rejected (S.Proto.Cancelled { at_stmt })) -> at_stmt - 1
-    | _ -> -1
-  in
-  let st = Ev.stats e in
-  let h = S.Server.health srv in
-  S.Server.drain srv;
-  Printf.printf
-    "%d concurrent streaming connections (%d slots): %d answered, %d \
-     statement frames in %.2f s (%d ticks)\n"
-    conns cfg.Ev.ev_slots finals !frames wall !ticks;
-  Printf.printf
-    "cancel client: %s after %d extra statement boundary(ies) (bound 2, \
-     busiest function %d stmts); slow client (1 B/tick): %s; %d slow shed, \
-     %d cancelled, busy after storm %d\n"
-    (verdict_of 0) cancel_boundaries (fst busiest) (verdict_of 1)
-    st.Ev.ev_shed_slow st.Ev.ev_cancelled h.S.Health.h_busy;
-  if finals <> conns then
-    failwith "stream bench: a connection was lost in the storm";
-  if cancel_boundaries < 0 || cancel_boundaries > 2 then
-    failwith "stream bench: cancellation did not free its slot in bound";
-  metric "stream_conns" (string_of_int conns);
-  metric "stream_finals" (string_of_int finals);
-  metric "stream_frames" (string_of_int !frames);
-  metric_f "stream_wall_s" wall;
-  metric_f "stream_conns_per_s" (float_of_int conns /. wall);
-  metric "stream_cancel_boundaries" (string_of_int cancel_boundaries);
-  metric "stream_shed_slow" (string_of_int st.Ev.ev_shed_slow);
-  metric "stream_ticks" (string_of_int !ticks)
-
-(* ------------------------------------------------------------------ *)
-(* Sharded serving                                                     *)
-
-let section_shard (s : setup) =
-  heading "Sharded serving — router throughput and the content-addressed cache";
-  let module S = Vega_serve in
-  let module Sh = Vega_shard in
-  let t = s.pipeline in
-  let decoder = V.Pipeline.retrieval_decoder t in
-  let target = "RISCV" in
-  let fnames = V.Pipeline.fnames t in
-  let n = List.length fnames in
-  let fingerprint, desc_hash = Sh.Cache.keys t ~target in
-  let req = S.Proto.request ~client:"bench" ~target in
-  let mk_router ?cache shards =
-    let eps =
-      List.init shards (fun i ->
-          match
-            S.Server.create
-              ~config:
-                {
-                  S.Server.default_config with
-                  S.Server.client_burst = float_of_int (16 * n);
-                  client_rate = 0.0;
-                }
-              t ~target ~decoder
-          with
-          | Ok srv -> Sh.Router.of_server ~name:(Printf.sprintf "shard-%d" i) srv
-          | Error e -> failwith e)
-    in
-    match Sh.Router.create ?cache ~fingerprint ~desc_hash eps with
-    | Ok r -> r
-    | Error e -> failwith e
-  in
-  (* cold: every request generates on its owner shard; warm: the shards'
-     idempotent replay answers — router + shard overhead without decode *)
-  let tab = T.create ~headers:[ "Shards"; "Cold (req/s)"; "Warm (req/s)" ] in
-  List.iter
-    (fun shards ->
-      let r = mk_router shards in
-      let round () =
-        List.iter (fun f -> ignore (Sh.Router.route r (req f))) fnames
-      in
-      let cold = Vega_util.Timer.time_s round in
-      let warm = Vega_util.Timer.time_s round in
-      Sh.Router.drain r;
-      let rps secs = float_of_int n /. secs in
-      T.add_row tab [ string_of_int shards; f2 (rps cold); f2 (rps warm) ];
-      metric_f (Printf.sprintf "shard_cold_rps_shards_%d" shards) (rps cold);
-      metric_f (Printf.sprintf "shard_warm_rps_shards_%d" shards) (rps warm))
-    [ 1; 2; 4 ];
-  print_string (T.render tab);
-  (* the content-addressed cache: per-request latency of cold generation
-     vs a checksummed on-disk cache hit (zero decoder involvement) *)
-  let cache_dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "vega_bench_shardcache_%d" (Unix.getpid ()))
-  in
-  let cache = Sh.Cache.create ~dir:cache_dir ~fingerprint ~desc_hash () in
-  let r = mk_router ~cache 2 in
-  let round () =
-    List.iter (fun f -> ignore (Sh.Router.route r (req f))) fnames
-  in
-  let cold_s = Vega_util.Timer.time_s round in
-  let hit_s = Vega_util.Timer.time_s round in
-  let c = Sh.Router.counters r in
-  Sh.Router.drain r;
-  let per secs = 1e6 *. secs /. float_of_int n in
-  let speedup = cold_s /. hit_s in
-  Printf.printf
-    "cache: cold generation %.1f us/req, cache hit %.1f us/req — %.1fx\n\
-     (%d of %d warm requests answered by the cache; acceptance floor:\n\
-    \ cache-hit latency >= 10x below cold generation)\n"
-    (per cold_s) (per hit_s) speedup c.Sh.Router.rt_cache_hits n;
-  metric_f "shard_cache_cold_us_per_req" (per cold_s);
-  metric_f "shard_cache_hit_us_per_req" (per hit_s);
-  metric_f "shard_cache_speedup" speedup;
-  metric "shard_cache_hits" (string_of_int c.Sh.Router.rt_cache_hits)
-
-(* ------------------------------------------------------------------ *)
-(* Self-healing fleet                                                  *)
-
-let section_fleet (s : setup) =
-  heading "Self-healing fleet — crash recovery and hedged tail latency";
-  let module S = Vega_serve in
-  let module Sh = Vega_shard in
-  let module F = Vega_fleet.Fleet in
-  let t = s.pipeline in
-  let decoder = V.Pipeline.retrieval_decoder t in
-  let target = "RISCV" in
-  let fnames = V.Pipeline.fnames t in
-  let n = List.length fnames in
-  let fingerprint, desc_hash = Sh.Cache.keys t ~target in
-  let req = S.Proto.request ~client:"bench" ~target in
-  let scfg =
-    {
-      S.Server.default_config with
-      S.Server.client_burst = float_of_int (64 * n);
-      client_rate = 0.0;
-    }
-  in
-  (* recovery time: a 3-shard fleet, the victim's journal armed to die
-     after its second record; the fleet detects the corpse on its probe
-     schedule and respawns it from its own journal segment.  The number
-     that matters is on the decision clock — it is seed-reproducible —
-     with wall-clock alongside for scale. *)
-  let base =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "vega_bench_fleet_%d" (Unix.getpid ()))
-  in
-  let specs =
-    List.init 3 (fun i ->
-        let dir = Sh.Router.shard_run_dir base i in
-        {
-          F.sp_name = Printf.sprintf "shard-%d" i;
-          sp_spawn =
-            (fun ~epoch ~resume ->
-              S.Server.create ~config:scfg ~run_dir:dir ~resume
-                ?kill_at:(if i = 0 && epoch = 0 then Some 2 else None)
-                ~epoch t ~target ~decoder);
-        })
-  in
-  let fcfg =
-    {
-      F.default_config with
-      F.probe_every = 2;
-      probe_patience = 2;
-      backoff_base = 1;
-      seed = 17;
-    }
-  in
-  let rcfg =
-    {
-      Sh.Router.default_config with
-      Sh.Router.retries = 0;
-      probe_every = 0;
-      seed = 17;
-    }
-  in
-  (match F.create ~config:fcfg ~router_config:rcfg ~fingerprint ~desc_hash specs with
-  | Error e -> Printf.printf "  (fleet recovery bench skipped: %s)\n" e
-  | Ok fleet ->
-      let storm () =
-        for _ = 1 to 4 do
-          List.iter (fun f -> ignore (F.request fleet (req f))) fnames
-        done
-      in
-      let wall = Vega_util.Timer.time_s storm in
-      let detect =
-        List.find_map
-          (function F.Crash_detected { decision; _ } -> Some decision | _ -> None)
-          (F.events fleet)
-      and respawn =
-        List.find_map
-          (function F.Respawned { decision; _ } -> Some decision | _ -> None)
-          (F.events fleet)
-      in
-      (try F.drain fleet with _ -> ());
-      (match (detect, respawn) with
-      | Some d0, Some d1 ->
-          Printf.printf
-            "recovery: crash detected at decision %d, respawned at %d — %d \
-             decision(s) detect -> respawn\n\
-             (%d requests in %.1f ms; requests during the outage reroute to \
-             ring successors, none lost)\n"
-            d0 d1 (d1 - d0) (4 * n) (1000.0 *. wall);
-          metric "fleet_recovery_decisions" (string_of_int (d1 - d0));
-          metric_f "fleet_storm_ms" (1000.0 *. wall)
-      | _ -> Printf.printf "  (no crash/respawn pair observed)\n"));
-  (* hedged requests: the owner of a third of the key space answers 2 ms
-     slow and is marked stalled; with hedging the router races the ring
-     successor after the latency budget, so the tail collapses to the
-     fast shard's replay latency.  Every shard is pre-warmed on the slow
-     owner's keys so replay, not cold decoding, bounds the measurement. *)
-  let shard_names = List.init 3 (Printf.sprintf "shard-%d") in
-  let ring =
-    Sh.Ring.create ~replicas:Sh.Router.default_config.Sh.Router.replicas
-      shard_names
-  in
-  let slow_owned =
-    List.filter
-      (fun f ->
-        Sh.Ring.lookup ring
-          (Sh.Cache.request_key ~fingerprint ~desc_hash ~fname:f)
-        = "shard-0")
-      fnames
-  in
-  if slow_owned = [] then
-    Printf.printf "  (hedging bench skipped: the slow shard owns no keys)\n"
-  else begin
-    let tail_run ~hedge_after =
-      let eps =
-        List.init 3 (fun i ->
-            match S.Server.create ~config:scfg t ~target ~decoder with
-            | Error e -> failwith e
-            | Ok srv ->
-                (* warm replay on the contended keys before any wrapping *)
-                List.iter (fun f -> ignore (S.Server.request srv (req f))) slow_owned;
-                let ep =
-                  Sh.Router.of_server ~name:(Printf.sprintf "shard-%d" i) srv
-                in
-                if i = 0 then
-                  {
-                    ep with
-                    Sh.Router.ep_stream =
-                      (fun rq ->
-                        Unix.sleepf 0.002;
-                        ep.Sh.Router.ep_stream rq);
-                  }
-                else ep)
-      in
-      match
-        Sh.Router.create
-          ~config:
-            {
-              Sh.Router.default_config with
-              Sh.Router.retries = 0;
-              probe_every = 0;
-              hedge_after;
-              seed = 17;
-            }
-          ~fingerprint ~desc_hash eps
-      with
-      | Error e -> failwith e
-      | Ok r ->
-          Sh.Router.mark_stalled r "shard-0";
-          let lats =
-            List.map
-              (fun f ->
-                Vega_util.Timer.time_s (fun () ->
-                    ignore (Sh.Router.route r (req f))))
-              slow_owned
-          in
-          let d = Sh.Router.decisions r in
-          Sh.Router.drain r;
-          (List.sort compare lats, d)
-    in
-    let pct q lats =
-      List.nth lats
-        (min
-           (List.length lats - 1)
-           (int_of_float (q *. float_of_int (List.length lats))))
-    in
-    let us x = 1e6 *. x in
-    let unhedged, _ = tail_run ~hedge_after:0 in
-    let hedged, dh = tail_run ~hedge_after:1 in
-    let hedges =
-      String.fold_left (fun acc c -> if c = 'H' then acc + 1 else acc) 0 dh
-    in
-    let p95u = pct 0.95 unhedged and p95h = pct 0.95 hedged in
-    Printf.printf
-      "hedging: stalled owner of %d key(s) adds 2 ms/request; p95 %.0f us \
-       unhedged -> %.0f us hedged (max %.0f -> %.0f us); %d hedge(s) fired\n"
-      (List.length slow_owned) (us p95u) (us p95h)
-      (us (pct 1.0 unhedged))
-      (us (pct 1.0 hedged))
-      hedges;
-    metric_f "fleet_unhedged_p95_us" (us p95u);
-    metric_f "fleet_hedged_p95_us" (us p95h);
-    metric_f "fleet_hedge_tail_speedup" (p95u /. p95h);
-    metric "fleet_hedges" (string_of_int hedges)
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks                                           *)
-
-let microbench (s : setup) =
-  heading "Micro-benchmarks (bechamel)";
-  let open Bechamel in
-  let prep = s.pipeline.V.Pipeline.prep in
-  let bundle = Option.get (V.Pipeline.bundle_for prep "getRelocType") in
-  let corpus = prep.V.Pipeline.corpus in
-  let vfs = corpus.Vega_corpus.Corpus.vfs in
-  let riscv = Vega_target.Registry.riscv in
-  let hooks, conv = E.Refbackend.backend_for vfs riscv in
-  ignore hooks;
-  let case = Option.get (Vega_ir.Programs.find "globals_array") in
-  let modul = Vega_ir.Programs.modul_of case in
-  let view =
-    V.Featsel.view_for_new_target prep.V.Pipeline.ctx bundle.tpl bundle.analysis
-      "RISCV"
-  in
-  let tests =
-    [
-      Test.make ~name:"templatize getRelocType group"
-        (Staged.stage (fun () ->
-             ignore (V.Featsel.analyze prep.V.Pipeline.ctx bundle.tpl)));
-      Test.make ~name:"feature vectors (generation side)"
-        (Staged.stage (fun () ->
-             ignore
-               (V.Featrep.generation_fvs bundle.analysis bundle.tpl bundle.hints
-                  view)));
-      Test.make ~name:"generate getRelocType (retrieval)"
-        (Staged.stage (fun () ->
-             ignore
-               (V.Generate.run prep.V.Pipeline.ctx bundle.tpl bundle.analysis
-                  bundle.hints ~target:"RISCV"
-                  ~decoder:(V.Pipeline.retrieval_decoder s.pipeline))));
-      Test.make ~name:"compile+simulate globals_array -O3"
-        (Staged.stage (fun () ->
-             let out =
-               Vega_backend.Compiler.compile conv ~opt:Vega_backend.Compiler.O3
-                 modul
-             in
-             ignore
-               (Vega_sim.Machine.run conv out.Vega_backend.Compiler.emitted
-                  ~entry:"main" ~args:[])));
-    ]
-  in
-  (* bechamel OLS estimate of ns/run for each stage *)
-  (try
-     let ols =
-       Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-     in
-     let instances = [ Toolkit.Instance.monotonic_clock ] in
-     let cfg = Benchmark.cfg ~limit:100 ~quota:(Time.second 0.5) () in
-     let raw =
-       Benchmark.all cfg instances (Test.make_grouped ~name:"vega" tests)
-     in
-     let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-     Hashtbl.iter
-       (fun name est ->
-         match Analyze.OLS.estimates est with
-         | Some (ns :: _) ->
-             Printf.printf "  %-42s %10.3f ms/run (OLS)\n" name (ns /. 1e6)
-         | Some [] | None -> ())
-       results
-   with e ->
-     Printf.printf "  (bechamel failed: %s)\n" (Printexc.to_string e));
-  (* cross-check with plain wall-clock means *)
-  let time_of name f =
-    let n = 5 in
-    let t = Vega_util.Timer.time_s (fun () -> for _ = 1 to n do f () done) in
-    Printf.printf "  %-42s %8.2f ms/run\n" name (1000.0 *. t /. float_of_int n)
-  in
-  time_of "analyze (Code-Feature Mapping, one group)" (fun () ->
-      ignore (V.Featsel.analyze prep.V.Pipeline.ctx bundle.tpl));
-  time_of "generation feature vectors (one group)" (fun () ->
-      ignore (V.Featrep.generation_fvs bundle.analysis bundle.tpl bundle.hints view));
-  time_of "generate getRelocType (retrieval)" (fun () ->
-      ignore
-        (V.Generate.run prep.V.Pipeline.ctx bundle.tpl bundle.analysis
-           bundle.hints ~target:"RISCV"
-           ~decoder:(V.Pipeline.retrieval_decoder s.pipeline)));
-  time_of "compile+simulate globals_array -O3" (fun () ->
-      let out = Vega_backend.Compiler.compile conv ~opt:Vega_backend.Compiler.O3 modul in
-      ignore
-        (Vega_sim.Machine.run conv out.Vega_backend.Compiler.emitted ~entry:"main"
-           ~args:[]))
-
-(* ------------------------------------------------------------------ *)
 
 let () =
-  let args = Array.to_list Sys.argv in
+  let args = List.tl (Array.to_list Sys.argv) in
   let quick = List.mem "--quick" args in
-  let json_out, args =
-    let rec extract = function
-      | "--json-out" :: f :: rest -> (Some f, rest)
-      | a :: rest ->
-          let jo, r = extract rest in
-          (jo, a :: r)
-      | [] -> (None, [])
-    in
-    extract (List.tl args)
-  in
   let sections =
     List.filter (fun a -> not (String.length a > 1 && a.[0] = '-')) args
   in
@@ -1319,7 +454,7 @@ let () =
   Printf.printf "VEGA reproduction benchmark harness (%s mode)\n%!"
     (if quick then "quick/retrieval" else "full/CodeBE");
   (* setup (prepare + train + evaluate) is expensive; sections that do
-     not touch the pipeline — e.g. `decode` — must not pay for it *)
+     not touch the pipeline — e.g. `fig6` — must not pay for it *)
   let setup = lazy (build_setup ~quick ()) in
   let s () = Lazy.force setup in
   if want "corpus" then section_corpus (s ());
@@ -1332,17 +467,7 @@ let () =
   if want "table4" then section_table4 (s ());
   if want "fig10" then section_fig10 (s ());
   if want "robustness" then section_robustness (s ());
-  if want "faults" then section_faults (s ());
-  if want "killresume" then section_killresume (s ());
-  if want "decode" then section_decode ();
-  if want "verify" then section_verify ();
-  if want "parallel" then section_parallel (s ());
-  if want "stream" then section_stream (s ());
-  if want "shard" then section_shard (s ());
-  if want "fleet" then section_fleet (s ());
   if want "model_ablation" then section_model_ablation (s ());
   if want "rnn_ablation" then section_rnn_ablation (s ()) ~quick;
   if want "split_ablation" then section_split_ablation (s ()) ~quick;
-  if want "micro" then microbench (s ());
-  Option.iter write_json_metrics json_out;
   print_newline ()

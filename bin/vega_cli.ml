@@ -618,6 +618,15 @@ let socket_arg =
     & info [ "socket" ] ~doc ~docv:"PATH")
 
 let serve_cmd =
+  let slots_arg =
+    Arg.(
+      value
+      & opt int 1
+      & info [ "domains" ] ~docv:"N"
+          ~doc:
+            "Decode slots of the event loop: up to $(docv) requests decode at \
+             once, each slot stepped on its own domain. Default 1.")
+  in
   let queue_cap_arg =
     Arg.(
       value
@@ -671,7 +680,7 @@ let serve_cmd =
              over $(docv) request slots (requires $(b,--model); per-request \
              outputs are unchanged). 0 or 1 disables.")
   in
-  let run socket target model domains queue_cap deadline_ms run_dir resume
+  let run socket target model slots queue_cap deadline_ms run_dir resume
       kill_at batch_slots =
     let t, decoder = mk_pipeline ~model in
     let decoder =
@@ -692,7 +701,7 @@ let serve_cmd =
         let cfg =
           {
             S.Evloop.default_config with
-            S.Evloop.ev_slots = max 1 domains;
+            S.Evloop.ev_slots = max 1 slots;
             ev_wait_cap = queue_cap;
           }
         in
@@ -735,7 +744,7 @@ let serve_cmd =
           decode slots, stepped in parallel on one domain each, and \
           $(b,--queue-cap) bounds the requests waiting for one")
     Term.(
-      const run $ socket_arg $ target_arg $ model_flag $ domains_arg
+      const run $ socket_arg $ target_arg $ model_flag $ slots_arg
       $ queue_cap_arg $ deadline_arg $ run_dir_arg $ resume_flag $ kill_at_arg
       $ batch_slots_arg)
 

@@ -296,8 +296,9 @@ let generate_batch t ?(slots = 4) ~srcs ?(max_out = 48) () =
 
 (* {1 Concurrent batcher}
 
-   Coalesces decode calls arriving from concurrent domains (the serve
-   worker pool) into shared [batch_step]s. Each caller encodes its own
+   Coalesces decode calls arriving from concurrent domains (the event
+   loop's decode slots, stepped on a [Par.Gang]) into shared
+   [batch_step]s. Each caller encodes its own
    source before queueing it, so a malformed source faults its owner
    and never the driver. One caller at a time elects itself driver
    ([bt_driving]), admits queued requests into free slots under the

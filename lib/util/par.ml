@@ -8,9 +8,6 @@
    stopped; a stop flag keeps workers from starting new items once an
    exception is recorded. *)
 
-let default_domains () =
-  max 1 (min 4 (Domain.recommended_domain_count () - 1))
-
 type 'a slot = Empty | Ok_ of 'a | Error_ of exn * Printexc.raw_backtrace
 
 (* Results in item order; the first failure by item index is re-raised,
@@ -63,41 +60,6 @@ let map_ctx ~domains ~ctx f items =
 
 let map ~domains f items = map_ctx ~domains ~ctx:(fun _ -> ()) (fun () x -> f x) items
 
-(* Persistent pool: long-lived worker domains for callers whose work
-   arrives over time (a serving loop) rather than as one list. Unlike
-   [map_ctx] the pool does not own the work distribution — each body
-   pulls its own (typically from a shared blocking queue) — it only owns
-   the domains' lifecycle and failure reporting. *)
-module Pool = struct
-  type t = {
-    size : int;
-    doms : unit Domain.t array;
-    slots : (exn * Printexc.raw_backtrace) option array;
-        (* one cell per worker, written only by that worker *)
-  }
-
-  let spawn ~domains body =
-    let domains = max 1 domains in
-    let slots = Array.make domains None in
-    let doms =
-      Array.init domains (fun w ->
-          Domain.spawn (fun () ->
-              try body w
-              with e -> slots.(w) <- Some (e, Printexc.get_raw_backtrace ())))
-    in
-    { size = domains; doms; slots }
-
-  let size t = t.size
-
-  let join t =
-    Array.iter Domain.join t.doms;
-    (* lowest worker index wins, matching [map_ctx] determinism *)
-    Array.iter
-      (function
-        | Some (e, bt) -> Printexc.raise_with_backtrace e bt | None -> ())
-      t.slots
-end
-
 (* Persistent [map]: long-lived domains that run one small batch after
    another (an event loop's tick), where spawning domains per batch
    would cost more than the work. The caller works too, so a gang of
@@ -112,7 +74,7 @@ module Gang = struct
     todo : (unit -> unit) Queue.t;
     mutable running : int;  (* items taken, not finished *)
     mutable stop : bool;
-    mutable pool : Pool.t option;  (* the [size - 1] spawned workers *)
+    mutable doms : unit Domain.t array;  (* the [size - 1] spawned workers *)
   }
 
   let create ~domains =
@@ -124,7 +86,7 @@ module Gang = struct
       todo = Queue.create ();
       running = 0;
       stop = false;
-      pool = None;
+      doms = [||];
     }
 
   (* Run one queued item; false when none is queued. Called and returns
@@ -142,7 +104,7 @@ module Gang = struct
           Condition.broadcast g.idle;
         true
 
-  let worker g _ =
+  let worker g () =
     Mutex.lock g.lock;
     while not g.stop do
       if not (run_one g) then Condition.wait g.work g.lock
@@ -152,9 +114,9 @@ module Gang = struct
   let map g f = function
     | ([] | [ _ ]) as items -> List.map f items
     | items ->
-        if Option.is_none g.pool && g.size > 1 then begin
+        if Array.length g.doms = 0 && g.size > 1 then begin
           g.stop <- false;
-          g.pool <- Some (Pool.spawn ~domains:(g.size - 1) (worker g))
+          g.doms <- Array.init (g.size - 1) (fun _ -> Domain.spawn (worker g))
         end;
         let slots = Array.make (List.length items) Empty in
         Mutex.lock g.lock;
@@ -177,6 +139,6 @@ module Gang = struct
     Mutex.protect g.lock (fun () ->
         g.stop <- true;
         Condition.broadcast g.work);
-    Option.iter Pool.join g.pool;
-    g.pool <- None
+    Array.iter Domain.join g.doms;
+    g.doms <- [||]
 end

@@ -10,9 +10,6 @@
     [f] must be safe to run concurrently with itself: shared state it
     touches must be immutable, domain-local, or lock-protected. *)
 
-val default_domains : unit -> int
-(** [recommended_domain_count - 1] clamped to [1, 4]. *)
-
 val map : domains:int -> ('a -> 'b) -> 'a list -> 'b list
 
 val map_ctx : domains:int -> ctx:(int -> 'c) -> ('c -> 'a -> 'b) -> 'a list -> 'b list
@@ -20,25 +17,6 @@ val map_ctx : domains:int -> ctx:(int -> 'c) -> ('c -> 'a -> 'b) -> 'a list -> '
     [ctx w] ([w] is the worker index, [0] = calling domain) that is
     passed to every application that worker runs — e.g. a forked
     supervisor that must not be shared across domains. *)
-
-(** Persistent worker pool for open-ended work (the serving loop): [n]
-    long-lived domains each running [body w] until it returns. The pool
-    owns only lifecycle and failure propagation — bodies pull their own
-    work, typically from a shared blocking queue. *)
-module Pool : sig
-  type t
-
-  val spawn : domains:int -> (int -> unit) -> t
-  (** Spawn [max 1 domains] domains running [body w], [w] in
-      [0 .. domains-1]. Unlike {!map_ctx} the calling domain is {e not} a
-      worker. *)
-
-  val size : t -> int
-
-  val join : t -> unit
-  (** Wait for every body to return; then, if any raised, re-raise the
-      lowest-indexed worker's exception with its backtrace. *)
-end
 
 (** Persistent {!map} for callers that map many small batches (an event
     loop's tick), where spawning domains per batch would cost more than

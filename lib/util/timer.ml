@@ -2,5 +2,3 @@ let time f =
   let t0 = Unix.gettimeofday () in
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
-
-let time_s f = snd (time f)

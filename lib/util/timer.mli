@@ -2,6 +2,3 @@
 
 val time : (unit -> 'a) -> 'a * float
 (** [time f] runs [f ()] and returns its result with elapsed seconds. *)
-
-val time_s : (unit -> unit) -> float
-(** Elapsed seconds of a unit computation. *)

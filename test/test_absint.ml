@@ -216,18 +216,24 @@ let fixpoint_props =
 (* Every reference backend verifies clean — AST domains, differential
    summaries against themselves, and register discipline of the code
    the reference backend emits. The verifier's false-positive bar on
-   the corpus is zero. *)
+   the corpus is zero, whether the targets are verified in turn or
+   fanned over two domains. *)
 let test_references_clean () =
   let vfs = (Lazy.force corpus).Vega_corpus.Corpus.vfs in
+  let targets = Vega_target.Registry.all in
   List.iter
-    (fun (p : P.t) ->
-      let r = AB.Verify.verify_target vfs p in
-      if AB.Verify.diag_count r > 0 then
-        Alcotest.failf "%s reference backend not semantically clean:\n%s"
-          p.P.name
-          (String.concat "\n"
-             (List.map D.to_string (AB.Verify.report_diags r))))
-    Vega_target.Registry.all
+    (fun domains ->
+      List.iter2
+        (fun (p : P.t) r ->
+          if AB.Verify.diag_count r > 0 then
+            Alcotest.failf
+              "%s reference backend not semantically clean (%d domain(s)):\n%s"
+              p.P.name domains
+              (String.concat "\n"
+                 (List.map D.to_string (AB.Verify.report_diags r))))
+        targets
+        (Vega_util.Par.map ~domains (AB.Verify.verify_target vfs) targets))
+    [ 1; 2 ]
 
 (* ------------------------------------------------------------------ *)
 (* Seeded defects per domain                                           *)

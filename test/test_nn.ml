@@ -270,10 +270,11 @@ let test_gru_overfits () =
   let m = Vega.Codebe.train ~arch:Vega.Codebe.Rnn cfg pairs in
   Alcotest.(check (float 1e-9)) "rnn exact match" 1.0 (Vega.Codebe.exact_match m pairs)
 
-(* KV cache: stepping a one-slot engine must reproduce the last row of
-   a full re-decode bit-for-bit, for every prefix length up to max_len;
-   one step more must fault. *)
-let test_kv_cache_bitident () =
+(* KV cache: stepping an engine of [slots] slots, each fed its own
+   source and tokens, must reproduce the last row of that slot's full
+   re-decode bit-for-bit, for every prefix length up to max_len; one
+   step more must fault. *)
+let test_kv_cache_bitident ~slots () =
   let module NN = Vega_nn.Transformer in
   let cfg =
     {
@@ -286,31 +287,96 @@ let test_kv_cache_bitident () =
     }
   in
   let m = NN.create ~seed:42 cfg in
-  let src = Array.init 10 (fun i -> ((i * 5) + 1) mod cfg.vocab_size) in
-  let memory = NN.encode m src in
-  let b = NN.new_batch m ~slots:1 in
-  let slot = NN.batch_join b ~src in
-  let prefix = ref [] in
+  let src r =
+    Array.init 10 (fun i -> ((i * 5) + 1 + (3 * r)) mod cfg.vocab_size)
+  in
+  let token r k =
+    if k = 0 then Vega_nn.Vocab.e2d
+    else ((k * 7) + 3 + (11 * r)) mod cfg.vocab_size
+  in
+  let memory = Array.init slots (fun r -> NN.encode m (src r)) in
+  let b = NN.new_batch m ~slots in
+  let slot = Array.init slots (fun r -> NN.batch_join b ~src:(src r)) in
   for k = 0 to cfg.max_len - 1 do
-    let id =
-      if k = 0 then Vega_nn.Vocab.e2d else ((k * 7) + 3) mod cfg.vocab_size
-    in
-    prefix := id :: !prefix;
-    NN.batch_step b [| (slot, id) |];
-    let row = NN.batch_logits b ~slot in
-    let dec_in = Array.of_list (List.rev !prefix) in
-    let logits = NN.decode_logits m ~memory dec_in in
-    let last = logits.T.rows - 1 in
+    NN.batch_step b (Array.mapi (fun r s -> (s, token r k)) slot);
     Array.iteri
-      (fun j v ->
-        let full = T.get logits last j in
-        if Int64.bits_of_float v <> Int64.bits_of_float full then
-          Alcotest.failf "step %d col %d: cached %h <> full %h" k j v full)
-      row
+      (fun r s ->
+        let logits =
+          NN.decode_logits m ~memory:memory.(r) (Array.init (k + 1) (token r))
+        in
+        Array.iteri
+          (fun j v ->
+            let full = T.get logits k j in
+            if Int64.bits_of_float v <> Int64.bits_of_float full then
+              Alcotest.failf "source %d step %d col %d: cached %h <> full %h" r
+                k j v full)
+          (NN.batch_logits b ~slot:s))
+      slot
   done;
-  match NN.batch_step b [| (slot, 3) |] with
+  match NN.batch_step b [| (slot.(0), 3) |] with
   | () -> Alcotest.fail "step past max_len accepted"
   | exception Vega_robust.Fault.Fault (Vega_robust.Fault.Tensor_fault _) -> ()
+
+(* A forced max_len-deep decode (no EOS stop), the worst case the
+   engine sees, since full re-decode re-runs the whole prefix per
+   token: every one-slot engine row is bit-identical to the last row of
+   [decode_logits] over the same prefix, and the engine is at least 3x
+   faster, best of 3 runs a side. *)
+let test_decode_speedup_floor () =
+  let module NN = Vega_nn.Transformer in
+  let cfg =
+    {
+      NN.d_model = 32;
+      heads = 4;
+      d_ff = 64;
+      n_layers = 2;
+      max_len = 96;
+      vocab_size = 64;
+    }
+  in
+  let m = NN.create ~seed:7 cfg in
+  let src = Array.init 24 (fun k -> ((k * 5) + 1) mod cfg.vocab_size) in
+  let forced k = ((k * 7) + 3) mod cfg.vocab_size in
+  let engine () =
+    let b = NN.new_batch m ~slots:1 in
+    let slot = NN.batch_join b ~src in
+    Array.init cfg.max_len (fun k ->
+        NN.batch_step b [| (slot, forced k) |];
+        NN.batch_logits b ~slot)
+  in
+  let full () =
+    let memory = NN.encode m src in
+    Array.init cfg.max_len (fun k ->
+        let logits = NN.decode_logits m ~memory (Array.init (k + 1) forced) in
+        Array.init cfg.vocab_size (T.get logits k))
+  in
+  (* a clean heap before each run, so GC debt left by one side is never
+     charged to the other *)
+  let best f =
+    let rows = ref [||] and secs = ref infinity in
+    for _ = 1 to 3 do
+      Gc.full_major ();
+      let r, s = Vega_util.Timer.time f in
+      rows := r;
+      secs := Float.min !secs s
+    done;
+    (!rows, !secs)
+  in
+  let engine_rows, engine_s = best engine in
+  let full_rows, full_s = best full in
+  Array.iteri
+    (fun k row ->
+      Array.iteri
+        (fun j v ->
+          let f = full_rows.(k).(j) in
+          if Int64.bits_of_float v <> Int64.bits_of_float f then
+            Alcotest.failf "step %d col %d: engine %h <> full %h" k j v f)
+        row)
+    engine_rows;
+  let speedup = full_s /. engine_s in
+  if speedup < 3.0 then
+    Alcotest.failf "engine %.2fx full re-decode (%.4f s vs %.4f s), floor 3x"
+      speedup engine_s full_s
 
 (* Shared small model for the batched-decode tests. *)
 let batch_cfg =
@@ -556,7 +622,12 @@ let suite =
     Alcotest.test_case "checkpoint v1 compat" `Quick test_checkpoint_v1_compat;
     Alcotest.test_case "gru gradcheck" `Quick test_gru_gradcheck;
     Alcotest.test_case "gru overfits" `Slow test_gru_overfits;
-    Alcotest.test_case "kv cache bit-identical" `Quick test_kv_cache_bitident;
+    Alcotest.test_case "kv cache bit-identical" `Quick
+      (test_kv_cache_bitident ~slots:1);
+    Alcotest.test_case "kv cache bit-identical, 4 slots" `Quick
+      (test_kv_cache_bitident ~slots:4);
+    Alcotest.test_case "decode engine >= 3x full re-decode" `Quick
+      test_decode_speedup_floor;
     Alcotest.test_case "generate cached = uncached" `Quick
       test_generate_cached_equals_uncached;
     Alcotest.test_case "batch=1 bit-identical to uncached" `Quick

@@ -91,10 +91,6 @@ let test_gang () =
     (Par.Gang.map g Fun.id [ 0; 1; 2 ]);
   Par.Gang.stop g
 
-let test_default_domains () =
-  let d = Par.default_domains () in
-  Alcotest.(check bool) "clamped to [1, 4]" true (d >= 1 && d <= 4)
-
 (* ---------------- eval-split leakage regression ---------------- *)
 
 let test_retrieval_no_eval_leakage () =
@@ -264,7 +260,6 @@ let suite =
     Alcotest.test_case "par map propagates failure" `Quick test_par_map_failure;
     Alcotest.test_case "par map_ctx worker contexts" `Quick test_par_map_ctx;
     Alcotest.test_case "gang runs batch after batch" `Quick test_gang;
-    Alcotest.test_case "default domain count" `Quick test_default_domains;
     Alcotest.test_case "retrieval index has no eval leakage" `Quick
       test_retrieval_no_eval_leakage;
     Alcotest.test_case "parallel generation bit-identical" `Slow

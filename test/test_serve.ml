@@ -517,27 +517,6 @@ let test_sock_partial_writes () =
   Domain.join writer;
   Unix.close b
 
-(* ---------------- worker pool ---------------- *)
-
-let test_pool () =
-  let hits = Atomic.make 0 in
-  let p =
-    Vega_util.Par.Pool.spawn ~domains:3 (fun w ->
-        Atomic.fetch_and_add hits (1 lsl (8 * w)) |> ignore)
-  in
-  Alcotest.(check int) "pool size" 3 (Vega_util.Par.Pool.size p);
-  Vega_util.Par.Pool.join p;
-  Alcotest.(check int) "every worker ran exactly once" 0x010101
-    (Atomic.get hits);
-  (* a worker exception surfaces at join, lowest index first *)
-  let p2 =
-    Vega_util.Par.Pool.spawn ~domains:2 (fun w ->
-        if w = 1 then failwith "worker 1 died")
-  in
-  match Vega_util.Par.Pool.join p2 with
-  | () -> Alcotest.fail "expected the worker failure to surface"
-  | exception Failure m -> Alcotest.(check string) "failure text" "worker 1 died" m
-
 let suite =
   [
     Alcotest.test_case "token bucket" `Quick test_bucket;
@@ -558,5 +537,4 @@ let suite =
     Alcotest.test_case "socket parity" `Quick test_sock_parity;
     Alcotest.test_case "socket bad lines" `Quick test_sock_bad_lines;
     Alcotest.test_case "socket partial writes" `Quick test_sock_partial_writes;
-    Alcotest.test_case "worker pool" `Quick test_pool;
   ]

@@ -829,6 +829,61 @@ let test_schedule_replays_byte_identically () =
   Alcotest.(check string) "decision/event logs byte-identical" log1 log2;
   Alcotest.(check string) "wire outputs byte-identical" out1 out2
 
+(* The 256-connection storm on 8 slots, one statement boundary per tick
+   and a 64 B write limit: client 0 streams the busiest function and
+   cancels after its first frame, client 1 reads the same function one
+   byte per tick. [run_chaos] fails on an unparseable frame or a
+   schedule that does not converge; every connection must get its
+   final, the cancel must free its slot within 2 statement boundaries
+   of the first frame, and no slot may stay busy. *)
+let test_storm_256_connections () =
+  let module C = Vega_chaos.Streaming in
+  let names = Array.of_list (fnames (Lazy.force pipeline)) in
+  let _, busy = Lazy.force busiest_fname in
+  let conns = 256 in
+  let cfg =
+    {
+      Ev.ev_slots = 8;
+      ev_wait_cap = conns + 8;
+      ev_steps_per_tick = 1;
+      ev_idle_ticks = 100_000;
+      ev_stall_ticks = 4;
+      ev_wbuf_limit = 64;
+      ev_max_conns = conns + 8;
+    }
+  in
+  let srv = mk_server () in
+  let e = Ev.create ~cfg srv in
+  let clients =
+    List.init conns (function
+      | 0 -> { (C.chaos_plain busy) with C.cc_cancel_at = Some 1 }
+      | 1 -> C.chaos_plain ~budget:1 busy
+      | i -> C.chaos_plain names.(i mod Array.length names))
+  in
+  let res = C.run_chaos e ~target clients in
+  let busy_slots = (Ev.health e).S.Health.h_busy in
+  S.Server.drain srv;
+  let final i = (List.nth res i).C.cr_final in
+  let verdict = function
+    | None -> "no final"
+    | Some (S.Proto.Done _) -> "done"
+    | Some (S.Proto.Failed _) -> "failed"
+    | Some (S.Proto.Rejected r) -> S.Proto.reject_label r
+  in
+  Alcotest.(check int) "every connection answered" conns
+    (List.length (List.filter (fun r -> r.C.cr_final <> None) res));
+  (match final 0 with
+  | Some (S.Proto.Rejected (S.Proto.Cancelled { at_stmt })) when at_stmt <= 3
+    ->
+      ()
+  | r ->
+      Alcotest.failf "cancel client: %s, want cancelled at statement <= 3"
+        (verdict r));
+  (match final 1 with
+  | Some (S.Proto.Rejected (S.Proto.Slow_reader _)) -> ()
+  | r -> Alcotest.failf "1 B/tick client: %s, want slow-reader" (verdict r));
+  Alcotest.(check int) "no slot busy after the storm" 0 busy_slots
+
 (* ---------------- select() front-end (real sockets) ---------------- *)
 
 let sock_path =
@@ -1183,6 +1238,8 @@ let suite =
       test_send_all_peer_gone;
     Alcotest.test_case "chaos schedule replays byte-identically" `Quick
       test_schedule_replays_byte_identically;
+    Alcotest.test_case "256-connection storm with cancel and slow" `Quick
+      test_storm_256_connections;
     Alcotest.test_case "event loop over real sockets" `Quick
       test_evloop_socket_end_to_end;
     Alcotest.test_case "socket daemon keeps no log" `Quick
