@@ -10,7 +10,8 @@
                                so e.g. `fig6` runs in seconds)
 
    Sections: corpus fig6 fig7 fig8 fig9 table2 table3 table4 fig10
-   robustness model_ablation rnn_ablation split_ablation. *)
+   robustness model_ablation rnn_ablation split_ablation. Any other
+   argument is rejected before setup, with exit status 2. *)
 
 module V = Vega
 module E = Vega_eval
@@ -447,27 +448,38 @@ let section_rnn_ablation (s : setup) ~quick =
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let quick = List.mem "--quick" args in
-  let sections =
-    List.filter (fun a -> not (String.length a > 1 && a.[0] = '-')) args
-  in
-  let want name = sections = [] || List.mem name sections in
-  Printf.printf "VEGA reproduction benchmark harness (%s mode)\n%!"
-    (if quick then "quick/retrieval" else "full/CodeBE");
   (* setup (prepare + train + evaluate) is expensive; sections that do
      not touch the pipeline — e.g. `fig6` — must not pay for it *)
   let setup = lazy (build_setup ~quick ()) in
   let s () = Lazy.force setup in
-  if want "corpus" then section_corpus (s ());
-  if want "fig6" then section_fig6 ();
-  if want "fig7" then section_fig7 (s ());
-  if want "fig8" then section_fig8 (s ());
-  if want "fig9" then section_fig9 (s ());
-  if want "table2" then section_table2 (s ());
-  if want "table3" then section_table3 (s ());
-  if want "table4" then section_table4 (s ());
-  if want "fig10" then section_fig10 (s ());
-  if want "robustness" then section_robustness (s ());
-  if want "model_ablation" then section_model_ablation (s ());
-  if want "rnn_ablation" then section_rnn_ablation (s ()) ~quick;
-  if want "split_ablation" then section_split_ablation (s ()) ~quick;
+  let all =
+    [
+      ("corpus", fun () -> section_corpus (s ()));
+      ("fig6", section_fig6);
+      ("fig7", fun () -> section_fig7 (s ()));
+      ("fig8", fun () -> section_fig8 (s ()));
+      ("fig9", fun () -> section_fig9 (s ()));
+      ("table2", fun () -> section_table2 (s ()));
+      ("table3", fun () -> section_table3 (s ()));
+      ("table4", fun () -> section_table4 (s ()));
+      ("fig10", fun () -> section_fig10 (s ()));
+      ("robustness", fun () -> section_robustness (s ()));
+      ("model_ablation", fun () -> section_model_ablation (s ()));
+      ("rnn_ablation", fun () -> section_rnn_ablation (s ()) ~quick);
+      ("split_ablation", fun () -> section_split_ablation (s ()) ~quick);
+    ]
+  in
+  let sections = List.filter (fun a -> a <> "--quick") args in
+  (match List.filter (fun a -> not (List.mem_assoc a all)) sections with
+  | [] -> ()
+  | unknown ->
+      Printf.eprintf "bench: unknown argument(s): %s\nsections: %s (and --quick)\n"
+        (String.concat " " unknown)
+        (String.concat " " (List.map fst all));
+      exit 2);
+  Printf.printf "VEGA reproduction benchmark harness (%s mode)\n%!"
+    (if quick then "quick/retrieval" else "full/CodeBE");
+  List.iter
+    (fun (name, run) -> if sections = [] || List.mem name sections then run ())
+    all;
   print_newline ()

@@ -89,9 +89,9 @@ let generate_cmd =
       & opt (some string) None
       & info [ "run-dir" ]
           ~doc:
-            "Generate the whole backend durably: write-ahead journal and \
-             checkpoints under $(docv). Refuses a directory holding a \
-             previous run's journal." ~docv:"DIR")
+            "Generate the whole backend durably under a write-ahead \
+             journal in $(docv). Refuses a directory holding a previous \
+             run's journal." ~docv:"DIR")
   in
   let resume_arg =
     Arg.(
@@ -651,9 +651,9 @@ let serve_cmd =
       & opt (some string) None
       & info [ "run-dir" ] ~docv:"DIR"
           ~doc:
-            "Serve durably: write-ahead journal + checkpoints under $(docv); \
-             drain checkpoints in-flight work so a restart with \
-             $(b,--resume) loses nothing.")
+            "Serve durably: write-ahead-journal every statement under \
+             $(docv) before acting on it, so a restart with $(b,--resume) \
+             loses nothing.")
   in
   let resume_flag =
     Arg.(
@@ -739,8 +739,8 @@ let serve_cmd =
          "Run the resilient serving daemon on a poll event loop: bounded \
           admission with explicit load-shedding, per-request deadlines, \
           per-client retry budgets, framed streaming with cancellation, \
-          health snapshots, graceful checkpointing drain that lets \
-          in-flight requests finish. $(b,--domains) sets the concurrent \
+          health snapshots, graceful drain that lets in-flight requests \
+          finish. $(b,--domains) sets the concurrent \
           decode slots, stepped in parallel on one domain each, and \
           $(b,--queue-cap) bounds the requests waiting for one")
     Term.(
@@ -777,8 +777,8 @@ let request_cmd =
       value & flag
       & info [ "drain" ]
           ~doc:
-            "Gracefully drain the daemon: stop admitting, finish or \
-             checkpoint in-flight requests, exit.")
+            "Gracefully drain the daemon: stop admitting, finish \
+             in-flight requests, exit.")
   in
   let ping_flag =
     Arg.(value & flag & info [ "ping" ] ~doc:"Liveness check only.")

@@ -104,12 +104,18 @@ let owner ~fingerprint ~desc_hash names =
 
 let rmf f = if Sys.file_exists f then Sys.remove f
 
-(* Forget a durable run dir's journal and checkpoint. *)
+(* The functions a run dir's journal seals, by name. *)
+let sealed dir =
+  let rc = R.Journal.read ~path:(Vega.Pipeline.journal_path dir) () in
+  List.sort compare
+    (List.map
+       (fun (c : R.Journal.completed) -> c.R.Journal.c_fname)
+       (snd (R.Journal.replay rc.R.Journal.r_records)))
+
+(* Forget a durable run dir's journal. *)
 let clear dir =
   rmf (Vega.Pipeline.journal_path dir);
-  rmf (Vega.Pipeline.journal_path dir ^ ".tmp");
-  rmf (Vega.Pipeline.checkpoint_path dir);
-  rmf (Vega.Pipeline.checkpoint_path dir ^ ".tmp")
+  rmf (Vega.Pipeline.journal_path dir ^ ".tmp")
 
 (* Forget a result cache's entries. *)
 let clear_cache dir =

@@ -253,29 +253,27 @@ let retrieval_decoder t = Retrieval.decode t.retrieval
    fork whose stats the parent absorbs after the join. Results keep
    bundle order regardless of scheduling, so parallel output is
    bit-identical to sequential. *)
-let with_worker_sups ?sup ~domains run =
-  let subs =
-    Array.init domains (fun w ->
-        Option.map (Vega_robust.Supervisor.fork ~index:w) sup)
-  in
-  let results = run (fun w -> subs.(w)) in
-  Option.iter
-    (fun parent ->
-      Array.iter
-        (Option.iter (Vega_robust.Supervisor.absorb parent))
-        subs)
-    sup;
-  results
+let map_bundles ?sup ~domains t f =
+  if domains <= 1 then List.map (f sup) t.prep.bundles
+  else begin
+    let subs =
+      Array.init domains (fun w ->
+          Option.map (Vega_robust.Supervisor.fork ~index:w) sup)
+    in
+    let results =
+      Vega_util.Par.map_ctx ~domains ~ctx:(fun w -> subs.(w)) f t.prep.bundles
+    in
+    Option.iter
+      (fun parent ->
+        Array.iter (Option.iter (Vega_robust.Supervisor.absorb parent)) subs)
+      sup;
+    results
+  end
 
 let generate_backend ?fallback ?report ?sup ?(domains = 1) t ~target ~decoder =
-  let gen sup b =
-    Generate.run ?fallback ?report ?sup t.prep.ctx b.tpl b.analysis b.hints
-      ~target ~decoder
-  in
-  if domains <= 1 then List.map (gen sup) t.prep.bundles
-  else
-    with_worker_sups ?sup ~domains (fun ctx ->
-        Vega_util.Par.map_ctx ~domains ~ctx gen t.prep.bundles)
+  map_bundles ?sup ~domains t (fun sup b ->
+      Generate.run ?fallback ?report ?sup t.prep.ctx b.tpl b.analysis b.hints
+        ~target ~decoder)
 
 let generate_function ?fallback ?report ?sup t ~target ~decoder ~fname =
   Option.map
@@ -285,10 +283,9 @@ let generate_function ?fallback ?report ?sup t ~target ~decoder ~fname =
     (bundle_for t.prep fname)
 
 (* ------------------------------------------------------------------ *)
-(* Crash-safe durable generation: write-ahead journal + checkpoints     *)
+(* Crash-safe durable generation: the write-ahead journal               *)
 
 module J = Vega_robust.Journal
-module Ckpt = Vega_robust.Checkpoint
 
 let fingerprint t ~target =
   (* ties a run directory to one prepared pipeline + target: same
@@ -311,7 +308,6 @@ type durable_outcome = {
 }
 
 let journal_path run_dir = Filename.concat run_dir "journal.log"
-let checkpoint_path run_dir = Filename.concat run_dir "checkpoint.ckpt"
 
 let rec mkdir_p dir =
   if dir <> "" && not (Sys.file_exists dir) then begin
@@ -358,76 +354,50 @@ let func_of_completed b target (c : J.completed) =
     gf_stmts = List.map gen_of_stmt c.J.c_stmts;
   }
 
-(* Cross-check the snapshot against journal replay; the journal wins.
-   Any disagreement or corruption is recorded and the snapshot ignored. *)
-let check_snapshot report ~cpath ~fp completed =
-  let reject message =
-    Vega_robust.Report.record report ~stage:"checkpoint"
-      (Vega_robust.Fault.Stage_failure { stage = "checkpoint"; message })
-  in
-  match Ckpt.load ~path:cpath with
-  | Ok c when c.Ckpt.c_fingerprint <> fp ->
-      reject "snapshot fingerprint mismatch; using journal replay"
-  | Ok c ->
-      let in_journal (f : J.completed) =
-        List.exists (fun (g : J.completed) -> g = f) completed
-      in
-      if not (List.for_all in_journal c.Ckpt.c_funcs) then
-        reject "snapshot disagrees with journal replay; using journal replay"
-  | Error e ->
-      if Sys.file_exists cpath then
-        reject (Printf.sprintf "corrupt snapshot (%s); using journal replay" e)
+(* The one recorder of a durable run, shared by batch generation and
+   the serving layer so that both write the same bytes. *)
+type journal = { writer : J.writer; unsubscribe : unit -> unit }
 
-let open_journal ?kill_at ~report ~resume ~fp ~target run_dir =
+let open_journal ?kill_at ~report ~resume t ~target run_dir =
   mkdir_p run_dir;
   let jpath = journal_path run_dir in
-  if resume then begin
-    let rc = J.read ~report ~path:jpath () in
-    match J.replay rc.J.r_records with
-    | Some (J.Header h), completed
-      when h.version = J.version && h.target = target && h.fingerprint = fp ->
-        (* compact the torn tail away so fresh appends extend the
-           recovered prefix, not a half-written record *)
-        if rc.J.r_torn then J.rewrite ~path:jpath rc.J.r_records;
-        Ok (J.open_append ?kill_at ~path:jpath (), completed, rc.J.r_torn)
-    | Some (J.Header _), _ ->
-        Error
-          "journal belongs to a different run (target or pipeline \
-           fingerprint mismatch)"
-    | _ -> Error "journal has no valid header; nothing to resume"
-  end
-  else if Sys.file_exists jpath then
-    Error
-      (Printf.sprintf "%s already exists; resume the run instead of starting \
-                       a new one"
-         jpath)
-  else
-    Ok
-      ( J.create ?kill_at ~path:jpath
-          (J.Header { version = J.version; target; fingerprint = fp }),
-        [],
-        false )
-
-let generate_backend_durable ?fallback ?report ?sup ?(resume = false) ?kill_at
-    ?(checkpoint_every = 4) ?(domains = 1) ~run_dir t ~target ~decoder =
-  let report =
-    match report with Some r -> r | None -> Vega_robust.Report.create ()
-  in
-  let cpath = checkpoint_path run_dir in
   let fp = fingerprint t ~target in
-  match open_journal ?kill_at ~report ~resume ~fp ~target run_dir with
-  | Error _ as e -> e
-  | Ok (w, completed, torn) ->
-      if resume then check_snapshot report ~cpath ~fp completed;
-      let done_tbl = Hashtbl.create 64 in
-      List.iter
-        (fun (c : J.completed) -> Hashtbl.replace done_tbl c.J.c_fname c)
-        completed;
-      (* faults are journaled ahead like statements *)
-      let cancel =
+  let opened =
+    if resume then begin
+      let rc = J.read ~report ~path:jpath () in
+      match J.replay rc.J.r_records with
+      | Some (J.Header h), completed
+        when h.version = J.version && h.target = target && h.fingerprint = fp ->
+          (* compact the torn tail away so fresh appends extend the
+             recovered prefix, not a half-written record *)
+          if rc.J.r_torn then J.rewrite ~path:jpath rc.J.r_records;
+          Ok (J.open_append ?kill_at ~path:jpath (), completed, rc.J.r_torn)
+      | Some (J.Header _), _ ->
+          Error
+            "journal belongs to a different run (target or pipeline \
+             fingerprint mismatch)"
+      | _ -> Error "journal has no valid header; nothing to resume"
+    end
+    else if Sys.file_exists jpath then
+      Error
+        (Printf.sprintf "%s already exists; resume the run instead of \
+                         starting a new one"
+           jpath)
+    else
+      Ok
+        ( J.create ?kill_at ~path:jpath
+            (J.Header { version = J.version; target; fingerprint = fp }),
+          [],
+          false )
+  in
+  Result.map
+    (fun (writer, completed, torn) ->
+      (* faults are journaled ahead like statements, from here on: one
+         recorded while reading the old journal is not *)
+      let unsubscribe =
         Vega_robust.Report.subscribe report
           (fun (ev : Vega_robust.Report.event) ->
-            J.append w
+            J.append writer
               (J.Fault_ev
                  {
                    stage = ev.Vega_robust.Report.ev_stage;
@@ -435,62 +405,66 @@ let generate_backend_durable ?fallback ?report ?sup ?(resume = false) ?kill_at
                    backtrace = ev.Vega_robust.Report.ev_backtrace;
                  }))
       in
-      let resumed = ref 0 and generated = ref 0 in
-      let finished = ref (List.rev completed) in
-      (* guards the progress counters, the finished list and checkpoint
-         writes when generation fans out over domains; journal appends
-         carry their own lock *)
-      let progress = Mutex.create () in
+      ({ writer; unsubscribe }, completed, torn))
+    opened
+
+let journal_begin j fname =
+  J.append j.writer (J.Func_begin fname);
+  fun s -> J.append j.writer (J.Stmt (stmt_of_gen fname s))
+
+let journal_end j (gf : Generate.gen_func) =
+  J.append j.writer
+    (J.Func_end
+       {
+         fname = gf.Generate.gf_fname;
+         confidence = gf.Generate.gf_confidence;
+         n_stmts = List.length gf.Generate.gf_stmts;
+       })
+
+let journal_records j = J.written j.writer
+
+let close_journal j =
+  j.unsubscribe ();
+  J.close j.writer
+
+let generate_backend_durable ?fallback ?report ?sup ?(resume = false) ?kill_at
+    ?(domains = 1) ~run_dir t ~target ~decoder =
+  let report =
+    match report with Some r -> r | None -> Vega_robust.Report.create ()
+  in
+  match open_journal ?kill_at ~report ~resume t ~target run_dir with
+  | Error _ as e -> e
+  | Ok (j, completed, torn) ->
+      let done_tbl = Hashtbl.create 64 in
+      List.iter
+        (fun (c : J.completed) -> Hashtbl.replace done_tbl c.J.c_fname c)
+        completed;
+      let resumed = Atomic.make 0 and generated = Atomic.make 0 in
       let gen_bundle sup b =
-        let fname = b.spec.Vega_corpus.Spec.fname in
-        match Hashtbl.find_opt done_tbl fname with
+        match Hashtbl.find_opt done_tbl b.spec.Vega_corpus.Spec.fname with
         | Some c ->
-            Mutex.protect progress (fun () -> incr resumed);
+            Atomic.incr resumed;
             func_of_completed b target c
         | None ->
-            J.append w (J.Func_begin fname);
+            let on_stmt = journal_begin j b.spec.Vega_corpus.Spec.fname in
             let gf =
-              Generate.run ?fallback ~report ?sup
-                ~on_stmt:(fun s -> J.append w (J.Stmt (stmt_of_gen fname s)))
-                t.prep.ctx b.tpl b.analysis b.hints ~target ~decoder
+              Generate.run ?fallback ~report ?sup ~on_stmt t.prep.ctx b.tpl
+                b.analysis b.hints ~target ~decoder
             in
-            J.append w
-              (J.Func_end
-                 {
-                   fname;
-                   confidence = gf.Generate.gf_confidence;
-                   n_stmts = List.length gf.Generate.gf_stmts;
-                 });
-            Mutex.protect progress (fun () ->
-                incr generated;
-                finished := completed_of_gen fname gf :: !finished;
-                if !generated mod checkpoint_every = 0 then
-                  Ckpt.save ~path:cpath
-                    {
-                      Ckpt.c_version = Ckpt.version;
-                      c_target = target;
-                      c_fingerprint = fp;
-                      c_funcs = List.rev !finished;
-                    });
+            journal_end j gf;
+            Atomic.incr generated;
             gf
       in
       let funcs =
         Fun.protect
-          ~finally:(fun () ->
-            cancel ();
-            J.close w)
-          (fun () ->
-            if domains <= 1 then List.map (gen_bundle sup) t.prep.bundles
-            else
-              with_worker_sups ?sup ~domains (fun ctx ->
-                  Vega_util.Par.map_ctx ~domains ~ctx gen_bundle
-                    t.prep.bundles))
+          ~finally:(fun () -> close_journal j)
+          (fun () -> map_bundles ?sup ~domains t gen_bundle)
       in
       Ok
         {
           d_funcs = funcs;
-          d_resumed = !resumed;
-          d_generated = !generated;
-          d_records = J.written w;
+          d_resumed = Atomic.get resumed;
+          d_generated = Atomic.get generated;
+          d_records = journal_records j;
           d_torn = torn;
         }

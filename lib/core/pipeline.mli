@@ -107,10 +107,9 @@ val generate_function :
 (** {1 Crash-safe durable generation}
 
     A durable run write-ahead-journals every statement before acting on
-    it and snapshots completed functions periodically; after a crash it
-    resumes from the journal and produces output bit-identical to an
-    uninterrupted run. Journal replay — not the snapshot — is the source
-    of truth. *)
+    it; the journal is all its run directory holds. After a crash it
+    resumes by replaying the journal and produces output bit-identical
+    to an uninterrupted run. *)
 
 val fnames : t -> string list
 (** The interface functions a backend consists of, in bundle order. *)
@@ -129,39 +128,54 @@ type durable_outcome = {
 }
 
 val journal_path : string -> string
-val checkpoint_path : string -> string
-(** Layout of a run directory. *)
+(** The journal of a run directory. *)
 
 val mkdir_p : string -> unit
 (** Create a directory and its missing parents. *)
+
+type journal
+(** The open journal of a durable run: the one recorder that
+    {!generate_backend_durable} and the serving layer ([vega.serve])
+    both write through, so both produce the same records. While open it
+    journals every fault recorded in its report as a [Fault_ev]. *)
 
 val open_journal :
   ?kill_at:int ->
   report:Vega_robust.Report.t ->
   resume:bool ->
-  fp:string ->
+  t ->
   target:string ->
   string ->
-  (Vega_robust.Journal.writer * Vega_robust.Journal.completed list * bool,
-   string)
-  result
-(** Open the journal of a run directory (created if missing), shared by
-    {!generate_backend_durable} and the serving layer. A fresh run
-    refuses an existing journal and writes the header; [resume:true]
-    checks the header against [target] and the fingerprint [fp],
-    compacts a torn tail away and reopens for appending. Returns the
-    writer, the functions the journal completed, and whether its tail
-    was torn; [Error] says why the directory cannot be used. *)
+  (journal * Vega_robust.Journal.completed list * bool, string) result
+(** Open the journal of a run directory (created if missing). A fresh
+    run refuses an existing journal and writes the header; [resume:true]
+    checks the header against [target] and the pipeline's
+    {!fingerprint}, compacts a torn tail away and reopens for appending.
+    Returns the journal, the functions it completed, and whether its
+    tail was torn; [Error] says why the directory cannot be used. Faults
+    recorded while reading an old journal are not journaled. [kill_at]
+    arms {!Vega_robust.Journal.Killed}. *)
 
-val stmt_of_gen : string -> Generate.gen_stmt -> Vega_robust.Journal.stmt
+val journal_begin : journal -> string -> Generate.gen_stmt -> unit
+(** [journal_begin j fname] journals [Func_begin fname] and returns the
+    [on_stmt] hook that journals each of its statements. *)
+
+val journal_end : journal -> Generate.gen_func -> unit
+(** Seal a function begun with {!journal_begin}. *)
+
+val journal_records : journal -> int
+(** Records appended since the journal was opened. *)
+
+val close_journal : journal -> unit
+(** Stop journaling faults, then close the file. *)
+
 val completed_of_gen :
   string -> Generate.gen_func -> Vega_robust.Journal.completed
 val func_of_completed :
   bundle -> string -> Vega_robust.Journal.completed -> Generate.gen_func
-(** Conversions between generation results and their journal records,
-    shared with the serving layer ([vega.serve]), which journals
-    per-request instead of per-backend but must replay to the same
-    bit-identical functions. *)
+(** Conversions between generation results and replayed journal
+    entries, shared with the serving layer, which keeps both kinds in
+    one table and must answer with the same bit-identical functions. *)
 
 val generate_backend_durable :
   ?fallback:Generate.decoder ->
@@ -169,16 +183,13 @@ val generate_backend_durable :
   ?sup:Vega_robust.Supervisor.t ->
   ?resume:bool ->
   ?kill_at:int ->
-  ?checkpoint_every:int ->
   ?domains:int ->
   run_dir:string ->
   t -> target:string -> decoder:Generate.decoder ->
   (durable_outcome, string) result
 (** Whole-backend generation under the write-ahead journal in
     [run_dir]. Fresh runs refuse an existing journal; [resume:true]
-    replays it (recovering a torn tail and compacting it away, and
-    cross-checking the checkpoint snapshot against replay — a corrupt or
-    disagreeing snapshot is recorded as a fault and ignored), restores
+    replays it (recovering a torn tail and compacting it away), restores
     completed functions, and regenerates only the rest. Functions whose
     statement trail was cut mid-write regenerate from scratch, so the
     final output is bit-identical to an uninterrupted run.

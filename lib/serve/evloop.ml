@@ -358,9 +358,9 @@ let admit t cs (req : Proto.request) =
       end
 
 (* Drain lets in-flight work finish: the gate closes at once (new
-   requests are rejected as [Draining]), but the service drains — final
-   checkpoint, journal closed — and the drain reply goes out only once
-   no connection holds a stream, active or waiting. *)
+   requests are rejected as [Draining]), but the service drains — its
+   journal closed — and the drain reply goes out only once no
+   connection holds a stream, active or waiting. *)
 let finish_drain t =
   if
     t.e_stopping && (not t.e_drained)

@@ -3,8 +3,8 @@
    A snapshot is a plain record so in-process callers can assert on it,
    plus a wire encoding so the socket's `health` command ships the same
    fields. Readiness is the admission gate: only [Ready] admits; a
-   [Draining] server finishes (or checkpoints) what it has and a
-   [Stopped] one has closed its journal.
+   [Draining] server finishes what it has and a [Stopped] one has
+   closed its journal.
 
    The queue and slot fields belong to the event loop, which fills them
    into every health and drain reply it sends; a bare server reports 0

@@ -12,16 +12,15 @@
    ([stream_start]) steps it: the event loop, which alone queues,
    sheds and parallelises streams; the router; or [request], which
    steps one to its final on the calling domain. In durable mode every
-   request's statements are write-ahead-journaled exactly as in
-   Pipeline.generate_backend_durable, so a kill mid-request resumes to
-   bit-identical output.
+   request's statements are write-ahead-journaled through Pipeline's
+   one recorder, the one Pipeline.generate_backend_durable writes
+   through, so a kill mid-request resumes to bit-identical output.
 
    Lock order: a thread holds at most one of [st_lock] and the journal
    lock at a time. *)
 
 module Sup = Vega_robust.Supervisor
 module J = Vega_robust.Journal
-module Ckpt = Vega_robust.Checkpoint
 module Report = Vega_robust.Report
 module Degrade = Vega_robust.Degrade
 module Pipeline = Vega.Pipeline
@@ -37,7 +36,6 @@ type config = {
   deadline_ms : int;  (* default per-request budget; 0 = none *)
   client_burst : float;  (* token-bucket capacity per client *)
   client_rate : float;  (* token refill per second *)
-  checkpoint_every : int;  (* snapshot period, in completed requests *)
 }
 
 let default_config =
@@ -47,7 +45,6 @@ let default_config =
     deadline_ms = 0;
     client_burst = 32.0;
     client_rate = 8.0;
-    checkpoint_every = 4;
   }
 
 (* A completed function plus whether it was restored from the journal
@@ -66,12 +63,9 @@ type t = {
   base_sup : Sup.t;
       (* fork parent for streams; a stream's own fork is folded back in
          when it settles *)
-  journal : J.writer option;
-  cancel_fault_sub : unit -> unit;
-  fp : string;
+  journal : Pipeline.journal option;
   st_lock : Mutex.t;
   done_tbl : (string, done_entry) Hashtbl.t;  (* by fname; st_lock *)
-  mutable done_order : J.completed list;  (* completion order, reversed *)
   mutable state : Health.state;
   mutable accepted : int;
   mutable rejected : int;
@@ -79,9 +73,7 @@ type t = {
   mutable cancelled : int;  (* streams aborted by cancel/disconnect *)
   mutable stream_seq : int;  (* fork-index source for stream supervisors *)
   mutable busy : int;
-  mutable generated : int;
   mutable killed : int option;  (* Journal.Killed payload, if crashed *)
-  run_dir : string option;
   epoch : int;  (* respawn generation, stamped by the fleet supervisor *)
 }
 
@@ -108,20 +100,7 @@ let done_reply t (gf : Generate.gen_func) ~restored =
 let record_completed t fname (gf : Generate.gen_func) =
   let c = Pipeline.completed_of_gen fname gf in
   Mutex.protect t.st_lock (fun () ->
-      Hashtbl.replace t.done_tbl fname { de_completed = c; de_restored = false };
-      t.done_order <- c :: t.done_order;
-      t.generated <- t.generated + 1;
-      match t.run_dir with
-      | Some dir when t.generated mod t.cfg.checkpoint_every = 0 ->
-          Ckpt.save
-            ~path:(Pipeline.checkpoint_path dir)
-            {
-              Ckpt.c_version = Ckpt.version;
-              c_target = t.target;
-              c_fingerprint = t.fp;
-              c_funcs = List.rev t.done_order;
-            }
-      | _ -> ())
+      Hashtbl.replace t.done_tbl fname { de_completed = c; de_restored = false })
 
 (* A request whose deadline passed while it waited for an event-loop
    slot is rejected there and never started: the caller has already
@@ -143,31 +122,17 @@ let create ?(config = default_config) ?fallback ?report ?sup_config ?now
   let now = match now with Some f -> f | None -> Unix.gettimeofday in
   let sup_cfg = Option.value ~default:Sup.default_config sup_config in
   let base_sup = Sup.create ~now ?sleep sup_cfg in
-  let fp = Pipeline.fingerprint pipeline ~target in
   let journal_setup =
     match run_dir with
     | None -> Ok (None, [])
     | Some dir ->
         Result.map
-          (fun (w, completed, _torn) -> (Some w, completed))
-          (Pipeline.open_journal ?kill_at ~report ~resume ~fp ~target dir)
+          (fun (j, completed, _torn) -> (Some j, completed))
+          (Pipeline.open_journal ?kill_at ~report ~resume pipeline ~target dir)
   in
   match journal_setup with
   | Error _ as e -> e
   | Ok (journal, restored) ->
-      let cancel_fault_sub =
-        match journal with
-        | None -> fun () -> ()
-        | Some w ->
-            Report.subscribe report (fun (ev : Report.event) ->
-                J.append w
-                  (J.Fault_ev
-                     {
-                       stage = ev.Report.ev_stage;
-                       fault = ev.Report.ev_fault;
-                       backtrace = ev.Report.ev_backtrace;
-                     }))
-      in
       let t =
         {
           cfg = config;
@@ -182,11 +147,8 @@ let create ?(config = default_config) ?fallback ?report ?sup_config ?now
           now;
           base_sup;
           journal;
-          cancel_fault_sub;
-          fp;
           st_lock = Mutex.create ();
           done_tbl = Hashtbl.create 64;
-          done_order = [];
           state = Health.Starting;
           accepted = 0;
           rejected = 0;
@@ -194,17 +156,14 @@ let create ?(config = default_config) ?fallback ?report ?sup_config ?now
           cancelled = 0;
           stream_seq = 0;
           busy = 0;
-          generated = 0;
           killed = None;
-          run_dir;
           epoch;
         }
       in
       List.iter
         (fun (c : J.completed) ->
           Hashtbl.replace t.done_tbl c.J.c_fname
-            { de_completed = c; de_restored = true };
-          t.done_order <- c :: t.done_order)
+            { de_completed = c; de_restored = true })
         restored;
       t.state <- Health.Ready;
       Ok t
@@ -349,12 +308,8 @@ let stream_begin t s =
         let bundle =
           Option.get (Pipeline.bundle_for t.pipeline.Pipeline.prep req.rq_fname)
         in
-        Option.iter (fun w -> J.append w (J.Func_begin req.rq_fname)) t.journal;
         let on_stmt =
-          Option.map
-            (fun w st ->
-              J.append w (J.Stmt (Pipeline.stmt_of_gen req.rq_fname st)))
-            t.journal
+          Option.map (fun j -> Pipeline.journal_begin j req.rq_fname) t.journal
         in
         Sgenerate
           (Generate.start ?fallback:t.fallback ~report:t.report ~sup:s.sr_sup
@@ -418,16 +373,7 @@ let rec step_unsettled t s =
       match Generate.step sp with
       | Generate.Step_stmt st -> Sstmt st
       | Generate.Step_done gf ->
-          Option.iter
-            (fun w ->
-              J.append w
-                (J.Func_end
-                   {
-                     fname = s.sr_req.rq_fname;
-                     confidence = gf.Generate.gf_confidence;
-                     n_stmts = List.length gf.Generate.gf_stmts;
-                   }))
-            t.journal;
+          Option.iter (fun j -> Pipeline.journal_end j gf) t.journal;
           record_completed t s.sr_req.rq_fname gf;
           let reply = done_reply t gf ~restored:false in
           settle t s reply;
@@ -509,7 +455,7 @@ let health t =
         h_deadline_hits = (Sup.stats t.base_sup).Sup.sup_deadline_hits;
         h_breaker_open = false;
         h_journal_records =
-          (match t.journal with Some w -> J.written w | None -> 0);
+          Option.fold ~none:0 ~some:Pipeline.journal_records t.journal;
         h_journal_lag = t.accepted - t.completed;
         h_cancelled = t.cancelled;
         h_epoch = t.epoch;
@@ -540,23 +486,7 @@ let drain t =
   in
   if proceed then begin
     let killed = Mutex.protect t.st_lock (fun () -> t.killed) in
-    (* final checkpoint — unless the simulated crash happened, in which
-       case the process "died" and must leave only the journal behind *)
-    (match (t.run_dir, killed) with
-    | Some dir, None ->
-        Mutex.protect t.st_lock (fun () ->
-            if t.generated > 0 then
-              Ckpt.save
-                ~path:(Pipeline.checkpoint_path dir)
-                {
-                  Ckpt.c_version = Ckpt.version;
-                  c_target = t.target;
-                  c_fingerprint = t.fp;
-                  c_funcs = List.rev t.done_order;
-                })
-    | _ -> ());
-    t.cancel_fault_sub ();
-    Option.iter J.close t.journal;
+    Option.iter Pipeline.close_journal t.journal;
     Mutex.protect t.st_lock (fun () -> t.state <- Health.Stopped);
     match killed with Some n -> raise (J.Killed n) | None -> ()
   end

@@ -1,10 +1,11 @@
 (* Tests for the crash-safe durability layer: the checksummed wire
    format, the write-ahead journal (append, torn-tail recovery, replay),
-   checkpoint snapshots, the supervisor (deadline, backoff, circuit
-   breaker), and kill/resume determinism over the real pipeline. *)
+   the supervisor (deadline, backoff, circuit breaker), and kill/resume
+   determinism over the real pipeline. *)
 
 module V = Vega
 module R = Vega_robust
+module S = Vega_serve
 module J = R.Journal
 
 let fresh_dir =
@@ -284,62 +285,6 @@ let test_journal_replay () =
   Alcotest.(check (list int)) "restart resets the trail" [ 9 ]
     (List.map (fun s -> s.J.j_line) i.J.c_stmts)
 
-(* ---------------- checkpoint ---------------- *)
-
-let sample_ckpt =
-  {
-    R.Checkpoint.c_version = R.Checkpoint.version;
-    c_target = "RISCV";
-    c_fingerprint = "deadbeef";
-    c_funcs =
-      [
-        {
-          J.c_fname = "getRelocType";
-          c_confidence = 1.0;
-          c_stmts = [ sample_stmt; { sample_stmt with J.j_line = 8 } ];
-        };
-        { J.c_fname = "empty"; c_confidence = 0.0; c_stmts = [] };
-      ];
-  }
-
-let test_checkpoint_roundtrip () =
-  let dir = fresh_dir "ckpt" in
-  let path = Filename.concat dir "checkpoint.ckpt" in
-  R.Checkpoint.save ~path sample_ckpt;
-  (match R.Checkpoint.load ~path with
-  | Ok c -> Alcotest.(check bool) "snapshot round-trips" true (c = sample_ckpt)
-  | Error e -> Alcotest.failf "load failed: %s" e);
-  (* corrupt one byte anywhere: load must reject, not crash *)
-  let ic = open_in_bin path in
-  let contents = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  let flip i =
-    let b = Bytes.of_string contents in
-    Bytes.set b i (if Bytes.get b i = 'x' then 'y' else 'x');
-    let oc = open_out_bin path in
-    output_bytes oc b;
-    close_out oc
-  in
-  List.iter
-    (fun i ->
-      flip (i * String.length contents / 7);
-      match R.Checkpoint.load ~path with
-      | Error _ -> ()
-      | Ok c ->
-          Alcotest.(check bool) "mutation either harmless or rejected" true
-            (c = sample_ckpt))
-    [ 0; 1; 2; 3; 4; 5 ];
-  (* truncated file: reject *)
-  let oc = open_out_bin path in
-  output_string oc (String.sub contents 0 (String.length contents / 2));
-  close_out oc;
-  (match R.Checkpoint.load ~path with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "truncated snapshot accepted");
-  match R.Checkpoint.load ~path:(Filename.concat dir "none.ckpt") with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "missing snapshot accepted"
-
 (* ---------------- supervisor ---------------- *)
 
 let virtual_sup ?(cfg = R.Supervisor.default_config) () =
@@ -596,6 +541,47 @@ let test_durable_matches_plain () =
           Alcotest.(check string) "restored run identical" (render plain)
             (render o2.V.Pipeline.d_funcs))
 
+(* The functions a run dir's journal seals, by name. *)
+let sealed dir =
+  let rc = J.read ~path:(V.Pipeline.journal_path dir) () in
+  List.sort compare
+    (List.map (fun c -> c.J.c_fname) (snd (J.replay rc.J.r_records)))
+
+(* Batch generation and the server journal through one recorder: a
+   durable server asked for every function in bundle order writes the
+   batch run's journal byte for byte. *)
+let test_one_journal_format () =
+  let t = Lazy.force Test_robust.pipeline in
+  let decoder = V.Pipeline.retrieval_decoder t in
+  let journal dir =
+    In_channel.with_open_bin (V.Pipeline.journal_path dir) In_channel.input_all
+  in
+  let batch_dir = fresh_dir "batch" in
+  (match
+     V.Pipeline.generate_backend_durable ~run_dir:batch_dir t ~target:"RISCV"
+       ~decoder
+   with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "batch run failed: %s" e);
+  let serve_dir = fresh_dir "serve" in
+  let config = { S.Server.default_config with S.Server.client_burst = 1000.0 } in
+  (match S.Server.create ~config ~run_dir:serve_dir t ~target:"RISCV" ~decoder with
+  | Error e -> Alcotest.failf "durable server failed: %s" e
+  | Ok srv ->
+      List.iter
+        (fun f ->
+          match
+            S.Server.request srv (S.Proto.request ~client:"j" ~target:"RISCV" f)
+          with
+          | S.Proto.Done _ -> ()
+          | r -> Alcotest.failf "%s: %s" f (S.Proto.encode_reply r))
+        (V.Pipeline.fnames t);
+      S.Server.drain srv);
+  let batch = journal batch_dir and served = journal serve_dir in
+  Alcotest.(check int) "same journal length" (String.length batch)
+    (String.length served);
+  Alcotest.(check bool) "server journal = batch journal" true (batch = served)
+
 let test_kill_resume_identical () =
   let t = Lazy.force Test_robust.pipeline in
   let decoder = V.Pipeline.retrieval_decoder t in
@@ -712,13 +698,14 @@ let suite =
     Alcotest.test_case "worker jitter domains 1/2/4" `Quick
       test_worker_jitter_domains;
     Alcotest.test_case "journal replay" `Quick test_journal_replay;
-    Alcotest.test_case "checkpoint round-trip" `Quick test_checkpoint_roundtrip;
     Alcotest.test_case "backoff determinism" `Quick test_backoff_determinism;
     Alcotest.test_case "breaker transitions" `Quick test_breaker_transitions;
     Alcotest.test_case "retry with backoff" `Quick test_retry_backoff;
     Alcotest.test_case "per-function deadline" `Quick test_deadline;
     Alcotest.test_case "durable run matches plain" `Quick
       test_durable_matches_plain;
+    Alcotest.test_case "server journal = batch journal" `Quick
+      test_one_journal_format;
     Alcotest.test_case "kill/resume bit-identical" `Quick
       test_kill_resume_identical;
     Alcotest.test_case "breaker permafail durable" `Quick

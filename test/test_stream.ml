@@ -163,8 +163,6 @@ let second_fname =
 
 (* ---------------- frame wire properties ---------------- *)
 
-let float_eq a b = a = b || (Float.is_nan a && Float.is_nan b)
-
 let gen_frame =
   let open QCheck.Gen in
   let token = string_size ~gen:printable (int_range 0 10) in
@@ -212,7 +210,6 @@ let gen_frame =
 (* [compare] (unlike [=]) treats nan as equal to itself, which is what
    a round-trip through the hex-float wire encoding preserves. *)
 let frame_eq (a : S.Proto.frame) b = compare a b = 0
-let _ = float_eq
 
 let test_frame_roundtrip =
   QCheck.Test.make ~count:500 ~name:"frame encode/decode round-trips"
@@ -656,7 +653,7 @@ let test_expired_waiting_for_slot () =
 (* Drain lets in-flight work finish. With one slot, one stream decoding
    and one waiting: a request arriving meanwhile is rejected as
    Draining, the drain reply waits for both streams, and the service
-   drains only after them, so its final checkpoint holds both. *)
+   drains only after them, so its journal seals both. *)
 let test_drain_waits_for_streams () =
   let t = Lazy.force pipeline in
   let dir = fresh_dir "drain_wait" in
@@ -703,13 +700,9 @@ let test_drain_waits_for_streams () =
   | None -> Alcotest.fail "no drain reply");
   settle e;
   Alcotest.(check bool) "engine stopped" true (Ev.stopped e);
-  match R.Checkpoint.load ~path:(V.Pipeline.checkpoint_path dir) with
-  | Ok ck ->
-      Alcotest.(check (list string)) "checkpoint holds both functions"
-        (List.sort compare [ busy; other ])
-        (List.sort compare
-           (List.map (fun c -> c.R.Journal.c_fname) ck.R.Checkpoint.c_funcs))
-  | Error e -> Alcotest.failf "no checkpoint: %s" e
+  Alcotest.(check (list string)) "the drained journal seals both functions"
+    (List.sort compare [ busy; other ])
+    (Test_durable.sealed dir)
 
 (* ---------------- peer-fault chaos (scripted) ---------------- *)
 
@@ -962,7 +955,7 @@ let test_evloop_socket_end_to_end () =
 
 (* The same drain over a real socket: one stream decoding, one waiting
    for the only slot, then [drain]. Both end Done, the daemon exits
-   without an exception, and the checkpoint holds both functions.
+   without an exception, and the journal seals both functions.
    [start] puts the journaled server behind a socket daemon, directly
    or as a router's only shard. *)
 let drain_in_flight ~start =
@@ -1013,13 +1006,9 @@ let drain_in_flight ~start =
         && hs.S.Health.h_journal_lag = 0)
   | None -> Alcotest.fail "no drain reply");
   Ev.wait h;
-  match R.Checkpoint.load ~path:(V.Pipeline.checkpoint_path dir) with
-  | Ok ck ->
-      Alcotest.(check (list string)) "checkpoint holds both functions"
-        (List.sort compare [ busy; other ])
-        (List.sort compare
-           (List.map (fun c -> c.R.Journal.c_fname) ck.R.Checkpoint.c_funcs))
-  | Error e -> Alcotest.failf "no checkpoint: %s" e
+  Alcotest.(check (list string)) "the drained journal seals both functions"
+    (List.sort compare [ busy; other ])
+    (Test_durable.sealed dir)
 
 let test_socket_drain_in_flight () =
   drain_in_flight ~start:(fun ~cfg srv ~path -> Ev.start ~cfg srv ~path)
