@@ -736,7 +736,7 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve"
        ~doc:
-         "Run the resilient serving daemon on a poll event loop: bounded \
+         "Run the resilient serving daemon on a select() event loop: bounded \
           admission with explicit load-shedding, per-request deadlines, \
           per-client retry budgets, framed streaming with cancellation, \
           health snapshots, graceful drain that lets in-flight requests \

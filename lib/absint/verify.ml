@@ -137,8 +137,3 @@ let sem_errors ds =
 
 let report_diags r = List.concat_map (fun fv -> fv.fv_diags) r.v_funcs @ r.v_asm
 let diag_count r = List.length (report_diags r)
-
-let sem_count r =
-  List.length (List.filter (fun (d : D.t) -> d.D.cls = D.Sem) (report_diags r))
-
-let error_count r = List.length (List.filter D.is_error (report_diags r))

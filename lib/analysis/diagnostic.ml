@@ -100,8 +100,6 @@ let to_string d =
     (match d.severity with Error -> " error:" | Warning -> " warning:")
     d.msg d.rule (taxonomy d)
 
-let pp fmt d = Format.pp_print_string fmt (to_string d)
-
 (* span first (diagnostics without one sort last), then rule ID, then
    message: a total, deterministic order regardless of which pass or
    domain emitted what first *)

@@ -73,13 +73,3 @@ let lint_target vfs (p : Vega_target.Profile.t) =
 let report_diags r = List.concat_map (fun fr -> fr.fr_diags) r.r_funcs
 let error_count r = List.length (List.filter D.is_error (report_diags r))
 let diag_count r = List.length (report_diags r)
-
-let pp_report fmt r =
-  Format.fprintf fmt "target %s: %d function(s), %d diagnostic(s)@."
-    r.r_target (List.length r.r_funcs) (diag_count r);
-  List.iter
-    (fun fr ->
-      List.iter
-        (fun d -> Format.fprintf fmt "  %s@." (D.to_string d))
-        fr.fr_diags)
-    r.r_funcs

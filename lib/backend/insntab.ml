@@ -36,7 +36,6 @@ type t = {
   infos : info list;
   opc : (int, info) Hashtbl.t;
   enm : (string, info) Hashtbl.t;
-  mnem : (string, info) Hashtbl.t;
 }
 
 let sem_of_enum = function
@@ -108,23 +107,20 @@ let build catalog =
                 })
       (Vega_tdlang.Catalog.records catalog)
   in
-  let opc = Hashtbl.create 64 and enm = Hashtbl.create 64 and mnem = Hashtbl.create 64 in
+  let opc = Hashtbl.create 64 and enm = Hashtbl.create 64 in
   List.iter
     (fun i ->
       Hashtbl.replace opc i.opcode i;
-      Hashtbl.replace enm i.enum_name i;
-      if not (Hashtbl.mem mnem i.mnemonic) then Hashtbl.add mnem i.mnemonic i)
+      Hashtbl.replace enm i.enum_name i)
     infos;
-  { infos; opc; enm; mnem }
+  { infos; opc; enm }
 
 let by_opcode t o = Hashtbl.find_opt t.opc o
 let by_enum t e = Hashtbl.find_opt t.enm e
-let by_mnemonic t m = Hashtbl.find_opt t.mnem m
 
 let opcode_exn t e =
   match by_enum t e with
   | Some i -> i.opcode
   | None -> invalid_arg (Printf.sprintf "Insntab.opcode_exn: no %s" e)
 
-let mem_enum t e = Hashtbl.mem t.enm e
 let all t = t.infos

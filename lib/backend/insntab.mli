@@ -45,9 +45,7 @@ val build : Vega_tdlang.Catalog.t -> t
 
 val by_opcode : t -> int -> info option
 val by_enum : t -> string -> info option
-val by_mnemonic : t -> string -> info option
 val opcode_exn : t -> string -> int
 (** Opcode of a canonical enum name. @raise Invalid_argument. *)
 
-val mem_enum : t -> string -> bool
 val all : t -> info list

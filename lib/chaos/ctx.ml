@@ -102,6 +102,22 @@ let owner ~fingerprint ~desc_hash names =
   fun fname ->
     Sh.Ring.lookup ring (Sh.Cache.request_key ~fingerprint ~desc_hash ~fname)
 
+(* One command line through the front door a [route] daemon runs (a
+   scripted event loop over the router's service), and the line the
+   loop writes back before any tick: the answer to a line it rejects
+   outright, such as one from another protocol version. *)
+let route_line router line =
+  let e =
+    S.Evloop.make ~cfg:S.Evloop.default_config ~log:None
+      ~steps:(List.map (fun run -> run ()))
+      (Vega_shard.Rsock.service router)
+  in
+  match S.Evloop.open_conn e with
+  | None -> ""
+  | Some id ->
+      S.Evloop.feed e id (line ^ "\n");
+      String.trim (S.Evloop.take_output e id ~max:max_int)
+
 let rmf f = if Sys.file_exists f then Sys.remove f
 
 (* The functions a run dir's journal seals, by name. *)

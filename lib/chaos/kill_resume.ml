@@ -1,6 +1,7 @@
 (* Kill-and-resume determinism: crash a durable run after K journal
    records, tear the tail mid-record, resume, and require output
-   bit-identical to an uninterrupted run. *)
+   bit-identical to an uninterrupted run, with every function the torn
+   journal seals restored rather than regenerated. *)
 
 module R = Vega_robust
 
@@ -44,6 +45,7 @@ let run (cx : Ctx.t) ~kill_at =
                  lone header, without which there is nothing to resume *)
               if k > 1 then
                 R.Journal.tear ~path:(Vega.Pipeline.journal_path dir);
+              let sealed = List.length (Ctx.sealed dir) in
               (match
                  Vega.Pipeline.generate_backend_durable ~resume:true
                    ~domains ~run_dir:dir t ~target ~decoder
@@ -66,6 +68,21 @@ let run (cx : Ctx.t) ~kill_at =
                   let resumed = o.Vega.Pipeline.d_resumed
                   and regenerated = o.Vega.Pipeline.d_generated
                   and nfuncs = List.length refo.Vega.Pipeline.d_funcs in
+                  check
+                    (Printf.sprintf
+                       "%s: resume restores the %d function(s) the \
+                        journal seals (kill-at %d)"
+                       name sealed k)
+                    (resumed = sealed);
+                  (* the crash and the tear cost the journal its last
+                     two records, so at most two seals *)
+                  if k = total - 1 then
+                    check
+                      (Printf.sprintf
+                         "%s: the journal seals all but at most two \
+                          function(s) (kill-at %d)"
+                         name k)
+                      (sealed >= nfuncs - 2);
                   if render o.Vega.Pipeline.d_funcs <> expect then
                     violation
                       "%s: resumed output differs from the uninterrupted \

@@ -244,7 +244,7 @@ let run (cx : Ctx.t) ~rounds =
                    never a crash or a silent drop *)
                 (match
                    S.Proto.decode_reply
-                     (F.request_line fleet
+                     (Ctx.route_line (F.router fleet)
                         (S.Proto.encode_command_at ~version:99
                            (S.Proto.Creq (mkreq (List.hd fleet_fnames)))))
                  with

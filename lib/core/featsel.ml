@@ -62,7 +62,6 @@ let add_target ctx target =
     }
 
 let prop_names t = List.map (fun p -> p.pname) t.props
-let find_prop t name = List.find_opt (fun p -> p.pname = name) t.props
 let view t target = List.find_opt (fun v -> v.tv_target = target) t.views
 
 let pattern t ~col ~line ~slot = List.assoc_opt (col, line, slot) t.slot_patterns

@@ -56,7 +56,6 @@ type t = {
 }
 
 val prop_names : t -> string list
-val find_prop : t -> string -> prop option
 val view : t -> string -> target_view option
 val pattern : t -> col:int -> line:int -> slot:int -> pattern_item list option
 

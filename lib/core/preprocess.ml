@@ -103,10 +103,6 @@ let similar_lines a b =
 let units_similar u v =
   List.length u = List.length v && List.for_all2 similar_lines u v
 
-let unit_shape unit =
-  String.concat "|"
-    (List.map (fun l -> Printf.sprintf "%s:%d" l.kind (List.length l.tokens)) unit)
-
 (* Closing braces are structural, not repeatable content: a unit made only
    of them must never collapse (it would unbalance generated functions). *)
 let collapsible unit = List.exists (fun l -> l.kind <> "close") unit
@@ -159,5 +155,3 @@ let item_head = function
   | Repeat (inst :: _) -> (
       match inst with l :: _ -> l | [] -> invalid_arg "item_head: empty unit")
   | Repeat [] -> invalid_arg "item_head: empty repeat"
-
-let item_lines = function Single l -> [ l ] | Repeat insts -> List.concat insts

@@ -41,12 +41,6 @@ val run : Vega_srclang.Ast.func -> helpers:Vega_srclang.Ast.func list -> citem l
 val item_head : citem -> cline
 (** Representative first line of an item. *)
 
-val item_lines : citem -> cline list
-(** All lines of an item, instances concatenated. *)
-
-val unit_shape : cline list -> string
-(** Shape key of a unit (kinds + token counts); used by tests. *)
-
 val similar_lines : cline -> cline -> bool
 (** Same kind and token-LCS similarity at least 0.5 — the repeat-unit
     shape equivalence. *)

@@ -312,8 +312,6 @@ let build ~fname ~module_ impls ~signature_lines =
   in
   { fname; module_; signature; signatures = signature_lines; columns; targets }
 
-let presence (_ : t) col target = List.mem_assoc target col.occurrences
-
 (* The function-definition statement viewed as a pseudo-column (used with
    column index -1 by feature selection and generation). *)
 let signature_column t =
@@ -322,6 +320,3 @@ let signature_column t =
     repeated = false;
     occurrences = List.map (fun (tn, l) -> (tn, [ [ l ] ])) t.signatures;
   }
-
-let stmt_count t =
-  1 + List.fold_left (fun acc c -> acc + List.length c.unit) 0 t.columns

@@ -54,13 +54,6 @@ val build : fname:string -> module_:Vega_target.Module_id.t ->
     collapsed items), with per-target signature lines aligned into
     [signature]. *)
 
-val presence : t -> column -> string -> bool
-(** Does the target implement this column (the paper's [has])? *)
-
 val signature_column : t -> column
 (** The function-definition statement as a pseudo-column (used with
     column index -1 by feature selection and generation). *)
-
-val stmt_count : t -> int
-(** Number of statement templates (columns counted by unit length) plus
-    the signature. *)

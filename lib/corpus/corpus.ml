@@ -25,9 +25,6 @@ let all_specs : Spec.t list =
   Spec_sel.all @ Spec_reg.all @ Spec_opt.all @ Spec_sch.all @ Spec_emi.all
   @ Spec_ass.all @ Spec_dis.all
 
-let specs_of_module m =
-  List.filter (fun (s : Spec.t) -> s.module_ = m) all_specs
-
 let find_spec fname = List.find_opt (fun (s : Spec.t) -> s.fname = fname) all_specs
 
 (* ARM (as in the paper's Fig. 2) hides the body of getRelocType behind a

@@ -25,7 +25,6 @@ type t = {
 val all_specs : Spec.t list
 (** Every interface-function spec across the seven modules. *)
 
-val specs_of_module : Vega_target.Module_id.t -> Spec.t list
 val find_spec : string -> Spec.t option
 
 val reference :

@@ -34,11 +34,9 @@ let not_ a = Ast.Unop (Ast.Not, a)
 let neg a = Ast.Unop (Ast.Neg, a)
 
 let decl ty name init = Ast.Decl (ty, name, Some init)
-let decl0 ty name = Ast.Decl (ty, name, None)
 let assign lhs rhs = Ast.Assign (Ast.Set, lhs, rhs)
 let expr e = Ast.Expr e
 let ret e = Ast.Return (Some e)
-let ret0 = Ast.Return None
 let if_ c t = Ast.If (c, t, [])
 let ifelse c t e = Ast.If (c, t, e)
 let switch scrut arms default = Ast.Switch (scrut, arms, default)
@@ -46,13 +44,3 @@ let arm labels body = { Ast.labels; body }
 let break_ = Ast.Break
 
 let unreachable msg = expr (call "llvm_unreachable" [ s msg ])
-
-(** Build a function value. *)
-let func ?cls ~ret:ret_type ~name ~params body =
-  {
-    Ast.ret_type;
-    cls;
-    name;
-    params = List.map (fun (ptype, pname) -> { Ast.ptype; pname }) params;
-    body;
-  }

@@ -355,13 +355,6 @@ let multi_source_share fns =
   ratio (List.length (List.filter (fun f -> f.fe_multi_source) fns)) (List.length fns)
 
 (* ------------------------------------------------------------------ *)
-(* Robustness counters                                                  *)
-
-let degraded_stmts fns = List.fold_left (fun a f -> a + f.fe_degraded) 0 fns
-let omitted_stmts fns = List.fold_left (fun a f -> a + f.fe_omitted) 0 fns
-let timeout_count fns = List.length (List.filter (fun f -> f.fe_timeout) fns)
-
-(* ------------------------------------------------------------------ *)
 (* Static-analysis correlation: how much of pass@1 failure the analyzer
    predicts without running anything                                     *)
 

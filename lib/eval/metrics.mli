@@ -87,13 +87,6 @@ val conf1_share : fn_eval list -> float
 
 val multi_source_share : fn_eval list -> float
 
-(** {1 Robustness counters} *)
-
-val degraded_stmts : fn_eval list -> int
-val omitted_stmts : fn_eval list -> int
-val timeout_count : fn_eval list -> int
-(** Functions whose pass@1 failure was a fuel timeout. *)
-
 (** {1 Static-analysis correlation} *)
 
 val static_flag_rate : fn_eval list -> float

@@ -38,9 +38,7 @@
 module Fault = Vega_robust.Fault
 module Report = Vega_robust.Report
 module J = Vega_robust.Journal
-module Wire = Vega_robust.Wire
 module Rng = Vega_util.Rng
-module Proto = Vega_serve.Proto
 module Health = Vega_serve.Health
 module Server = Vega_serve.Server
 module Router = Vega_shard.Router
@@ -380,38 +378,6 @@ let request t req =
 let health t =
   tick t;
   Router.health t.router
-
-(* Wire-line front door mirroring Rsock's version gating, so the chaos
-   harness can compose version-skewed peers against the fleet without
-   a socket: a well-formed line from another protocol version gets the
-   typed mismatch rejection, never a parse fault. *)
-let request_line t line =
-  match Proto.decode_command line with
-  | Proto.Malformed ->
-      Proto.encode_reply
-        (Proto.Rejected (Proto.Bad_request "unparseable command line"))
-  | Proto.Version_skew { got } ->
-      Proto.encode_reply
-        (Proto.Rejected
-           (Proto.Version_mismatch { got; want = Proto.version }))
-  | Proto.Decoded (Proto.Creq req) -> Proto.encode_reply (request t req)
-  | Proto.Decoded (Proto.Cstream req) ->
-      (* one line in, one line out: the harness's line API cannot carry
-         a frame stream, so answer with the terminal frame only (the
-         shape a cache hit streams anyway) *)
-      Proto.encode_frame (Proto.Ffinal (request t req))
-  | Proto.Decoded Proto.Ccancel ->
-      Proto.encode_reply
-        (Proto.Rejected (Proto.Bad_request "cancel outside a stream"))
-  | Proto.Decoded Proto.Chealth -> Health.encode (health t)
-  | Proto.Decoded Proto.Cping -> Wire.encode_line [ "pong" ]
-  | Proto.Decoded Proto.Cshards -> Router.encode_status (Router.status t.router)
-  | Proto.Decoded Proto.Cdrain ->
-      List.iter
-        (fun (_, srv) ->
-          try Server.drain srv with J.Killed _ | Fault.Fault _ -> ())
-        (servers t);
-      Health.encode (Router.health t.router)
 
 (* Drain the live fleet for shutdown/merge: quarantined corpses are
    skipped (their journals are already the source of truth), a crashed-

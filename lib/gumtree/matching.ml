@@ -7,7 +7,6 @@ type mapping = {
 let create () = { fwd = Hashtbl.create 64; bwd = Hashtbl.create 64; plist = [] }
 let pairs m = List.rev m.plist
 let src_of m (n : Tree.t) = Hashtbl.find_opt m.fwd n.id
-let dst_of m (n : Tree.t) = Hashtbl.find_opt m.bwd n.id
 let mapped_src m (n : Tree.t) = Hashtbl.mem m.fwd n.id
 let mapped_dst m (n : Tree.t) = Hashtbl.mem m.bwd n.id
 

@@ -17,9 +17,6 @@ val pairs : mapping -> (Tree.t * Tree.t) list
 val src_of : mapping -> Tree.t -> Tree.t option
 (** Image of a [t1]-node. *)
 
-val dst_of : mapping -> Tree.t -> Tree.t option
-(** Preimage of a [t2]-node. *)
-
 val dice : mapping -> Tree.t -> Tree.t -> float
 (** Dice coefficient over matched descendants of two containers. *)
 

@@ -64,18 +64,3 @@ let align left right =
       else walk i (j + 1) ({ left = None; right = Some j } :: acc)
   in
   walk 0 0 []
-
-let function_similarity left right =
-  let slots = align left right in
-  let total = List.length slots in
-  if total = 0 then 1.0
-  else
-    let s =
-      List.fold_left
-        (fun acc { left = l; right = r } ->
-          match (l, r) with
-          | Some i, Some j -> acc +. pair_similarity left.(i) right.(j)
-          | _ -> acc)
-        0.0 slots
-    in
-    s /. float_of_int total

@@ -16,9 +16,3 @@ val align :
 
 val pair_similarity : string * string list -> string * string list -> float
 (** Score used for pairing: 0 when kinds differ, else token-LCS dice. *)
-
-val function_similarity :
-  (string * string list) array -> (string * string list) array -> float
-(** Mean pairing score over aligned columns; used to pick the most similar
-    existing implementation (ForkFlow fork source, multi-source
-    attribution). *)

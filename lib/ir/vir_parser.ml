@@ -222,8 +222,3 @@ let parse src =
     (String.split_on_char '\n' src);
   if st.cur_name <> None then raise (Error "unterminated function");
   { Vir.funcs = List.rev st.funcs; globals = List.rev st.globals }
-
-let parse_func src =
-  match (parse src).Vir.funcs with
-  | [ f ] -> f
-  | _ -> raise (Error "expected exactly one function")

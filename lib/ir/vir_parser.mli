@@ -19,6 +19,3 @@ exception Error of string
 
 val parse : string -> Vir.modul
 (** @raise Error with a line number on malformed input. *)
-
-val parse_func : string -> Vir.func
-(** Parse a single function. @raise Error. *)

@@ -60,6 +60,3 @@ let mk_inst opcode ops = { opcode; ops }
 
 let iter_insts mf f =
   List.iter (fun b -> List.iter (f b) b.minsts) mf.mblocks
-
-let inst_count mf =
-  List.fold_left (fun acc b -> acc + List.length b.minsts) 0 mf.mblocks

@@ -2,9 +2,6 @@ module T = Tensor
 
 type config = { d_model : int; d_hidden : int; max_len : int; vocab_size : int }
 
-let default_config ~vocab_size =
-  { d_model = 40; d_hidden = 64; max_len = 96; vocab_size }
-
 (* one GRU cell over a 1 x d state *)
 type cell = {
   wz : Layers.linear;

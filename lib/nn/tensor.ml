@@ -88,7 +88,6 @@ let param rng ?scale rows cols =
   { data = d; rows; cols; grad = buf_make (rows * cols); is_param = true }
 
 let get t i j = A1.get t.data ((i * t.cols) + j)
-let set_ t i j v = A1.set t.data ((i * t.cols) + j) v
 let get_flat t i = A1.get t.data i
 let set_flat_ t i v = A1.set t.data i v
 let grad_flat t i = A1.get t.grad i

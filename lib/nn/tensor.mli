@@ -48,10 +48,6 @@ val param : Vega_util.Rng.t -> ?scale:float -> int -> int -> t
 
 val numel : t -> int
 val get : t -> int -> int -> float
-val set_ : t -> int -> int -> float -> unit
-(** In-place raw write (rounds to float32); only for building constant
-    inputs. *)
-
 val get_flat : t -> int -> float
 val set_flat_ : t -> int -> float -> unit
 (** Flat-index access into the row-major storage. *)
@@ -60,7 +56,7 @@ val grad_flat : t -> int -> float
 val zero_grad : t -> unit
 val to_array : t -> float array
 val grad_to_array : t -> float array
-(** Boxed copies, for tests and serialization. *)
+(** Boxed copies, for tests. *)
 
 (** {1 Tape} *)
 

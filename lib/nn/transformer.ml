@@ -13,9 +13,6 @@ type config = {
   vocab_size : int;
 }
 
-let default_config ~vocab_size =
-  { d_model = 48; heads = 4; d_ff = 96; n_layers = 2; max_len = 96; vocab_size }
-
 type t = {
   cfg : config;
   tok_emb : T.t;

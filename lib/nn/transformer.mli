@@ -14,8 +14,6 @@ type config = {
   vocab_size : int;
 }
 
-val default_config : vocab_size:int -> config
-
 type t
 
 val create : ?seed:int -> config -> t

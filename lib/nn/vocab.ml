@@ -28,10 +28,7 @@ let specials =
   @ List.init max_copy copy_token
   @ List.init max_sv (fun i -> Printf.sprintf "<SV%d>" i)
 
-let pad = 0
-let cls = 1
 let e2d = 2
-let sep = 3
 let eos = 4
 let unk = 5
 

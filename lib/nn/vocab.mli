@@ -7,10 +7,7 @@
 type t
 
 val specials : string list
-val pad : int
-val cls : int
 val e2d : int
-val sep : int
 val eos : int
 val unk : int
 

@@ -23,4 +23,4 @@ val cap : level -> float
 val name : level -> string
 
 val of_name : string -> level option
-(** Inverse of {!name}, for journal and report deserialization. *)
+(** Inverse of {!name}, for journal deserialization. *)

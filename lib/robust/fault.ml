@@ -159,7 +159,7 @@ let to_string = function
         where
 
 (* Wire representation: constructor tag followed by its payload fields,
-   consumed by the journal and the report serializer. *)
+   consumed by the journal. *)
 let to_fields = function
   | Decoder_failure { fname; stage; message } ->
       [ "decoder-failure"; fname; stage; message ]

@@ -97,7 +97,7 @@ val to_string : t -> string
 
 val to_fields : t -> string list
 (** Wire representation (constructor tag + payload fields) used by the
-    {!Journal} and {!Report} serializers. *)
+    {!Journal}. *)
 
 val of_fields : string list -> t option
 (** Inverse of {!to_fields}; [None] on an unknown tag or bad payload. *)

@@ -95,67 +95,3 @@ let summary r =
              counts)
   in
   Printf.sprintf "faults: %s; degradation: %s" fault_part degr_part
-
-(* ------------------------------------------------------------------ *)
-(* Serialization: checksummed wire lines, one per event/degradation, in
-   observation order. Subscribers are runtime-only and not persisted.   *)
-
-let serialize r =
-  let ev_line e =
-    Wire.encode_line
-      ("event" :: e.ev_stage :: e.ev_backtrace :: Fault.to_fields e.ev_fault)
-  in
-  let degr_line d =
-    Wire.encode_line
-      [
-        "degr";
-        d.d_fname;
-        string_of_int d.d_col;
-        string_of_int d.d_line;
-        string_of_int d.d_inst;
-        Degrade.name d.d_level;
-      ]
-  in
-  String.concat "\n"
-    (List.map ev_line (events r) @ List.map degr_line (degradations r))
-  ^ "\n"
-
-let parse s =
-  let r = create () in
-  let lines =
-    List.filter (fun l -> l <> "") (String.split_on_char '\n' s)
-  in
-  let rec go = function
-    | [] -> Ok r
-    | line :: rest -> (
-        match Wire.decode_line line with
-        | None -> Error (Printf.sprintf "corrupt report line: %S" line)
-        | Some ("event" :: stage :: backtrace :: fault_fields) -> (
-            match Fault.of_fields fault_fields with
-            | Some fault ->
-                record ~backtrace r ~stage fault;
-                go rest
-            | None -> Error (Printf.sprintf "unknown fault record: %S" line))
-        | Some [ "degr"; fname; col; line_; inst; level ] -> (
-            match
-              ( int_of_string_opt col,
-                int_of_string_opt line_,
-                int_of_string_opt inst,
-                Degrade.of_name level )
-            with
-            | Some col, Some line_, Some inst, Some level ->
-                record_degradation r ~fname ~col ~line:line_ ~inst level;
-                go rest
-            | _ -> Error (Printf.sprintf "bad degradation record: %S" line))
-        | Some _ -> Error (Printf.sprintf "unknown report record: %S" line))
-  in
-  go lines
-
-let equal a b =
-  List.equal
-    (fun x y ->
-      x.ev_stage = y.ev_stage && x.ev_fault = y.ev_fault
-      && x.ev_backtrace = y.ev_backtrace)
-    (events a) (events b)
-  && List.equal (fun (x : degradation) y -> x = y) (degradations a)
-       (degradations b)

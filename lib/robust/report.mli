@@ -2,9 +2,6 @@
     generated at a degraded rung. The fault-injection invariants check
     against this record — each injected fault must appear here.
 
-    Reports serialize to the checksummed wire format (and back) so a
-    durable run can persist its fault history next to the journal.
-
     Recording, degradation recording and subscription are mutex-guarded:
     one report may be shared by parallel generation domains. The lock is
     held across subscriber notification, so subscribers see events in
@@ -56,13 +53,3 @@ val count_level : t -> Degrade.level -> int
 val by_level : t -> (Degrade.level * int) list
 
 val summary : t -> string
-
-val serialize : t -> string
-(** Checksummed wire lines, one per event/degradation, in observation
-    order. Subscribers are runtime-only state and are not persisted. *)
-
-val parse : string -> (t, string) result
-(** Inverse of {!serialize}; [Error] names the first corrupt line. *)
-
-val equal : t -> t -> bool
-(** Event and degradation lists are equal (order-sensitive). *)

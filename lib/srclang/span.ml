@@ -10,6 +10,4 @@ let make ~line ~col = { line; col }
 let dummy = { line = 0; col = 0 }
 let is_dummy s = s.line = 0
 let to_string s = Printf.sprintf "%d:%d" s.line s.col
-let pp fmt s = Format.pp_print_string fmt (to_string s)
 let compare (a : t) (b : t) = compare (a.line, a.col) (b.line, b.col)
-let equal (a : t) (b : t) = a = b

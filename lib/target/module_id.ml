@@ -27,16 +27,4 @@ let of_name = function
   | "DIS" -> Some DIS
   | _ -> None
 
-let equal (a : t) (b : t) = a = b
 let compare (a : t) (b : t) = compare a b
-let pp fmt m = Format.pp_print_string fmt (name m)
-
-(** Long description, used by reports. *)
-let describe = function
-  | SEL -> "Instruction Selection"
-  | REG -> "Register Allocation"
-  | OPT -> "Optimization"
-  | SCH -> "Scheduling"
-  | EMI -> "Code Emission"
-  | ASS -> "Assembly Parsing"
-  | DIS -> "Disassembly"

@@ -161,14 +161,6 @@ let build vfs dirs =
     files;
   t
 
-let prop_candidates t =
-  let names = Hashtbl.create 64 in
-  let collect tbl = Hashtbl.iter (fun k _ -> Hashtbl.replace names k ()) tbl in
-  collect t.classes;
-  collect t.enums;
-  collect t.globals;
-  Hashtbl.fold (fun k () acc -> k :: acc) names [] |> List.sort compare
-
 let is_prop t name =
   Hashtbl.mem t.classes name || Hashtbl.mem t.enums name || Hashtbl.mem t.globals name
 

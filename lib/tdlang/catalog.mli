@@ -18,10 +18,6 @@ val build : Vfs.t -> string list -> t
     numbering is deterministic. Parse failures in individual files are
     logged and skipped (the corpus should never produce them). *)
 
-val prop_candidates : t -> string list
-(** Sorted class names + enum names + global (record prototype field /
-    extern) names — the paper's PropList. *)
-
 val is_prop : t -> string -> bool
 
 val find_word : t -> string -> string list

@@ -152,4 +152,3 @@ let parse_all src =
 
 let parse src = fst (parse_all src)
 let classes src = snd (parse_all src)
-let class_names src = List.map fst (classes src)

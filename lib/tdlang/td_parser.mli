@@ -12,10 +12,7 @@ exception Error of string
 
 val parse : string -> Td_ast.record list
 (** Records in file order; [class] prototypes contribute no records but
-    their names are returned by {!class_names}. @raise Error. *)
-
-val class_names : string -> string list
-(** Names introduced by [class] declarations in a [.td] source. *)
+    their names are returned by {!classes}. @raise Error. *)
 
 val classes : string -> (string * string list) list
 (** [class] declarations with their prototype field names; field names are

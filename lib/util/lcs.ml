@@ -38,21 +38,3 @@ let similarity ~eq xs ys =
   let n = Array.length xs and m = Array.length ys in
   if n = 0 && m = 0 then 1.0
   else 2.0 *. float_of_int (lcs_length ~eq xs ys) /. float_of_int (n + m)
-
-type 'a aligned = Both of 'a * 'a | Left of 'a | Right of 'a
-
-let align ~eq xs ys =
-  let pairs = lcs ~eq xs ys in
-  let n = Array.length xs and m = Array.length ys in
-  let rec emit i j pairs acc =
-    match pairs with
-    | (pi, pj) :: rest ->
-        if i < pi then emit (i + 1) j pairs (Left xs.(i) :: acc)
-        else if j < pj then emit i (j + 1) pairs (Right ys.(j) :: acc)
-        else emit (i + 1) (j + 1) rest (Both (xs.(i), ys.(j)) :: acc)
-    | [] ->
-        if i < n then emit (i + 1) j [] (Left xs.(i) :: acc)
-        else if j < m then emit i (j + 1) [] (Right ys.(j) :: acc)
-        else List.rev acc
-  in
-  emit 0 0 pairs []

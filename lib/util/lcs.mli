@@ -1,4 +1,4 @@
-(** Longest-common-subsequence and pairwise sequence alignment.
+(** Longest common subsequence.
 
     Used by templatization (Sec. 3.2.1 of the paper) to split matched
     statements into common code and variant placeholders, and by the
@@ -15,11 +15,3 @@ val lcs_length : eq:('a -> 'a -> bool) -> 'a array -> 'a array -> int
 val similarity : eq:('a -> 'a -> bool) -> 'a array -> 'a array -> float
 (** Dice-style similarity [2*|lcs| / (|xs| + |ys|)] in [0, 1]; 1.0 for two
     empty sequences. *)
-
-type 'a aligned =
-  | Both of 'a * 'a  (** elements paired by the LCS *)
-  | Left of 'a  (** element only present in the first sequence *)
-  | Right of 'a  (** element only present in the second sequence *)
-
-val align : eq:('a -> 'a -> bool) -> 'a array -> 'a array -> 'a aligned list
-(** Full alignment of the two sequences around their LCS. *)

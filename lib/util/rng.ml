@@ -12,10 +12,6 @@ let next t =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let split t =
-  let s = next t in
-  { state = s }
-
 let int t bound =
   assert (bound > 0);
   let v = Int64.to_int (Int64.shift_right_logical (next t) 2) in
@@ -24,8 +20,6 @@ let int t bound =
 let float t bound =
   let v = Int64.to_float (Int64.shift_right_logical (next t) 11) in
   v /. 9007199254740992.0 *. bound
-
-let bool t = Int64.logand (next t) 1L = 1L
 
 let gaussian t =
   let rec u () =
@@ -36,10 +30,6 @@ let gaussian t =
   sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2)
 
 let uniform t ~lo ~hi = lo +. float t (hi -. lo)
-
-let choose t arr =
-  assert (Array.length arr > 0);
-  arr.(int t (Array.length arr))
 
 let shuffle t arr =
   for i = Array.length arr - 1 downto 1 do

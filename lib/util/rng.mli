@@ -15,24 +15,16 @@ val index_seed : int -> int -> int
     decorrelated across indices. Supervisor forks, router shards and
     fleet slots each draw their jitter from one such stream. *)
 
-val split : t -> t
-(** Derive an independent generator; advances the parent. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. [bound] must be positive. *)
 
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 
-val bool : t -> bool
-
 val gaussian : t -> float
 (** Standard normal via Box–Muller. *)
 
 val uniform : t -> lo:float -> hi:float -> float
-
-val choose : t -> 'a array -> 'a
-(** Uniform element of a non-empty array. *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)

@@ -1,5 +1,3 @@
-let split_on c s = String.split_on_char c s |> List.filter (fun x -> x <> "")
-let lines s = String.split_on_char '\n' s
 let starts_with ~prefix s = String.starts_with ~prefix s
 let ends_with ~suffix s = String.ends_with ~suffix s
 
@@ -13,12 +11,6 @@ let contains_sub ~sub s =
 
 let lowercase = String.lowercase_ascii
 let uppercase = String.uppercase_ascii
-
-let partial_match a b =
-  if a = "" || b = "" then false
-  else
-    let a = lowercase a and b = lowercase b in
-    contains_sub ~sub:a b || contains_sub ~sub:b a
 
 let is_sep c = c = '_' || c = '.' || c = ':' || c = '-' || c = ' '
 let is_upper c = c >= 'A' && c <= 'Z'
@@ -66,20 +58,6 @@ let loose_one_way a b =
 let loose_match a b =
   if a = "" || b = "" then false else loose_one_way a b || loose_one_way b a
 
-let levenshtein a b =
-  let n = String.length a and m = String.length b in
-  let prev = Array.init (m + 1) (fun j -> j) in
-  let cur = Array.make (m + 1) 0 in
-  for i = 1 to n do
-    cur.(0) <- i;
-    for j = 1 to m do
-      let cost = if a.[i - 1] = b.[j - 1] then 0 else 1 in
-      cur.(j) <- min (min (cur.(j - 1) + 1) (prev.(j) + 1)) (prev.(j - 1) + cost)
-    done;
-    Array.blit cur 0 prev 0 (m + 1)
-  done;
-  prev.(m)
-
 let common_token_score a b =
   let wa = camel_words (lowercase a) and wb = camel_words (lowercase b) in
   match (wa, wb) with
@@ -88,24 +66,3 @@ let common_token_score a b =
       let shared = List.filter (fun w -> List.mem w wb) wa in
       2.0 *. float_of_int (List.length shared)
       /. float_of_int (List.length wa + List.length wb)
-
-let strip s = String.trim s
-
-let replace_all ~sub ~by s =
-  assert (sub <> "");
-  let n = String.length sub and m = String.length s in
-  let buf = Buffer.create m in
-  let i = ref 0 in
-  while !i < m do
-    if !i + n <= m && String.sub s !i n = sub then begin
-      Buffer.add_string buf by;
-      i := !i + n
-    end
-    else begin
-      Buffer.add_char buf s.[!i];
-      incr i
-    end
-  done;
-  Buffer.contents buf
-
-let concat_map sep f xs = String.concat sep (List.map f xs)

@@ -4,23 +4,11 @@
     matching between tokens and the right-hand sides of assignments in
     target description files; the matching primitives live here. *)
 
-val split_on : char -> string -> string list
-(** Split, dropping empty fields. *)
-
-val lines : string -> string list
-(** Split on ['\n'], keeping empty lines. *)
-
 val starts_with : prefix:string -> string -> bool
 val ends_with : suffix:string -> string -> bool
 
 val contains_sub : sub:string -> string -> bool
 (** Substring containment, case-sensitive. *)
-
-val partial_match : string -> string -> bool
-(** [partial_match a b] holds when the lowercase of [a] is a substring of
-    the lowercase of [b] or vice versa — the paper's "tok is a substring of
-    str or vice versa" test (Algorithm 1, lines 14 and 33). Empty strings
-    never match. *)
 
 val loose_match : string -> string -> bool
 (** Word-aware partial match used for Algorithm 1's common-code search
@@ -37,17 +25,5 @@ val camel_words : string -> string list
     ["IsPCRel"] -> [["Is"; "PC"; "Rel"]], ["fixup_arm_movt"] ->
     [["fixup"; "arm"; "movt"]]. *)
 
-val levenshtein : string -> string -> int
-(** Edit distance; used to rank candidate target-specific values. *)
-
 val common_token_score : string -> string -> float
 (** Fraction of camel words shared between two identifiers, in [0, 1]. *)
-
-val strip : string -> string
-(** Trim ASCII whitespace from both ends. *)
-
-val replace_all : sub:string -> by:string -> string -> string
-(** Replace every occurrence of [sub]. [sub] must be non-empty. *)
-
-val concat_map : string -> ('a -> string) -> 'a list -> string
-(** [concat_map sep f xs] = [String.concat sep (List.map f xs)]. *)

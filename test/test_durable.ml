@@ -118,7 +118,12 @@ let test_journal_record_roundtrip () =
       | Some r' ->
           Alcotest.(check bool) "record round-trips" true (record_eq r r')
       | None -> Alcotest.failf "undecodable: %s" (J.encode r))
-    sample_records;
+    (* a statement at every degradation level: the decoder reads the
+       level back by name *)
+    (sample_records
+    @ List.map
+        (fun level -> J.Stmt { sample_stmt with J.j_level = level })
+        R.Degrade.all);
   (* every fault constructor survives the journal *)
   List.iter
     (fun fault ->

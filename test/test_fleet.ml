@@ -144,7 +144,7 @@ let test_crash_respawn () =
     (* a version-skewed peer gets the typed mismatch, not a parse fault *)
     (match
        S.Proto.decode_reply
-         (F.request_line fleet
+         (Vega_chaos.Ctx.route_line (F.router fleet)
             (S.Proto.encode_command_at ~version:99
                (S.Proto.Creq (mk (List.hd names)))))
      with

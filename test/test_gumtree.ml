@@ -75,13 +75,6 @@ let qcheck_align_covers =
       ls = List.init (Array.length left) Fun.id
       && rs = List.init (Array.length right) Fun.id)
 
-let test_function_similarity () =
-  let a = mk_lines [ [ "x" ]; [ "y" ] ] in
-  Alcotest.(check (float 1e-9)) "self" 1.0 (G.Stmt_align.function_similarity a a);
-  let b = mk_lines [ [ "completely" ]; [ "different"; "tokens" ] ] in
-  Alcotest.(check bool) "dissimilar" true
-    (G.Stmt_align.function_similarity a b < 0.5)
-
 let suite =
   [
     Alcotest.test_case "isomorphic" `Quick test_isomorphic;
@@ -90,5 +83,4 @@ let suite =
     Alcotest.test_case "bottom up" `Quick test_bottom_up;
     Alcotest.test_case "align monotone" `Quick test_align_monotone;
     QCheck_alcotest.to_alcotest qcheck_align_covers;
-    Alcotest.test_case "function similarity" `Quick test_function_similarity;
   ]

@@ -167,87 +167,6 @@ let test_tensor_faults () =
   in
   Alcotest.(check bool) "tape recovered" true (Float.is_finite ok)
 
-let test_checkpoint_roundtrip () =
-  let rng = Rng.create 9 in
-  let a = T.param rng 3 4 and b = T.param rng 2 2 in
-  let path = Filename.temp_file "vega" ".ckpt" in
-  Vega_nn.Checkpoint.save ~path ~tokens:[ "alpha"; "beta" ] [ a; b ];
-  let a2 = T.zeros 3 4 and b2 = T.zeros 2 2 in
-  let tokens = Vega_nn.Checkpoint.load ~path [ a2; b2 ] in
-  Sys.remove path;
-  Alcotest.(check (list string)) "tokens" [ "alpha"; "beta" ] tokens;
-  Alcotest.(check (array (float 0.0))) "a data" (T.to_array a) (T.to_array a2);
-  Alcotest.(check (array (float 0.0))) "b data" (T.to_array b) (T.to_array b2)
-
-let test_checkpoint_shape_mismatch () =
-  let rng = Rng.create 10 in
-  let a = T.param rng 3 4 and b = T.param rng 2 2 in
-  let path = Filename.temp_file "vega" ".ckpt" in
-  Vega_nn.Checkpoint.save ~path [ a; b ] ;
-  (* first target matches, second does not: the loader must fail with a
-     typed shape mismatch and leave BOTH tensors untouched (validation
-     happens before any commit) *)
-  let ok = T.zeros 3 4 and wrong = T.zeros 4 1 in
-  T.set_flat_ ok 0 42.0;
-  (match Vega_nn.Checkpoint.load ~path [ ok; wrong ] with
-  | exception
-      Vega_nn.Checkpoint.Mismatch (Vega_nn.Checkpoint.Tensor_shape { index; _ })
-    ->
-      Alcotest.(check int) "mismatch index" 1 index
-  | _ -> Alcotest.fail "expected Mismatch (Tensor_shape _)");
-  Alcotest.(check (float 0.0)) "matching tensor untouched" 42.0 (T.get_flat ok 0);
-  Sys.remove path
-
-let test_checkpoint_count_mismatch () =
-  let rng = Rng.create 12 in
-  let a = T.param rng 2 2 in
-  let path = Filename.temp_file "vega" ".ckpt" in
-  Vega_nn.Checkpoint.save ~path [ a ];
-  (match Vega_nn.Checkpoint.load ~path [ T.zeros 2 2; T.zeros 2 2 ] with
-  | exception
-      Vega_nn.Checkpoint.Mismatch
-        (Vega_nn.Checkpoint.Tensor_count { ckpt; model })
-    ->
-      Alcotest.(check int) "ckpt count" 1 ckpt;
-      Alcotest.(check int) "model count" 2 model
-  | _ -> Alcotest.fail "expected Mismatch (Tensor_count _)");
-  Sys.remove path
-
-(* Legacy v1 checkpoints (interleaved dims + float64 payloads) must
-   still load, with values rounded to float32. *)
-let test_checkpoint_v1_compat () =
-  let path = Filename.temp_file "vega" ".ckpt" in
-  let values = [| 0.1; -2.5; 3.25; 1e-3 |] in
-  let oc = open_out_bin path in
-  output_string oc "VEGACKPT1";
-  output_binary_int oc 1;
-  output_binary_int oc 3;
-  output_string oc "tok";
-  output_binary_int oc 1;
-  output_binary_int oc 2;
-  output_binary_int oc 2;
-  Array.iter
-    (fun v ->
-      let bits = Int64.bits_of_float v in
-      for k = 0 to 7 do
-        output_char oc
-          (Char.chr
-             (Int64.to_int
-                (Int64.logand (Int64.shift_right_logical bits (8 * k)) 0xFFL)))
-      done)
-    values;
-  close_out oc;
-  let p = T.zeros 2 2 in
-  let tokens = Vega_nn.Checkpoint.load ~path [ p ] in
-  Sys.remove path;
-  Alcotest.(check (list string)) "v1 tokens" [ "tok" ] tokens;
-  Array.iteri
-    (fun i v ->
-      Alcotest.(check (float 0.0))
-        (Printf.sprintf "v1 value %d rounds to float32" i)
-        (T.round32 v) (T.get_flat p i))
-    values
-
 let test_gru_gradcheck () =
   let cfg = { Vega_nn.Gru.d_model = 6; d_hidden = 8; max_len = 16; vocab_size = 12 } in
   let g = Vega_nn.Gru.create ~seed:3 cfg in
@@ -615,17 +534,10 @@ let suite =
     Alcotest.test_case "vocab" `Quick test_vocab;
     Alcotest.test_case "transformer overfits" `Slow test_transformer_overfits;
     Alcotest.test_case "tensor faults are typed" `Quick test_tensor_faults;
-    Alcotest.test_case "checkpoint roundtrip" `Quick test_checkpoint_roundtrip;
-    Alcotest.test_case "checkpoint mismatch" `Quick test_checkpoint_shape_mismatch;
-    Alcotest.test_case "checkpoint count mismatch" `Quick
-      test_checkpoint_count_mismatch;
-    Alcotest.test_case "checkpoint v1 compat" `Quick test_checkpoint_v1_compat;
     Alcotest.test_case "gru gradcheck" `Quick test_gru_gradcheck;
     Alcotest.test_case "gru overfits" `Slow test_gru_overfits;
     Alcotest.test_case "kv cache bit-identical" `Quick
       (test_kv_cache_bitident ~slots:1);
-    Alcotest.test_case "kv cache bit-identical, 4 slots" `Quick
-      (test_kv_cache_bitident ~slots:4);
     Alcotest.test_case "decode engine >= 3x full re-decode" `Quick
       test_decode_speedup_floor;
     Alcotest.test_case "generate cached = uncached" `Quick
@@ -633,6 +545,8 @@ let suite =
     Alcotest.test_case "batch=1 bit-identical to uncached" `Quick
       test_generate_batch1_bitident;
     QCheck_alcotest.to_alcotest batch_composition_prop;
+    Alcotest.test_case "kv cache bit-identical, 4 slots" `Quick
+      (test_kv_cache_bitident ~slots:4);
     Alcotest.test_case "batcher coalesces concurrent decodes" `Quick
       test_batcher_concurrent;
     Alcotest.test_case "batcher bad source faults only its caller" `Quick

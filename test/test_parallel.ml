@@ -214,18 +214,22 @@ let test_parallel_durable_matches_plain () =
 
 let test_parallel_kill_resume () =
   (* faultcheck under parallel generation: a simulated crash in any
-     domain stops every worker; resume over the interleaved journal is
-     bit-identical to an uninterrupted run *)
+     domain stops every worker; resume over the interleaved journal
+     restores every function it seals and is bit-identical to an
+     uninterrupted run *)
   let t = Lazy.force Test_robust.pipeline in
   let decoder = V.Pipeline.retrieval_decoder t in
   let ref_dir = Test_durable.fresh_dir "par_ref" in
-  let expect, total =
+  let expect, total, nfuncs =
     match
       V.Pipeline.generate_backend_durable ~run_dir:ref_dir t ~target:"RISCV"
         ~decoder
     with
     | Error e -> Alcotest.failf "reference run failed: %s" e
-    | Ok o -> (Test_durable.render o.V.Pipeline.d_funcs, o.V.Pipeline.d_records)
+    | Ok o ->
+        ( Test_durable.render o.V.Pipeline.d_funcs,
+          o.V.Pipeline.d_records,
+          List.length o.V.Pipeline.d_funcs )
   in
   List.iter
     (fun k ->
@@ -241,6 +245,12 @@ let test_parallel_kill_resume () =
       | Ok _ -> Alcotest.fail "expected the simulated crash"
       | Error e -> Alcotest.failf "killed run setup failed: %s" e);
       J.tear ~path:(V.Pipeline.journal_path dir);
+      let sealed = List.length (Test_durable.sealed dir) in
+      (* the crash and the tear cost the journal its last two records,
+         so at most two seals *)
+      if k = total - 1 then
+        Alcotest.(check bool) "the journal seals all but at most two" true
+          (sealed >= nfuncs - 2);
       match
         V.Pipeline.generate_backend_durable ~resume:true ~domains:2
           ~run_dir:dir t ~target:"RISCV" ~decoder
@@ -249,6 +259,8 @@ let test_parallel_kill_resume () =
       | Ok o ->
           Alcotest.(check bool) "torn record recovered" true
             o.V.Pipeline.d_torn;
+          Alcotest.(check int) "every sealed function restored" sealed
+            o.V.Pipeline.d_resumed;
           Alcotest.(check string) "bit-identical to the uninterrupted run"
             expect
             (Test_durable.render o.V.Pipeline.d_funcs))

@@ -138,38 +138,6 @@ let test_stage_backtrace () =
             (String.length ev.R.Report.ev_backtrace > 0)
       | evs -> Alcotest.failf "expected one event, got %d" (List.length evs))
 
-let test_report_roundtrip () =
-  (* serialize -> parse -> equal, across every fault class and a
-     degradation at every rung *)
-  let r = R.Report.create () in
-  List.iteri
-    (fun i fault ->
-      let backtrace = if i mod 2 = 0 then "" else Printf.sprintf "frame %d" i in
-      R.Report.record ~backtrace r ~stage:(Printf.sprintf "stage%d" i) fault)
-    sample_faults;
-  List.iteri
-    (fun i level ->
-      R.Report.record_degradation r ~fname:(Printf.sprintf "f%d" i) ~col:i
-        ~line:(i * 2) ~inst:(-1) level)
-    R.Degrade.all;
-  match R.Report.parse (R.Report.serialize r) with
-  | Error e -> Alcotest.failf "parse failed: %s" e
-  | Ok r' ->
-      Alcotest.(check bool) "round-trip preserves the report" true
-        (R.Report.equal r r');
-      Alcotest.(check int) "every fault back" (R.Report.total r)
-        (R.Report.total r');
-      Alcotest.(check int) "every degradation back" (R.Report.degraded_count r)
-        (R.Report.degraded_count r');
-      (* a corrupt line is named, not swallowed *)
-      (match R.Report.parse (R.Report.serialize r ^ "garbage line\n") with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "corrupt serialization accepted");
-      (* the empty report round-trips too *)
-      (match R.Report.parse (R.Report.serialize (R.Report.create ())) with
-      | Ok e -> Alcotest.(check int) "empty stays empty" 0 (R.Report.total e)
-      | Error e -> Alcotest.failf "empty report parse failed: %s" e)
-
 let qcheck_ladder_caps =
   (* caps are strictly decreasing down the ladder, and the template rung
      sits below the 0.5 accept threshold *)
@@ -476,7 +444,6 @@ let suite =
     Alcotest.test_case "stage classify" `Quick test_stage_classify;
     Alcotest.test_case "stage protect" `Quick test_stage_protect;
     Alcotest.test_case "stage backtrace capture" `Quick test_stage_backtrace;
-    Alcotest.test_case "report round-trip" `Quick test_report_roundtrip;
     QCheck_alcotest.to_alcotest qcheck_ladder_caps;
     Alcotest.test_case "bounds-checked nth" `Quick test_bounds_nth;
     Alcotest.test_case "mean_token_prob nan" `Quick test_mean_token_prob_nan;

@@ -16,12 +16,6 @@ let test_lcs_empty () =
   Alcotest.(check (float 1e-9)) "similarity of empties" 1.0
     (Lcs.similarity ~eq:String.equal [||] [||])
 
-let test_align () =
-  let al = Lcs.align ~eq:String.equal [| "a"; "b" |] [| "b"; "c" |] in
-  match al with
-  | [ Lcs.Left "a"; Lcs.Both ("b", "b"); Lcs.Right "c" ] -> ()
-  | _ -> Alcotest.fail "unexpected alignment"
-
 let qcheck_lcs_bounds =
   QCheck.Test.make ~name:"lcs length bounded by min length" ~count:200
     QCheck.(pair (small_list small_nat) (small_list small_nat))
@@ -63,27 +57,6 @@ let test_loose_match () =
     (Strutil.loose_match "Modifier" "r");
   Alcotest.(check bool) "unrelated" false (Strutil.loose_match "Kind" "little")
 
-let test_partial_match () =
-  Alcotest.(check bool) "substring" true (Strutil.partial_match "ARM" "ARM::fixup");
-  Alcotest.(check bool) "empty never" false (Strutil.partial_match "" "x")
-
-let test_levenshtein () =
-  Alcotest.(check int) "kitten/sitting" 3 (Strutil.levenshtein "kitten" "sitting");
-  Alcotest.(check int) "identical" 0 (Strutil.levenshtein "abc" "abc")
-
-let qcheck_levenshtein_triangle =
-  QCheck.Test.make ~name:"levenshtein triangle inequality" ~count:100
-    QCheck.(triple (string_of_size (QCheck.Gen.return 5))
-              (string_of_size (QCheck.Gen.return 5))
-              (string_of_size (QCheck.Gen.return 5)))
-    (fun (a, b, c) ->
-      Strutil.levenshtein a c
-      <= Strutil.levenshtein a b + Strutil.levenshtein b c)
-
-let test_replace_all () =
-  Alcotest.(check string) "replace" "RISCV::fixup_RISCV"
-    (Strutil.replace_all ~sub:"Mips" ~by:"RISCV" "Mips::fixup_Mips")
-
 let test_rng_deterministic () =
   let a = Rng.create 42 and b = Rng.create 42 in
   let xs = List.init 20 (fun _ -> Rng.int a 1000) in
@@ -116,16 +89,11 @@ let suite =
   [
     Alcotest.test_case "lcs basic" `Quick test_lcs_basic;
     Alcotest.test_case "lcs empty" `Quick test_lcs_empty;
-    Alcotest.test_case "align" `Quick test_align;
     QCheck_alcotest.to_alcotest qcheck_lcs_bounds;
     QCheck_alcotest.to_alcotest qcheck_lcs_self;
     QCheck_alcotest.to_alcotest qcheck_similarity_sym;
     Alcotest.test_case "camel words" `Quick test_camel_words;
     Alcotest.test_case "loose match" `Quick test_loose_match;
-    Alcotest.test_case "partial match" `Quick test_partial_match;
-    Alcotest.test_case "levenshtein" `Quick test_levenshtein;
-    QCheck_alcotest.to_alcotest qcheck_levenshtein_triangle;
-    Alcotest.test_case "replace all" `Quick test_replace_all;
     Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
     Alcotest.test_case "rng bounds" `Quick test_rng_bounds;
     Alcotest.test_case "shuffle permutes" `Quick test_shuffle_permutes;
