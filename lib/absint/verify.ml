@@ -75,16 +75,7 @@ let verify_source ?reference ~fname src : D.t list =
 (* the reference backend of a target, as the evaluation harness builds
    it: every interface function's inlined reference as a hook source *)
 let conv_for vfs (p : P.t) =
-  let sources =
-    List.filter_map
-      (fun (spec : Vega_corpus.Spec.t) ->
-        Option.map
-          (fun f -> (spec.Vega_corpus.Spec.fname, f))
-          (C.reference_inlined spec p))
-      C.all_specs
-  in
-  let hooks = B.Hooks.create vfs ~target:p.P.name ~sources in
-  B.Conv.make vfs hooks
+  B.Conv.make vfs (B.Hooks.create vfs ~target:p.P.name ~sources:(C.reference_sources p))
 
 (** Compile the regression workloads through the target's reference
     backend and check the emitted assembly's register discipline. *)

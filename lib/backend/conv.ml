@@ -30,6 +30,8 @@ let make vfs hooks =
   let ra = Hooks.call_int hooks "getRARegister" [] in
   let ret_reg = Hooks.call_int hooks "getReturnRegister" [] in
   let nargs = Hooks.call_int hooks "getNumArgRegisters" [] in
+  if nargs < 0 then
+    raise (Hooks.Hook_error ("getNumArgRegisters", "negative register count"));
   let arg_regs =
     List.init nargs (fun i -> Hooks.call_int hooks "getArgRegister" [ Hooks.vint i ])
   in

@@ -52,6 +52,11 @@ let reference (spec : Spec.t) (p : P.t) =
 (** Fully-inlined reference (what pass@1 compares against behaviourally). *)
 let reference_inlined (spec : Spec.t) (p : P.t) = Spec.render spec p
 
+let reference_sources (p : P.t) =
+  List.filter_map
+    (fun (spec : Spec.t) -> Option.map (fun f -> (spec.fname, f)) (reference_inlined spec p))
+    all_specs
+
 let build ?(targets = Vega_target.Registry.training) () =
   let vfs = Vfs.create () in
   Descfiles.render_llvm_common vfs;

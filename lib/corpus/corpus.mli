@@ -38,6 +38,12 @@ val reference_inlined :
   Spec.t -> Vega_target.Profile.t -> Vega_srclang.Ast.func option
 (** The fully-inlined reference — what pass@1 compares against. *)
 
+val reference_sources :
+  Vega_target.Profile.t -> (string * Vega_srclang.Ast.func) list
+(** Every interface function's inlined reference for the target, by
+    name, in spec order: the hook sources of its reference backend, the
+    base compiler that pass@1 substitutes a generated function into. *)
+
 val build : ?targets:Vega_target.Profile.t list -> unit -> t
 (** Render description files for every registered target and the
     reference implementations for the given (default: training)

@@ -30,7 +30,7 @@ let corrected_sources (p : Vega_target.Profile.t) (te : Metrics.target_eval)
           | Some g -> (fname, g)
           | None -> (fname, ref_fn))
       | _ -> (fname, ref_fn))
-    (Refbackend.sources_for p)
+    (Vega_corpus.Corpus.reference_sources p)
 
 let speedup conv (c : P.case) =
   let cycles opt =
@@ -48,7 +48,7 @@ let run vfs (p : Vega_target.Profile.t) ~vega_sources
     ?(benches = P.benchmarks) () =
   let base_hooks =
     B.Hooks.create vfs ~target:p.Vega_target.Profile.name
-      ~sources:(Refbackend.sources_for p)
+      ~sources:(Vega_corpus.Corpus.reference_sources p)
   in
   let base_conv = B.Conv.make vfs base_hooks in
   let vega_hooks =

@@ -2,22 +2,11 @@
     reference implementations — the "base compiler" of Sec. 4.1.4 that
     pass@1 substitutes generated functions into. *)
 
-module C = Vega_corpus.Corpus
 module B = Vega_backend
 
-let sources_for (p : Vega_target.Profile.t) =
-  List.filter_map
-    (fun spec ->
-      Option.map
-        (fun f -> (spec.Vega_corpus.Spec.fname, f))
-        (C.reference_inlined spec p))
-    C.all_specs
-
-let hooks_for vfs (p : Vega_target.Profile.t) =
-  B.Hooks.create vfs ~target:p.Vega_target.Profile.name ~sources:(sources_for p)
-
-let conv_for vfs hooks = B.Conv.make vfs hooks
-
-let backend_for vfs p =
-  let hooks = hooks_for vfs p in
-  (hooks, conv_for vfs hooks)
+let backend_for vfs (p : Vega_target.Profile.t) =
+  let hooks =
+    B.Hooks.create vfs ~target:p.Vega_target.Profile.name
+      ~sources:(Vega_corpus.Corpus.reference_sources p)
+  in
+  (hooks, B.Conv.make vfs hooks)

@@ -23,39 +23,45 @@ let default_cases = P.regression
 
 let opt_name = function B.Compiler.O0 -> "O0" | B.Compiler.O3 -> "O3"
 
-let compile_case conv (c : P.case) ~opt =
-  match B.Compiler.compile conv ~opt (P.modul_of c) with
-  | out -> (
-      let r = Vega_sim.Machine.run conv out.B.Compiler.emitted ~entry:c.P.entry ~args:c.P.args in
-      match r.Vega_sim.Machine.status with
-      | Vega_sim.Machine.Trap m -> Error (Printf.sprintf "trap: %s" m)
-      | Vega_sim.Machine.Timeout f ->
-          Error (Printf.sprintf "timeout: simulator fuel (%d) exhausted" f)
-      | Vega_sim.Machine.Finished _ -> (
-          match B.Asmparser.roundtrip_ok conv out.B.Compiler.emitted with
-          | Error m -> Error (Printf.sprintf "assembler round-trip: %s" m)
-          | Ok () ->
-              let disasm =
-                match B.Disasm.decode conv out.B.Compiler.emitted.B.Emitter.obj with
-                | Ok text -> Ok (Some text)
-                | Error "no disassembler" -> Ok None
-                | Error m -> Error m
-              in
-              (match disasm with
-              | Error m -> Error (Printf.sprintf "disassembler: %s" m)
-              | Ok disasm ->
-                  Ok
-                    {
-                      ca_case = c.P.name;
-                      ca_opt = opt_name opt;
-                      ca_output = r.Vega_sim.Machine.output;
-                      ca_cycles = r.Vega_sim.Machine.cycles;
-                      ca_text = out.B.Compiler.emitted.B.Emitter.obj.I.text;
-                      ca_data = out.B.Compiler.emitted.B.Emitter.obj.I.data;
-                      ca_relocs = out.B.Compiler.emitted.B.Emitter.obj.I.relocs;
-                      ca_asm = out.B.Compiler.emitted.B.Emitter.asm;
-                      ca_disasm = disasm;
-                    })))
+let run_case conv (c : P.case) ~opt =
+  let out = B.Compiler.compile conv ~opt (P.modul_of c) in
+  let r = Vega_sim.Machine.run conv out.B.Compiler.emitted ~entry:c.P.entry ~args:c.P.args in
+  match r.Vega_sim.Machine.status with
+  | Vega_sim.Machine.Trap m -> Error (Printf.sprintf "trap: %s" m)
+  | Vega_sim.Machine.Timeout f ->
+      Error (Printf.sprintf "timeout: simulator fuel (%d) exhausted" f)
+  | Vega_sim.Machine.Finished _ -> (
+      match B.Asmparser.roundtrip_ok conv out.B.Compiler.emitted with
+      | Error m -> Error (Printf.sprintf "assembler round-trip: %s" m)
+      | Ok () ->
+          let disasm =
+            match B.Disasm.decode conv out.B.Compiler.emitted.B.Emitter.obj with
+            | Ok text -> Ok (Some text)
+            | Error "no disassembler" -> Ok None
+            | Error m -> Error m
+          in
+          (match disasm with
+          | Error m -> Error (Printf.sprintf "disassembler: %s" m)
+          | Ok disasm ->
+              Ok
+                {
+                  ca_case = c.P.name;
+                  ca_opt = opt_name opt;
+                  ca_output = r.Vega_sim.Machine.output;
+                  ca_cycles = r.Vega_sim.Machine.cycles;
+                  ca_text = out.B.Compiler.emitted.B.Emitter.obj.I.text;
+                  ca_data = out.B.Compiler.emitted.B.Emitter.obj.I.data;
+                  ca_relocs = out.B.Compiler.emitted.B.Emitter.obj.I.relocs;
+                  ca_asm = out.B.Compiler.emitted.B.Emitter.asm;
+                  ca_disasm = disasm;
+                }))
+
+(* Every stage of a case runs under one handler, so a misbehaving hook
+   reads as a typed failure whichever stage met it: the assembler parser
+   and the disassembler catch only [Hook_error] themselves. *)
+let compile_case conv c ~opt =
+  match run_case conv c ~opt with
+  | r -> r
   | exception B.Hooks.Hook_error (h, m) -> Error (Printf.sprintf "hook %s: %s" h m)
   | exception Vega_srclang.Interp.Runtime_error m -> Error (Printf.sprintf "interp: %s" m)
   | exception Vega_srclang.Interp.Fuel_exhausted f ->
@@ -100,7 +106,7 @@ let artifacts_for vfs (p : Vega_target.Profile.t) ~sources ~cases =
         }
 
 let reference_artifacts vfs p ?(cases = default_cases) () =
-  match artifacts_for vfs p ~sources:(Refbackend.sources_for p) ~cases with
+  match artifacts_for vfs p ~sources:(Vega_corpus.Corpus.reference_sources p) ~cases with
   | Ok a -> a
   | Error f ->
       invalid_arg
@@ -152,7 +158,7 @@ let check_sources vfs p ~sources ~reference ?(cases = default_cases) () =
       else cmp (List.combine artifacts reference)
 
 let pass1 vfs p ~reference ~fname ~replacement ?(cases = default_cases) () =
-  let base = Refbackend.sources_for p in
+  let base = Vega_corpus.Corpus.reference_sources p in
   let sources =
     match replacement with
     | Some f -> (fname, f) :: List.remove_assoc fname base

@@ -12,44 +12,53 @@ let trap fmt = Printf.ksprintf (fun s -> raise (Trap_exc s)) fmt
 
 let wrap n = (n land 0xFFFFFFFF) - (if n land 0x80000000 <> 0 then 0x100000000 else 0)
 
+(* Memory is paged: a page is allocated on its first store, and a load
+   from an untouched page reads 0. A run typically touches its data
+   section and a shallow stack, a few pages of the whole. *)
+let page_bits = 10
+let page_words = 1 lsl page_bits
+let untouched : int array = [||]
+
 let run ?(fuel = 4_000_000) ?(mem_words = 65_536) (conv : B.Conv.t)
     (prog : B.Emitter.t) ~entry ~args =
   let hooks = conv.B.Conv.hooks in
   let tab = conv.B.Conv.tab in
   let nregs = max conv.B.Conv.nregs 64 in
   let regs = Array.make nregs 0 in
-  let mem = Array.make mem_words 0 in
-  (* data section *)
-  let data = prog.B.Emitter.obj.I.data in
-  Array.blit data 0 mem (prog.B.Emitter.data_base / 4) (Array.length data);
-  (* stack at the top of memory *)
-  regs.(conv.B.Conv.sp) <- (mem_words * 4) - 16;
-  regs.(conv.B.Conv.fp) <- (mem_words * 4) - 16;
-  List.iteri
-    (fun i a ->
-      if i < List.length conv.B.Conv.arg_regs then
-        regs.(List.nth conv.B.Conv.arg_regs i) <- a)
-    args;
+  let pages = Array.make ((mem_words + page_words - 1) / page_words) untouched in
   let zero = conv.B.Conv.zero in
+  let check_reg r = if r < 0 || r >= nregs then trap "bad register %d" r in
   let rd r =
-    if r < 0 || r >= nregs then trap "bad register %d" r
-    else match zero with Some z when z = r -> 0 | _ -> regs.(r)
+    check_reg r;
+    match zero with Some z when z = r -> 0 | _ -> regs.(r)
   in
   let wr r v =
-    if r < 0 || r >= nregs then trap "bad register %d" r
-    else match zero with Some z when z = r -> () | _ -> regs.(r) <- wrap v
+    check_reg r;
+    match zero with Some z when z = r -> () | _ -> regs.(r) <- wrap v
+  in
+  let store w v =
+    let page =
+      match pages.(w lsr page_bits) with
+      | p when p == untouched ->
+          let p = Array.make page_words 0 in
+          pages.(w lsr page_bits) <- p;
+          p
+      | p -> p
+    in
+    page.(w land (page_words - 1)) <- v
   in
   let mrd byte =
     if byte land 3 <> 0 then trap "unaligned load at %d" byte;
     let w = byte / 4 in
     if w < 0 || w >= mem_words then trap "load out of bounds at %d" byte;
-    mem.(w)
+    let page = pages.(w lsr page_bits) in
+    if page == untouched then 0 else page.(w land (page_words - 1))
   in
   let mwr byte v =
     if byte land 3 <> 0 then trap "unaligned store at %d" byte;
     let w = byte / 4 in
     if w < 0 || w >= mem_words then trap "store out of bounds at %d" byte;
-    mem.(w) <- wrap v
+    store w (wrap v)
   in
   let insts = prog.B.Emitter.insts in
   let n = Array.length insts in
@@ -81,31 +90,7 @@ let run ?(fuel = 4_000_000) ?(mem_words = 65_536) (conv : B.Conv.t)
         Hashtbl.replace uop_cache opc u;
         u
   in
-  let issue_width = max 1 (B.Hooks.call_int hooks "getIssueWidth" []) in
-  let load_latency = max 1 (B.Hooks.call_int hooks "getLoadLatency" []) in
-  let mispredict = max 0 (B.Hooks.call_int hooks "getMispredictPenalty" []) in
-  (* scoreboard *)
-  let ready = Array.make nregs 0 in
   let cycle = ref 0 and slot = ref 0 in
-  let charge_issue srcs u =
-    let avail =
-      List.fold_left (fun acc r -> max acc ready.(r)) !cycle srcs
-    in
-    if avail > !cycle then begin
-      cycle := avail;
-      slot := 0
-    end;
-    slot := !slot + u;
-    if !slot >= issue_width then begin
-      let extra = !slot / issue_width in
-      cycle := !cycle + extra;
-      slot := !slot mod issue_width
-    end
-  in
-  let branch_penalty () =
-    cycle := !cycle + mispredict;
-    slot := 0
-  in
   let output = ref [] in
   let call_stack = ref [] in
   let loop_stack = ref [] in
@@ -114,8 +99,55 @@ let run ?(fuel = 4_000_000) ?(mem_words = 65_536) (conv : B.Conv.t)
   let ret_val () = Some (rd conv.B.Conv.ret_reg) in
   let status =
     try
-      (* inside the handler: an unknown entry label must surface as a
-         Trap status, not as an escaping exception *)
+      (* everything below runs inside the handler: an unplaceable data
+         section, a convention register outside the file, a failing
+         cycle-model hook or an unknown entry label each surface as a
+         Trap or Timeout status, not as an escaping exception *)
+      let data = prog.B.Emitter.obj.I.data in
+      let base = prog.B.Emitter.data_base / 4 in
+      if base < 0 || base + Array.length data > mem_words then
+        trap "data section out of bounds";
+      Array.iteri (fun i v -> store (base + i) v) data;
+      (* stack at the top of memory *)
+      let set_reg r v =
+        check_reg r;
+        regs.(r) <- v
+      in
+      set_reg conv.B.Conv.sp ((mem_words * 4) - 16);
+      set_reg conv.B.Conv.fp ((mem_words * 4) - 16);
+      List.iteri
+        (fun i a ->
+          if i < List.length conv.B.Conv.arg_regs then
+            set_reg (List.nth conv.B.Conv.arg_regs i) a)
+        args;
+      let issue_width = max 1 (B.Hooks.call_int hooks "getIssueWidth" []) in
+      let load_latency = max 1 (B.Hooks.call_int hooks "getLoadLatency" []) in
+      let mispredict = max 0 (B.Hooks.call_int hooks "getMispredictPenalty" []) in
+      (* scoreboard *)
+      let ready = Array.make nregs 0 in
+      let charge_issue srcs u =
+        let avail =
+          List.fold_left
+            (fun acc r ->
+              check_reg r;
+              max acc ready.(r))
+            !cycle srcs
+        in
+        if avail > !cycle then begin
+          cycle := avail;
+          slot := 0
+        end;
+        slot := !slot + u;
+        if !slot >= issue_width then begin
+          let extra = !slot / issue_width in
+          cycle := !cycle + extra;
+          slot := !slot mod issue_width
+        end
+      in
+      let branch_penalty () =
+        cycle := !cycle + mispredict;
+        slot := 0
+      in
       let pc = ref (label_idx entry) in
       while !running do
         if !retired >= fuel then raise (Fuel_exc fuel);

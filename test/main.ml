@@ -15,6 +15,7 @@ let () =
       ("core", Test_core.suite);
       ("retrieve", Test_retrieval.suite);
       ("backend", Test_backend.suite);
+      ("sim", Test_sim.suite);
       ("analysis", Test_analysis.suite);
       ("absint", Test_absint.suite);
       ("robust", Test_robust.suite);

@@ -9,18 +9,9 @@ module P = Vega_ir.Programs
 let corpus = lazy (C.build ())
 
 let conv_for name =
-  let corpus = Lazy.force corpus in
-  let p = Vega_target.Registry.find_exn name in
-  let sources =
-    List.filter_map
-      (fun spec ->
-        Option.map
-          (fun f -> (spec.Vega_corpus.Spec.fname, f))
-          (C.reference_inlined spec p))
-      C.all_specs
-  in
-  let hooks = B.Hooks.create corpus.C.vfs ~target:name ~sources in
-  B.Conv.make corpus.C.vfs hooks
+  snd
+    (Vega_eval.Refbackend.backend_for (Lazy.force corpus).C.vfs
+       (Vega_target.Registry.find_exn name))
 
 let compile_run conv case opt =
   let out = B.Compiler.compile conv ~opt (P.modul_of case) in
@@ -362,7 +353,7 @@ let riscv_with_sched_hooks hooks =
     replaced
     @ List.filter
         (fun (f, _) -> not (List.mem_assoc f replaced))
-        (Vega_eval.Refbackend.sources_for Vega_target.Registry.riscv)
+        (C.reference_sources Vega_target.Registry.riscv)
   in
   B.Conv.make corpus.C.vfs (B.Hooks.create corpus.C.vfs ~target:"RISCV" ~sources)
 
@@ -419,6 +410,136 @@ let sched_props =
       prop "scheduler = reference (raising hooks)" raising_conv;
     ]
 
+(* ---------------- hook memo ---------------- *)
+
+(* Probe hooks next to RISCV's reference set: they raise for some
+   arguments, loop past their fuel for others, and assign to or read the
+   [IssueWidth] global. *)
+let probe_sources =
+  [
+    "int probeRaise(int X) { if (X % 3 == 0) llvm_unreachable(\"three\"); \
+     return X * 7; }";
+    "int probeLoop(int X) { if (X % 4 == 1) { while (true) { X = X + 1; } } \
+     return X + 1; }";
+    "int probeGlobal(int X) { IssueWidth = X; return IssueWidth + X; }";
+    "int probeReadGlobal(int X) { return IssueWidth * 10 + X; }";
+    "int probeStr(StringRef S) { if (S.startswith(\"x\")) \
+     report_fatal_error(\"x register\"); return S.size(); }";
+    "int probeInst(MCInst MI) { if (MI.getNumOperands() > 1) return \
+     MI.getOperand(1).getImm(); return MI.getOpcode(); }";
+  ]
+
+let memo_hooks () =
+  let corpus = Lazy.force corpus in
+  let probes =
+    List.map
+      (fun src ->
+        let f = Vega_srclang.Parser.parse_function src in
+        (f.Vega_srclang.Ast.name, f))
+      probe_sources
+  in
+  B.Hooks.create corpus.C.vfs ~target:"RISCV"
+    ~sources:(probes @ C.reference_sources Vega_target.Registry.riscv)
+
+type probe_arg = Pint of int | Pstr of string | Pinst of Vega_mc.Mcinst.inst
+
+let hook_arg = function
+  | Pint n -> B.Hooks.vint n
+  | Pstr s -> B.Hooks.vstr s
+  | Pinst i -> B.Hooks.mcinst i
+
+(* How one call ended, in a form that compares structurally. *)
+let outcome hooks (name, args) =
+  match B.Hooks.call hooks name (List.map hook_arg args) with
+  | Vega_srclang.Interp.VInt n -> Printf.sprintf "int %d" n
+  | Vega_srclang.Interp.VBool b -> Printf.sprintf "bool %b" b
+  | Vega_srclang.Interp.VStr s -> Printf.sprintf "str %S" s
+  | Vega_srclang.Interp.VUnit -> "void"
+  | Vega_srclang.Interp.VNull -> "null"
+  | Vega_srclang.Interp.VObj o -> "obj " ^ o.Vega_srclang.Interp.oclass
+  | exception B.Hooks.Hook_error (h, m) -> Printf.sprintf "hook_error %s: %s" h m
+  | exception Vega_srclang.Interp.Fuel_exhausted f -> Printf.sprintf "fuel %d" f
+
+(* Calls drawn from small pools, so that a sequence repeats calls.
+   Opcodes come from RISCV's instruction table, read from its description
+   files without any hook. *)
+let calls_arb =
+  let riscv =
+    lazy
+      (let vfs = (Lazy.force corpus).C.vfs in
+       B.Insntab.build (Vega_tdlang.Catalog.build vfs (Vega_tdlang.Vfs.tgtdirs "RISCV")))
+  in
+  QCheck.Gen.(
+    let small = int_range 0 5 in
+    let str = oneofl [ "x1"; "x31"; "a0"; "sp"; ""; "zero" ] in
+    let operand =
+      oneof
+        [
+          map (fun r -> Vega_mc.Mcinst.Oreg r) (int_range 1 3);
+          map (fun n -> Vega_mc.Mcinst.Oimm n) (int_range (-2) 2);
+        ]
+    in
+    let inst =
+      map2
+        (fun k ops ->
+          let infos = Array.of_list (B.Insntab.all (Lazy.force riscv)) in
+          Vega_mc.Mcinst.mk_inst infos.(k mod Array.length infos).B.Insntab.opcode ops)
+        (int_bound 3)
+        (list_size (int_range 0 3) operand)
+    in
+    let call name arg gen = map (fun a -> (name, [ arg a ])) gen in
+    let one =
+      frequency
+        [
+          (2, call "probeRaise" (fun n -> Pint n) small);
+          (2, call "probeLoop" (fun n -> Pint n) small);
+          (1, call "probeGlobal" (fun n -> Pint n) small);
+          (1, call "probeReadGlobal" (fun n -> Pint n) small);
+          (2, call "probeStr" (fun s -> Pstr s) str);
+          (1, call "isRegisterName" (fun s -> Pstr s) str);
+          (1, call "matchRegisterName" (fun s -> Pstr s) str);
+          (1, call "getInstrLatency" (fun n -> Pint n) small);
+          (2, call "encodeInstruction" (fun i -> Pinst i) inst);
+          (1, call "validateInstruction" (fun i -> Pinst i) inst);
+          (2, call "probeInst" (fun i -> Pinst i) inst);
+          (1, return ("probeRaise", []));
+          (1, return ("noSuchHook", [ Pint 1 ]));
+        ]
+    in
+    list_size (int_range 0 40) one)
+  |> QCheck.make ~print:(fun calls ->
+         String.concat "; "
+           (List.map
+              (fun (name, args) ->
+                Printf.sprintf "%s(%s)" name
+                  (String.concat ","
+                     (List.map
+                        (function
+                          | Pint n -> string_of_int n
+                          | Pstr s -> Printf.sprintf "%S" s
+                          | Pinst i -> Vega_mc.Mcinst.show_inst i)
+                        args)))
+              calls))
+
+(* One shared hook set answers every call of a sequence as a hook set
+   built for that call alone does. The lone answers are kept per call
+   across sequences; each comes from its own fresh hook set. *)
+let memo_prop =
+  let alone = Hashtbl.create 64 in
+  let answer_alone call =
+    match Hashtbl.find_opt alone call with
+    | Some o -> o
+    | None ->
+        let o = outcome (memo_hooks ()) call in
+        Hashtbl.add alone call o;
+        o
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"hook memo = fresh hook set per call" ~count:100
+       calls_arb (fun calls ->
+         let shared = memo_hooks () in
+         List.for_all (fun call -> outcome shared call = answer_alone call) calls))
+
 let suite =
   [
     Alcotest.test_case "riscv full program matrix" `Slow test_riscv_all_programs;
@@ -434,4 +555,4 @@ let suite =
     Alcotest.test_case "relocations" `Quick test_relocations_emitted;
     Alcotest.test_case "hook errors propagate" `Quick test_hook_error_propagates;
   ]
-  @ sched_props
+  @ sched_props @ [ memo_prop ]

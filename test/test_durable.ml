@@ -546,12 +546,6 @@ let test_durable_matches_plain () =
           Alcotest.(check string) "restored run identical" (render plain)
             (render o2.V.Pipeline.d_funcs))
 
-(* The functions a run dir's journal seals, by name. *)
-let sealed dir =
-  let rc = J.read ~path:(V.Pipeline.journal_path dir) () in
-  List.sort compare
-    (List.map (fun c -> c.J.c_fname) (snd (J.replay rc.J.r_records)))
-
 (* Batch generation and the server journal through one recorder: a
    durable server asked for every function in bundle order writes the
    batch run's journal byte for byte. *)

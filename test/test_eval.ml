@@ -21,7 +21,7 @@ let test_reference_passes () =
   let vfs = (Lazy.force corpus).C.vfs in
   match
     E.Regression.check_sources vfs riscv
-      ~sources:(E.Refbackend.sources_for riscv)
+      ~sources:(C.reference_sources riscv)
       ~reference:(Lazy.force reference) ~cases:quick_cases ()
   with
   | Ok () -> ()
@@ -81,6 +81,47 @@ let test_forkflow_is_weak () =
   with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "forked getRelocType must fail pass@1"
+
+(* A misbehaving hook ends pass@1 with a typed failure whichever stage
+   meets it, never with an escaping exception: the simulator reads the
+   cycle-model hooks and writes the convention registers before it runs
+   a program, the assembler round-trip calls isRegisterName, and the
+   calling convention sizes its argument-register list from a hook. *)
+let test_pass1_never_raises () =
+  let vfs = (Lazy.force corpus).C.vfs in
+  let check fname replacement want =
+    match
+      E.Regression.pass1 vfs riscv ~reference:(Lazy.force reference) ~fname
+        ~replacement ~cases:quick_cases ()
+    with
+    | Ok () -> Alcotest.failf "%s must fail pass@1" fname
+    | Error f ->
+        Alcotest.(check (pair string bool)) fname want
+          (f.E.Regression.f_reason, E.Regression.is_timeout f)
+    | exception e -> Alcotest.failf "%s: pass@1 raised %s" fname (Printexc.to_string e)
+  in
+  let generated fname src want =
+    check fname (Some (Vega_srclang.Parser.parse_function src)) want
+  in
+  generated "getIssueWidth"
+    "unsigned getIssueWidth() { llvm_unreachable(\"no model\"); }"
+    ("trap: hook getIssueWidth: llvm_unreachable: no model", false);
+  generated "getLoadLatency" "unsigned getLoadLatency() { return; }"
+    ("trap: hook getLoadLatency: expected integer, got void", false);
+  generated "getMispredictPenalty"
+    "unsigned getMispredictPenalty() { while (true) { } return 1; }"
+    ("timeout: simulator fuel (100000) exhausted", true);
+  generated "getFrameRegister" "unsigned getFrameRegister() { return 99; }"
+    ("trap: bad register 99", false);
+  generated "isRegisterName"
+    "bool isRegisterName(StringRef Name) { while (true) { } return true; }"
+    ("timeout: interpreter fuel (100000) exhausted", true);
+  generated "getNumArgRegisters" "unsigned getNumArgRegisters() { return -1; }"
+    ("hook getNumArgRegisters: negative register count", false);
+  List.iter
+    (fun fname ->
+      check fname None (Printf.sprintf "trap: hook %s: hook not implemented" fname, false))
+    [ "getIssueWidth"; "getLoadLatency"; "getMispredictPenalty" ]
 
 (* ---- end-to-end generation with the retrieval decoder ---- *)
 
@@ -175,4 +216,5 @@ let suite =
     Alcotest.test_case "generation accuracy floor" `Slow test_generated_backend_accuracy_floor;
     Alcotest.test_case "forkflow accuracy ceiling" `Slow test_forkflow_accuracy_ceiling;
     Alcotest.test_case "effort model" `Slow test_effort_model;
+    Alcotest.test_case "pass@1 never raises" `Quick test_pass1_never_raises;
   ]

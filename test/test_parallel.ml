@@ -245,7 +245,7 @@ let test_parallel_kill_resume () =
       | Ok _ -> Alcotest.fail "expected the simulated crash"
       | Error e -> Alcotest.failf "killed run setup failed: %s" e);
       J.tear ~path:(V.Pipeline.journal_path dir);
-      let sealed = List.length (Test_durable.sealed dir) in
+      let sealed = List.length (Vega_chaos.Ctx.sealed dir) in
       (* the crash and the tear cost the journal its last two records,
          so at most two seals *)
       if k = total - 1 then

@@ -371,7 +371,7 @@ let test_drain_resume_bit_identity () =
       List.iter (fun f -> expect_done (S.Server.request srv (mk f))) names;
       S.Server.drain srv;
       Alcotest.(check (list string)) "the drained journal seals every request"
-        (List.sort compare names) (Test_durable.sealed dir));
+        (List.sort compare names) (Vega_chaos.Ctx.sealed dir));
   (* a fresh (non-resume) server must refuse the populated run dir *)
   (match S.Server.create ~config:tcfg ~run_dir:dir t ~target ~decoder with
   | Error _ -> ()

@@ -702,7 +702,7 @@ let test_drain_waits_for_streams () =
   Alcotest.(check bool) "engine stopped" true (Ev.stopped e);
   Alcotest.(check (list string)) "the drained journal seals both functions"
     (List.sort compare [ busy; other ])
-    (Test_durable.sealed dir)
+    (Vega_chaos.Ctx.sealed dir)
 
 (* ---------------- peer-fault chaos (scripted) ---------------- *)
 
@@ -1008,7 +1008,7 @@ let drain_in_flight ~start =
   Ev.wait h;
   Alcotest.(check (list string)) "the drained journal seals both functions"
     (List.sort compare [ busy; other ])
-    (Test_durable.sealed dir)
+    (Vega_chaos.Ctx.sealed dir)
 
 let test_socket_drain_in_flight () =
   drain_in_flight ~start:(fun ~cfg srv ~path -> Ev.start ~cfg srv ~path)
