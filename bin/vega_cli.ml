@@ -670,26 +670,9 @@ let serve_cmd =
             "Fault harness: simulate a hard crash after $(docv) durable \
              journal records (exit 2).")
   in
-  let batch_slots_arg =
-    Arg.(
-      value
-      & opt int 0
-      & info [ "batch-slots" ] ~docv:"B"
-          ~doc:
-            "Coalesce concurrent model decodes into batched decode steps \
-             over $(docv) request slots (requires $(b,--model); per-request \
-             outputs are unchanged). 0 or 1 disables.")
-  in
   let run socket target model slots queue_cap deadline_ms run_dir resume
-      kill_at batch_slots =
+      kill_at =
     let t, decoder = mk_pipeline ~model in
-    let decoder =
-      if model && batch_slots > 1 then
-        match Vega.Pipeline.new_batcher t ~slots:batch_slots with
-        | Some b -> Vega.Pipeline.model_decoder ~batch:b t
-        | None -> decoder
-      else decoder
-    in
     let config = { S.Server.default_config with S.Server.deadline_ms } in
     match
       S.Server.create ~config ?run_dir ~resume ?kill_at t ~target ~decoder
@@ -707,11 +690,8 @@ let serve_cmd =
         in
         let h = S.Evloop.start ~cfg server ~path:socket in
         Printf.printf
-          "vega-serve: target %s on %s (%d slot(s), wait cap %d%s%s%s)\n%!"
+          "vega-serve: target %s on %s (%d slot(s), wait cap %d%s%s)\n%!"
           target socket cfg.S.Evloop.ev_slots cfg.S.Evloop.ev_wait_cap
-          (if model && batch_slots > 1 then
-             Printf.sprintf ", batch slots %d" batch_slots
-           else "")
           (if deadline_ms > 0 then Printf.sprintf ", deadline %dms" deadline_ms
            else "")
           (match run_dir with
@@ -742,11 +722,12 @@ let serve_cmd =
           health snapshots, graceful drain that lets in-flight requests \
           finish. $(b,--domains) sets the concurrent \
           decode slots, stepped in parallel on one domain each, and \
-          $(b,--queue-cap) bounds the requests waiting for one")
+          $(b,--queue-cap) bounds the requests waiting for one. Each slot \
+          decodes one request at a time, with $(b,--model) through its own \
+          incremental transformer decoder")
     Term.(
       const run $ socket_arg $ target_arg $ model_flag $ slots_arg
-      $ queue_cap_arg $ deadline_arg $ run_dir_arg $ resume_flag $ kill_at_arg
-      $ batch_slots_arg)
+      $ queue_cap_arg $ deadline_arg $ run_dir_arg $ resume_flag $ kill_at_arg)
 
 let request_cmd =
   let fname_arg =

@@ -59,7 +59,9 @@ let () =
         (match ret with Some v -> string_of_int v | None -> "-")
   | Vega_sim.Machine.Trap m -> Printf.printf "\n== simulation: TRAP %s ==\n" m
   | Vega_sim.Machine.Timeout f ->
-      Printf.printf "\n== simulation: TIMEOUT (fuel %d) ==\n" f);
+      Printf.printf "\n== simulation: TIMEOUT (fuel %d) ==\n" f
+  | Vega_sim.Machine.Hook_timeout f ->
+      Printf.printf "\n== simulation: HOOK TIMEOUT (fuel %d) ==\n" f);
   Printf.printf "output:  [%s]\n"
     (String.concat "; " (List.map string_of_int r.Vega_sim.Machine.output));
   Printf.printf "golden:  [%s]\n"

@@ -75,7 +75,7 @@ let verify_source ?reference ~fname src : D.t list =
 (* the reference backend of a target, as the evaluation harness builds
    it: every interface function's inlined reference as a hook source *)
 let conv_for vfs (p : P.t) =
-  B.Conv.make vfs (B.Hooks.create vfs ~target:p.P.name ~sources:(C.reference_sources p))
+  B.Conv.make (B.Hooks.create vfs ~target:p.P.name ~sources:(C.reference_sources p))
 
 (** Compile the regression workloads through the target's reference
     backend and check the emitted assembly's register discipline. *)

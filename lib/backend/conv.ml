@@ -18,11 +18,9 @@ type t = {
 
 let str_of = function Some (Vega_tdlang.Td_ast.Vstr s) -> Some s | _ -> None
 
-let make vfs hooks =
+let make hooks =
   let target = Hooks.target hooks in
-  let catalog =
-    Vega_tdlang.Catalog.build vfs (Vega_tdlang.Vfs.tgtdirs target)
-  in
+  let catalog = Hooks.catalog hooks in
   let tab = Insntab.build catalog in
   let field record f = Vega_tdlang.Catalog.record_field catalog ~record ~field:f in
   let sp = Hooks.call_int hooks "getStackRegister" [] in

@@ -22,8 +22,10 @@ type t = {
   big_endian : bool;
 }
 
-val make : Vega_tdlang.Vfs.t -> Hooks.t -> t
-(** @raise Hooks.Hook_error when a convention hook misbehaves. *)
+val make : Hooks.t -> t
+(** Reads the instruction table and the syntax records from the hook
+    set's own catalog. @raise Hooks.Hook_error when a convention hook
+    misbehaves. *)
 
 val reg_name : t -> int -> string
 val frame_offset : t -> int -> int

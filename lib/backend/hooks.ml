@@ -83,6 +83,7 @@ let create vfs ~target ~sources =
   }
 
 let target t = t.target
+let catalog t = t.catalog
 let has t fname = Hashtbl.mem t.table fname
 
 let mcoperand (op : Mc.operand) =

@@ -32,6 +32,11 @@ val create :
     name is bound twice, the first binding is the one {!call} runs. *)
 
 val target : t -> string
+
+val catalog : t -> Vega_tdlang.Catalog.t
+(** The catalog of the generic and the target's description files the
+    hook set was built over. *)
+
 val has : t -> string -> bool
 
 type arg

@@ -281,7 +281,9 @@ let run (cx : Ctx.t) =
    | Vega_sim.Machine.Finished _ ->
        violation "%s: expected a timeout, simulation finished" name
    | Vega_sim.Machine.Trap m ->
-       violation "%s: fuel exhaustion misclassified as trap (%s)" name m);
+       violation "%s: fuel exhaustion misclassified as trap (%s)" name m
+   | Vega_sim.Machine.Hook_timeout f ->
+       violation "%s: simulator fuel misreported as hook fuel (%d)" name f);
    check (name ^ ": observed in the report")
      (R.Report.count_class report R.Fault.Csim_fuel = 1);
    let r2 =

@@ -114,19 +114,12 @@ let train ?(arch = Transformer) ?progress cfg pairs =
   done;
   { vocab; model }
 
-type batcher = Nn.Transformer.batcher
-
-let new_batcher t ~slots =
-  match t.model with
-  | Mtrans m -> Some (Nn.Transformer.batcher m ~slots)
-  | Mgru _ -> None
-
-let infer ?batch t input =
+let infer t input =
   (* inputs already start with <CLS> (Featrep.input_of) *)
   let src = Nn.Vocab.encode t.vocab input in
   let ids, probs =
     match t.model with
-    | Mtrans m -> Nn.Transformer.generate m ~src ?batch ()
+    | Mtrans m -> Nn.Transformer.generate m ~src ()
     | Mgru m -> Nn.Gru.generate m ~src ()
   in
   (Nn.Vocab.decode t.vocab ids, probs)

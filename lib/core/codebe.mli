@@ -36,18 +36,10 @@ val train :
   t
 (** [train cfg pairs] — fine-tune on (input tokens, output tokens). *)
 
-type batcher
-(** Concurrent decode batcher over a transformer model: calls from
-    concurrent domains coalesce into shared batched decode steps with
-    per-request results unchanged (bit-identical to sequential). *)
-
-val new_batcher : t -> slots:int -> batcher option
-(** [None] for the RNN architecture, which has no batched engine. *)
-
-val infer : ?batch:batcher -> t -> string list -> string list * float array
-(** Greedy decode: output tokens and their probabilities. [?batch]
-    routes transformer decodes through the given batcher (ignored for
-    the RNN). *)
+val infer : t -> string list -> string list * float array
+(** Greedy decode: output tokens and their probabilities. Each call
+    decodes one request on the calling domain; concurrent calls are
+    safe. *)
 
 val vocab : t -> Vega_nn.Vocab.t
 val n_params : t -> int

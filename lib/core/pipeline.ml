@@ -239,8 +239,7 @@ let verification_exact_match t =
   let pairs = List.filteri (fun i _ -> i < 400) t.verify_pairs in
   Codebe.exact_match t.codebe pairs
 
-let model_decoder ?batch t (fv : Featrep.fv) = Codebe.infer ?batch t.codebe fv.input
-let new_batcher t ~slots = Codebe.new_batcher t.codebe ~slots
+let model_decoder t (fv : Featrep.fv) = Codebe.infer t.codebe fv.input
 let retrieval_decoder t = Retrieval.decode t.retrieval
 
 (* Bundles are independent, so whole-backend generation fans out over a

@@ -70,14 +70,12 @@ val train : config -> prepared -> t
 val verification_exact_match : t -> float
 (** Exact Match on the verification set (paper: 99.03%). *)
 
-val model_decoder : ?batch:Codebe.batcher -> t -> Generate.decoder
-(** With [?batch], concurrent decoder calls (e.g. from the serve worker
-    pool) coalesce into shared batched decode steps; per-request
-    results are unchanged. *)
-
-val new_batcher : t -> slots:int -> Codebe.batcher option
-(** Decode batcher over this pipeline's model; [None] for the RNN
-    architecture. *)
+val model_decoder : t -> Generate.decoder
+(** The fine-tuned model as a decoder: each call decodes one request
+    on the calling domain, bit-identical to the full re-decode
+    reference. Calls share nothing but the read-only weights, so a
+    daemon's decode slots, stepped on their own domains, run it
+    concurrently. *)
 
 val retrieval_decoder : t -> Generate.decoder
 

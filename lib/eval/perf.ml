@@ -38,7 +38,9 @@ let speedup conv (c : P.case) =
     let r = Vega_sim.Machine.run conv out.B.Compiler.emitted ~entry:c.P.entry ~args:c.P.args in
     match r.Vega_sim.Machine.status with
     | Vega_sim.Machine.Finished _ -> Some (max 1 r.Vega_sim.Machine.cycles)
-    | Vega_sim.Machine.Trap _ | Vega_sim.Machine.Timeout _ -> None
+    | Vega_sim.Machine.Trap _ | Vega_sim.Machine.Timeout _
+    | Vega_sim.Machine.Hook_timeout _ ->
+        None
   in
   match (cycles B.Compiler.O0, cycles B.Compiler.O3) with
   | Some c0, Some c3 -> Some (float_of_int c0 /. float_of_int c3)
@@ -50,11 +52,11 @@ let run vfs (p : Vega_target.Profile.t) ~vega_sources
     B.Hooks.create vfs ~target:p.Vega_target.Profile.name
       ~sources:(Vega_corpus.Corpus.reference_sources p)
   in
-  let base_conv = B.Conv.make vfs base_hooks in
+  let base_conv = B.Conv.make base_hooks in
   let vega_hooks =
     B.Hooks.create vfs ~target:p.Vega_target.Profile.name ~sources:vega_sources
   in
-  let vega_conv = B.Conv.make vfs vega_hooks in
+  let vega_conv = B.Conv.make vega_hooks in
   List.filter_map
     (fun c ->
       match (speedup base_conv c, speedup vega_conv c) with
@@ -69,7 +71,7 @@ let robustness vfs (p : Vega_target.Profile.t) ~vega_sources () =
   let hooks =
     B.Hooks.create vfs ~target:p.Vega_target.Profile.name ~sources:vega_sources
   in
-  let conv = B.Conv.make vfs hooks in
+  let conv = B.Conv.make hooks in
   List.for_all
     (fun (c : P.case) ->
       List.for_all
@@ -82,7 +84,9 @@ let robustness vfs (p : Vega_target.Profile.t) ~vega_sources () =
               in
               match r.Vega_sim.Machine.status with
               | Vega_sim.Machine.Finished _ -> r.Vega_sim.Machine.output = P.golden c
-              | Vega_sim.Machine.Trap _ | Vega_sim.Machine.Timeout _ -> false)
+              | Vega_sim.Machine.Trap _ | Vega_sim.Machine.Timeout _
+              | Vega_sim.Machine.Hook_timeout _ ->
+                  false)
           | exception _ -> false)
         [ B.Compiler.O0; B.Compiler.O3 ])
     (P.regression @ P.benchmarks)

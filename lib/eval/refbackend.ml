@@ -9,4 +9,4 @@ let backend_for vfs (p : Vega_target.Profile.t) =
     B.Hooks.create vfs ~target:p.Vega_target.Profile.name
       ~sources:(Vega_corpus.Corpus.reference_sources p)
   in
-  (hooks, B.Conv.make vfs hooks)
+  (hooks, B.Conv.make hooks)

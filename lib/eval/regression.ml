@@ -30,6 +30,8 @@ let run_case conv (c : P.case) ~opt =
   | Vega_sim.Machine.Trap m -> Error (Printf.sprintf "trap: %s" m)
   | Vega_sim.Machine.Timeout f ->
       Error (Printf.sprintf "timeout: simulator fuel (%d) exhausted" f)
+  | Vega_sim.Machine.Hook_timeout f ->
+      Error (Printf.sprintf "timeout: interpreter fuel (%d) exhausted" f)
   | Vega_sim.Machine.Finished _ -> (
       match B.Asmparser.roundtrip_ok conv out.B.Compiler.emitted with
       | Error m -> Error (Printf.sprintf "assembler round-trip: %s" m)
@@ -71,7 +73,7 @@ let compile_case conv c ~opt =
 let artifacts_for vfs (p : Vega_target.Profile.t) ~sources ~cases =
   match B.Hooks.create vfs ~target:p.Vega_target.Profile.name ~sources with
   | hooks -> (
-      match B.Conv.make vfs hooks with
+      match B.Conv.make hooks with
       | conv ->
           let out = ref [] and err = ref None in
           List.iter

@@ -140,28 +140,25 @@ let dec_block_params b =
   @ norm_params b.dn2 @ norm_params b.dn3 @ linear_params b.dff1
   @ linear_params b.dff2
 
-(* {1 Batched decode engine}
+(* {1 Incremental decode}
 
-   Zero-allocation kernels that advance a whole batch of decode rows at
-   once over preallocated float32 scratch. Each kernel mirrors the
+   Zero-allocation kernels that advance one request's decode by one
+   position over preallocated float32 scratch. Each kernel mirrors the
    tensor ops of {!decoder_fwd} bit-for-bit: the same accumulation
    order, the same zero-skip as {!Tensor.matmul}, and [T.round32] at
    exactly the store points where a tensor op writes into float32
-   storage (DESIGN.md "Float32 storage"). [batch_linear] streams each
-   weight row past every active request row, but accumulates each
-   output row independently, so every per-row result is bit-identical
-   to a full re-decode regardless of which other slots are active.
-   Nothing here touches the tape. *)
+   storage (DESIGN.md "Float32 storage"), so every output row is
+   bit-identical to the matching row of a full re-decode. Nothing here
+   touches the tape. *)
 
 (* One query row attending over [len] cached key/value rows stored
-   contiguously in [keys]/[values] starting at flat offset [base] (rows
-   of [heads * d_head] floats). Heads are read by column offset, which
-   matches [head_slice]'s column copy. Writes the per-head concatenated
-   context into [merged] (rounded, ready for the wo projection); uses
-   [scores] as scratch (length >= len). *)
-let attention_core at ~(q_all : float array) ~(keys : T.buf)
-    ~(values : T.buf) ~base ~len ~(merged : float array)
-    ~(scores : float array) =
+   contiguously in [keys]/[values] (rows of [heads * d_head] floats).
+   Heads are read by column offset, which matches [head_slice]'s column
+   copy. Writes the per-head concatenated context, rounded, into [dst]
+   (ready for the wo projection); [merged] (length >= d) and [scores]
+   (length >= len) are float64 scratch. *)
+let attention_core at ~(q : T.buf) ~(keys : T.buf) ~(values : T.buf) ~len
+    ~(merged : float array) ~(scores : float array) ~(dst : T.buf) =
   let dh = at.d_head in
   let d = at.heads * dh in
   Array.fill merged 0 d 0.0;
@@ -172,10 +169,10 @@ let attention_core at ~(q_all : float array) ~(keys : T.buf)
        accumulates in ascending-p order with the matmul's zero-skip, so
        each score is bit-identical to the tensor path's *)
     for j = 0 to len - 1 do
-      let krow = base + (j * d) + off in
+      let krow = (j * d) + off in
       let sum = ref 0.0 in
       for p = 0 to dh - 1 do
-        let av = Array.unsafe_get q_all (off + p) in
+        let av = A1.unsafe_get q (off + p) in
         if av <> 0.0 then
           sum := !sum +. (av *. A1.unsafe_get keys (krow + p))
       done;
@@ -203,7 +200,7 @@ let attention_core at ~(q_all : float array) ~(keys : T.buf)
     for p = 0 to len - 1 do
       let wv = Array.unsafe_get scores p in
       if wv <> 0.0 then begin
-        let vrow = base + (p * d) + off in
+        let vrow = (p * d) + off in
         for j = 0 to dh - 1 do
           Array.unsafe_set merged (off + j)
             (Array.unsafe_get merged (off + j)
@@ -211,257 +208,207 @@ let attention_core at ~(q_all : float array) ~(keys : T.buf)
         done
       end
     done;
+    (* the weights-by-values matmul store *)
     for j = 0 to dh - 1 do
-      Array.unsafe_set merged (off + j)
-        (T.round32 (Array.unsafe_get merged (off + j)))
+      A1.unsafe_set dst (off + j) (T.round32 (Array.unsafe_get merged (off + j)))
     done
   done
 
-let batch_linear l ~(active : int array) ~(src : T.buf) ~(dst : T.buf)
+let linear_row ?(src_off = 0) ?(dst_off = 0) l ~(src : T.buf) ~(dst : T.buf)
     ~(acc : float array) =
   let w = l.w in
   let k = w.T.rows and n = w.T.cols in
-  let na = Array.length active in
-  if Array.length acc < na * n then
-    fail "batch_linear"
-      (Printf.sprintf "accumulator of %d floats for %d rows of %d"
-         (Array.length acc) na n);
-  Array.fill acc 0 (na * n) 0.0;
+  if Array.length acc < n then
+    fail "linear_row"
+      (Printf.sprintf "accumulator of %d floats for a row of %d"
+         (Array.length acc) n);
+  if src_off < 0 || src_off + k > A1.dim src || dst_off < 0
+     || dst_off + n > A1.dim dst
+  then
+    fail "linear_row"
+      (Printf.sprintf "row of %d at %d into %d at %d outside %d/%d floats" k
+         src_off n dst_off (A1.dim src) (A1.dim dst));
+  Array.fill acc 0 n 0.0;
   let wd = w.T.data and bd = l.b.T.data in
   let n4 = n / 4 * 4 in
   for p = 0 to k - 1 do
-    let wrow = p * n in
-    for ai = 0 to na - 1 do
-      let slot = Array.unsafe_get active ai in
-      let av = A1.unsafe_get src ((slot * k) + p) in
-      if av <> 0.0 then begin
-        let abase = ai * n in
-        (* unrolled by 4: each element's sum is independent, so the
-           per-element accumulation order is unchanged *)
-        let j = ref 0 in
-        while !j < n4 do
-          let a0 = abase + !j and w0 = wrow + !j in
-          Array.unsafe_set acc a0
-            (Array.unsafe_get acc a0 +. (av *. A1.unsafe_get wd w0));
-          Array.unsafe_set acc (a0 + 1)
-            (Array.unsafe_get acc (a0 + 1) +. (av *. A1.unsafe_get wd (w0 + 1)));
-          Array.unsafe_set acc (a0 + 2)
-            (Array.unsafe_get acc (a0 + 2) +. (av *. A1.unsafe_get wd (w0 + 2)));
-          Array.unsafe_set acc (a0 + 3)
-            (Array.unsafe_get acc (a0 + 3) +. (av *. A1.unsafe_get wd (w0 + 3)));
-          j := !j + 4
-        done;
-        while !j < n do
-          Array.unsafe_set acc (abase + !j)
-            (Array.unsafe_get acc (abase + !j)
-            +. (av *. A1.unsafe_get wd (wrow + !j)));
-          incr j
-        done
-      end
-    done
+    let av = A1.unsafe_get src (src_off + p) in
+    if av <> 0.0 then begin
+      let wrow = p * n in
+      (* unrolled by 4: each element's sum is independent, so the
+         per-element accumulation order is unchanged *)
+      let j = ref 0 in
+      while !j < n4 do
+        let a0 = !j and w0 = wrow + !j in
+        Array.unsafe_set acc a0
+          (Array.unsafe_get acc a0 +. (av *. A1.unsafe_get wd w0));
+        Array.unsafe_set acc (a0 + 1)
+          (Array.unsafe_get acc (a0 + 1) +. (av *. A1.unsafe_get wd (w0 + 1)));
+        Array.unsafe_set acc (a0 + 2)
+          (Array.unsafe_get acc (a0 + 2) +. (av *. A1.unsafe_get wd (w0 + 2)));
+        Array.unsafe_set acc (a0 + 3)
+          (Array.unsafe_get acc (a0 + 3) +. (av *. A1.unsafe_get wd (w0 + 3)));
+        j := !j + 4
+      done;
+      while !j < n do
+        Array.unsafe_set acc !j
+          (Array.unsafe_get acc !j +. (av *. A1.unsafe_get wd (wrow + !j)));
+        incr j
+      done
+    end
   done;
-  for ai = 0 to na - 1 do
-    let slot = Array.unsafe_get active ai in
-    let abase = ai * n and dbase = slot * n in
-    for j = 0 to n - 1 do
-      (* round the matmul result (first store point), add the bias, and
-         let the float32 store round again — the same two roundings as
-         [linear_fwd], without the store-read-store round trip *)
-      A1.unsafe_set dst (dbase + j)
-        (T.round32 (Array.unsafe_get acc (abase + j)) +. A1.unsafe_get bd j)
-    done
+  for j = 0 to n - 1 do
+    (* round the matmul result (first store point), add the bias, and
+       let the float32 store round again — the same two roundings as
+       [linear_fwd], without the store-read-store round trip *)
+    A1.unsafe_set dst (dst_off + j)
+      (T.round32 (Array.unsafe_get acc j) +. A1.unsafe_get bd j)
   done
 
-type batch_scratch = {
+type scratch = {
   s_d : int;
   s_dff : int;
-  s_q : T.buf;  (* slots x d: q/k/v projections *)
-  s_k : T.buf;
-  s_v : T.buf;
-  s_a : T.buf;  (* slots x d: merged attention context *)
-  s_o : T.buf;  (* slots x d: wo / dff2 outputs *)
-  s_x1 : T.buf;  (* slots x d residual stream *)
+  s_q : T.buf;  (* d: query projection *)
+  s_a : T.buf;  (* d: merged attention context *)
+  s_o : T.buf;  (* d: wo / dff2 outputs *)
+  s_x1 : T.buf;  (* d: residual stream *)
   s_x2 : T.buf;
-  s_ff : T.buf;  (* slots x d_ff *)
-  s_acc : float array;  (* slots x max(d, d_ff) f64 accumulator *)
+  s_ff : T.buf;  (* d_ff *)
+  s_acc : float array;  (* max(d, d_ff) f64 accumulator *)
   s_row : float array;  (* max(d, d_ff) f64 row scratch *)
-  s_qrow : float array;  (* d *)
   s_merged : float array;  (* d *)
   s_scores : float array;  (* attention scratch, >= longest KV run *)
 }
 
-let batch_scratch ~slots ~d_model ~d_ff ~capacity =
+let scratch ~d_model ~d_ff ~capacity =
   let dmax = max d_model d_ff in
   {
     s_d = d_model;
     s_dff = d_ff;
-    s_q = T.buf_create (slots * d_model);
-    s_k = T.buf_create (slots * d_model);
-    s_v = T.buf_create (slots * d_model);
-    s_a = T.buf_create (slots * d_model);
-    s_o = T.buf_create (slots * d_model);
-    s_x1 = T.buf_create (slots * d_model);
-    s_x2 = T.buf_create (slots * d_model);
-    s_ff = T.buf_create (slots * d_ff);
-    s_acc = Array.make (slots * dmax) 0.0;
+    s_q = T.buf_create d_model;
+    s_a = T.buf_create d_model;
+    s_o = T.buf_create d_model;
+    s_x1 = T.buf_create d_model;
+    s_x2 = T.buf_create d_model;
+    s_ff = T.buf_create d_ff;
+    s_acc = Array.make dmax 0.0;
     s_row = Array.make dmax 0.0;
-    s_qrow = Array.make d_model 0.0;
     s_merged = Array.make d_model 0.0;
     s_scores = Array.make (max 1 capacity) 0.0;
   }
 
-type batch_dec_cache = {
-  bblk : dec_block;
-  bd : int;
-  bslots : int;
-  bcap : int;  (* self-attention positions per slot *)
-  bcross_cap : int;  (* encoder memory rows per slot *)
-  bself_k : T.buf;  (* slots x cap x d *)
-  bself_v : T.buf;
-  bcross_k : T.buf;  (* slots x cross_cap x d *)
-  bcross_v : T.buf;
-  bused : int array;
-  bcross_len : int array;
+type dec_cache = {
+  blk : dec_block;
+  d : int;
+  cap : int;  (* self-attention positions; bounds the memory rows too *)
+  self_k : T.buf;  (* cap x d *)
+  self_v : T.buf;
+  cross_k : T.buf;  (* cross_len x d, preprojected encoder memory *)
+  cross_v : T.buf;
+  cross_len : int;
+  mutable used : int;
 }
 
-let batch_dec_cache blk ~slots ~capacity ~cross_capacity =
+let dec_cache blk ~capacity ~memory =
   let d = blk.dff1.w.T.rows in
-  {
-    bblk = blk;
-    bd = d;
-    bslots = slots;
-    bcap = capacity;
-    bcross_cap = cross_capacity;
-    bself_k = T.buf_create (slots * capacity * d);
-    bself_v = T.buf_create (slots * capacity * d);
-    bcross_k = T.buf_create (slots * cross_capacity * d);
-    bcross_v = T.buf_create (slots * cross_capacity * d);
-    bused = Array.make slots 0;
-    bcross_len = Array.make slots 0;
-  }
-
-let batch_slot_load c ~slot ~memory =
-  let d = c.bd in
-  if not (slot >= 0 && slot < c.bslots) then
-    fail "batch_slot_load"
-      (Printf.sprintf "slot %d outside 0..%d" slot (c.bslots - 1));
   if memory.T.cols <> d then
-    fail "batch_slot_load"
+    fail "dec_cache"
       (Printf.sprintf "memory width %d, model width %d" memory.T.cols d);
-  if memory.T.rows > c.bcross_cap then
-    fail "batch_slot_load"
-      (Printf.sprintf "%d memory rows exceed slot capacity %d" memory.T.rows
-         c.bcross_cap);
+  if memory.T.rows > capacity then
+    fail "dec_cache"
+      (Printf.sprintf "%d memory rows exceed capacity %d" memory.T.rows
+         capacity);
   let rows = memory.T.rows in
-  c.bused.(slot) <- 0;
-  c.bcross_len.(slot) <- rows;
-  (* memory row i projects into row i of the slot's cross K/V region,
-     one row at a time: a rows x d accumulator would go straight to the
-     major heap at every join *)
-  let region buf = A1.sub buf (slot * c.bcross_cap * d) (rows * d) in
-  let kdst = region c.bcross_k and vdst = region c.bcross_v in
-  let active = [| 0 |] and acc = Array.make d 0.0 in
+  let c =
+    {
+      blk;
+      d;
+      cap = capacity;
+      self_k = T.buf_create (capacity * d);
+      self_v = T.buf_create (capacity * d);
+      cross_k = T.buf_create (rows * d);
+      cross_v = T.buf_create (rows * d);
+      cross_len = rows;
+      used = 0;
+    }
+  in
+  (* memory row i projects into row i of the cross K/V run, one row at
+     a time: a rows x d accumulator would go straight to the major heap
+     at every request *)
+  let acc = Array.make d 0.0 in
   for i = 0 to rows - 1 do
-    active.(0) <- i;
-    batch_linear c.bblk.cross_att.wk ~active ~src:memory.T.data ~dst:kdst ~acc;
-    batch_linear c.bblk.cross_att.wv ~active ~src:memory.T.data ~dst:vdst ~acc
-  done
+    let off = i * d in
+    linear_row blk.cross_att.wk ~src:memory.T.data ~src_off:off ~dst:c.cross_k
+      ~dst_off:off ~acc;
+    linear_row blk.cross_att.wv ~src:memory.T.data ~src_off:off ~dst:c.cross_v
+      ~dst_off:off ~acc
+  done;
+  c
 
-(* Fused residual-add + layernorm over the active rows: the add rounds
-   once per element ([T.add]'s store) and the normalized output rounds
-   once per element into [dst] ([T.layernorm]'s store). *)
-let add_norm nrm ~(active : int array) ~(x : T.buf) ~(y : T.buf)
-    ~(dst : T.buf) ~(row : float array) ~d =
+(* Fused residual-add + layernorm over one row: the add rounds once per
+   element ([T.add]'s store) and the normalized output rounds once per
+   element into [dst] ([T.layernorm]'s store). *)
+let add_norm nrm ~(x : T.buf) ~(y : T.buf) ~(dst : T.buf)
+    ~(row : float array) ~d =
   let gd = nrm.gain.T.data and bd = nrm.bias.T.data in
-  let na = Array.length active in
   let eps = 1e-5 in
-  for ai = 0 to na - 1 do
-    let base = Array.unsafe_get active ai * d in
-    for j = 0 to d - 1 do
-      Array.unsafe_set row j
-        (T.round32 (A1.unsafe_get x (base + j) +. A1.unsafe_get y (base + j)))
-    done;
-    let mu = ref 0.0 in
-    for j = 0 to d - 1 do
-      mu := !mu +. Array.unsafe_get row j
-    done;
-    let mu = !mu /. float_of_int d in
-    let var = ref 0.0 in
-    for j = 0 to d - 1 do
-      let dv = Array.unsafe_get row j -. mu in
-      var := !var +. (dv *. dv)
-    done;
-    let sigma = sqrt ((!var /. float_of_int d) +. eps) in
-    for j = 0 to d - 1 do
-      A1.unsafe_set dst (base + j)
-        ((A1.unsafe_get gd j *. ((Array.unsafe_get row j -. mu) /. sigma))
-        +. A1.unsafe_get bd j)
-    done
+  for j = 0 to d - 1 do
+    Array.unsafe_set row j
+      (T.round32 (A1.unsafe_get x j +. A1.unsafe_get y j))
+  done;
+  let mu = ref 0.0 in
+  for j = 0 to d - 1 do
+    mu := !mu +. Array.unsafe_get row j
+  done;
+  let mu = !mu /. float_of_int d in
+  let var = ref 0.0 in
+  for j = 0 to d - 1 do
+    let dv = Array.unsafe_get row j -. mu in
+    var := !var +. (dv *. dv)
+  done;
+  let sigma = sqrt ((!var /. float_of_int d) +. eps) in
+  for j = 0 to d - 1 do
+    A1.unsafe_set dst j
+      ((A1.unsafe_get gd j *. ((Array.unsafe_get row j -. mu) /. sigma))
+      +. A1.unsafe_get bd j)
   done
 
-let batch_dec_step c scr ~(active : int array) ~(x : T.buf) ~(out : T.buf) =
-  let b = c.bblk and d = c.bd in
+let dec_step c scr ~(x : T.buf) ~(out : T.buf) =
+  let b = c.blk and d = c.d in
   if scr.s_d <> d then
-    fail "batch_dec_step"
-      (Printf.sprintf "scratch width %d, cache width %d" scr.s_d d);
-  let na = Array.length active in
-  (* self-attention: project q/k/v for all active rows, append each k/v
-     to its slot's cache, then attend per row over that slot only *)
-  batch_linear b.self_att.wq ~active ~src:x ~dst:scr.s_q ~acc:scr.s_acc;
-  batch_linear b.self_att.wk ~active ~src:x ~dst:scr.s_k ~acc:scr.s_acc;
-  batch_linear b.self_att.wv ~active ~src:x ~dst:scr.s_v ~acc:scr.s_acc;
-  for ai = 0 to na - 1 do
-    let slot = active.(ai) in
-    if c.bused.(slot) >= c.bcap then
-      fail "batch_dec_step"
-        (Printf.sprintf "slot %d KV capacity %d exhausted" slot c.bcap);
-    let kv = ((slot * c.bcap) + c.bused.(slot)) * d and sbase = slot * d in
-    for j = 0 to d - 1 do
-      A1.unsafe_set c.bself_k (kv + j) (A1.unsafe_get scr.s_k (sbase + j));
-      A1.unsafe_set c.bself_v (kv + j) (A1.unsafe_get scr.s_v (sbase + j))
-    done;
-    c.bused.(slot) <- c.bused.(slot) + 1;
-    for j = 0 to d - 1 do
-      Array.unsafe_set scr.s_qrow j (A1.unsafe_get scr.s_q (sbase + j))
-    done;
-    attention_core b.self_att ~q_all:scr.s_qrow ~keys:c.bself_k
-      ~values:c.bself_v ~base:(slot * c.bcap * d) ~len:c.bused.(slot)
-      ~merged:scr.s_merged ~scores:scr.s_scores;
-    for j = 0 to d - 1 do
-      A1.unsafe_set scr.s_a (sbase + j) (Array.unsafe_get scr.s_merged j)
-    done
-  done;
-  batch_linear b.self_att.wo ~active ~src:scr.s_a ~dst:scr.s_o ~acc:scr.s_acc;
-  add_norm b.dn1 ~active ~x ~y:scr.s_o ~dst:scr.s_x1 ~row:scr.s_row ~d;
-  (* cross-attention over each slot's preprojected encoder memory *)
-  batch_linear b.cross_att.wq ~active ~src:scr.s_x1 ~dst:scr.s_q ~acc:scr.s_acc;
-  for ai = 0 to na - 1 do
-    let slot = active.(ai) in
-    let sbase = slot * d in
-    for j = 0 to d - 1 do
-      Array.unsafe_set scr.s_qrow j (A1.unsafe_get scr.s_q (sbase + j))
-    done;
-    attention_core b.cross_att ~q_all:scr.s_qrow ~keys:c.bcross_k
-      ~values:c.bcross_v ~base:(slot * c.bcross_cap * d)
-      ~len:c.bcross_len.(slot) ~merged:scr.s_merged ~scores:scr.s_scores;
-    for j = 0 to d - 1 do
-      A1.unsafe_set scr.s_a (sbase + j) (Array.unsafe_get scr.s_merged j)
-    done
-  done;
-  batch_linear b.cross_att.wo ~active ~src:scr.s_a ~dst:scr.s_o ~acc:scr.s_acc;
-  add_norm b.dn2 ~active ~x:scr.s_x1 ~y:scr.s_o ~dst:scr.s_x2 ~row:scr.s_row ~d;
+    fail "dec_step" (Printf.sprintf "scratch width %d, cache width %d" scr.s_d d);
+  if c.used >= c.cap then
+    fail "dec_step" (Printf.sprintf "KV capacity %d exhausted" c.cap);
+  if Array.length scr.s_scores < c.cap then
+    fail "dec_step"
+      (Printf.sprintf "attention scratch %d for capacity %d"
+         (Array.length scr.s_scores) c.cap);
+  let acc = scr.s_acc in
+  (* self-attention: the new position's key and value project straight
+     into the next cache row, then the query attends over the run *)
+  let kv = c.used * d in
+  linear_row b.self_att.wq ~src:x ~dst:scr.s_q ~acc;
+  linear_row b.self_att.wk ~src:x ~dst:c.self_k ~dst_off:kv ~acc;
+  linear_row b.self_att.wv ~src:x ~dst:c.self_v ~dst_off:kv ~acc;
+  c.used <- c.used + 1;
+  attention_core b.self_att ~q:scr.s_q ~keys:c.self_k ~values:c.self_v
+    ~len:c.used ~merged:scr.s_merged ~scores:scr.s_scores ~dst:scr.s_a;
+  linear_row b.self_att.wo ~src:scr.s_a ~dst:scr.s_o ~acc;
+  add_norm b.dn1 ~x ~y:scr.s_o ~dst:scr.s_x1 ~row:scr.s_row ~d;
+  (* cross-attention over the preprojected encoder memory *)
+  linear_row b.cross_att.wq ~src:scr.s_x1 ~dst:scr.s_q ~acc;
+  attention_core b.cross_att ~q:scr.s_q ~keys:c.cross_k ~values:c.cross_v
+    ~len:c.cross_len ~merged:scr.s_merged ~scores:scr.s_scores ~dst:scr.s_a;
+  linear_row b.cross_att.wo ~src:scr.s_a ~dst:scr.s_o ~acc;
+  add_norm b.dn2 ~x:scr.s_x1 ~y:scr.s_o ~dst:scr.s_x2 ~row:scr.s_row ~d;
   (* feed-forward *)
-  batch_linear b.dff1 ~active ~src:scr.s_x2 ~dst:scr.s_ff ~acc:scr.s_acc;
-  let d_ff = scr.s_dff in
+  linear_row b.dff1 ~src:scr.s_x2 ~dst:scr.s_ff ~acc;
   let kg = sqrt (2.0 /. Float.pi) in
-  for ai = 0 to na - 1 do
-    let base = Array.unsafe_get active ai * d_ff in
-    for j = 0 to d_ff - 1 do
-      let v = A1.unsafe_get scr.s_ff (base + j) in
-      let t = tanh (kg *. (v +. (0.044715 *. v *. v *. v))) in
-      (* the store rounds: same single store point as [T.gelu] *)
-      A1.unsafe_set scr.s_ff (base + j) (0.5 *. v *. (1.0 +. t))
-    done
+  for j = 0 to scr.s_dff - 1 do
+    let v = A1.unsafe_get scr.s_ff j in
+    let t = tanh (kg *. (v +. (0.044715 *. v *. v *. v))) in
+    (* the store rounds: same single store point as [T.gelu] *)
+    A1.unsafe_set scr.s_ff j (0.5 *. v *. (1.0 +. t))
   done;
-  batch_linear b.dff2 ~active ~src:scr.s_ff ~dst:scr.s_o ~acc:scr.s_acc;
-  add_norm b.dn3 ~active ~x:scr.s_x2 ~y:scr.s_o ~dst:out ~row:scr.s_row ~d
+  linear_row b.dff2 ~src:scr.s_ff ~dst:scr.s_o ~acc;
+  add_norm b.dn3 ~x:scr.s_x2 ~y:scr.s_o ~dst:out ~row:scr.s_row ~d

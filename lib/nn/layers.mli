@@ -43,62 +43,48 @@ val decoder_fwd : dec_block -> x:Tensor.t -> memory:Tensor.t -> Tensor.t
 
 val dec_block_params : dec_block -> Tensor.t list
 
-(** {1 Batched decode engine}
+(** {1 Incremental decode}
 
-    Zero-allocation kernels advancing a whole batch of decode rows per
-    step over preallocated float32 scratch. They mirror the tensor ops
-    bit-for-bit: the same accumulation order, the same zero-skip as
+    Zero-allocation kernels advancing one request's decode by one
+    position over preallocated float32 scratch. They mirror the tensor
+    ops bit-for-bit: the same accumulation order, the same zero-skip as
     {!Tensor.matmul}, and {!Tensor.round32} at exactly the tensor ops'
     float32 store points; none of them records onto the autodiff tape.
-    Weight matrices stream past all active rows once per step, but each
-    row is accumulated independently, so per-row outputs are
-    bit-identical to {!decoder_fwd} over the full prefix for {e any}
-    composition of active slots (see DESIGN.md "Continuous batched
-    decode"). *)
+    Each output row is therefore bit-identical to the matching row of
+    {!decoder_fwd} over the full prefix (see DESIGN.md "KV-cache
+    bit-identity invariants"). *)
 
-val batch_linear :
+val linear_row :
+  ?src_off:int ->
+  ?dst_off:int ->
   linear ->
-  active:int array ->
   src:Tensor.buf ->
   dst:Tensor.buf ->
   acc:float array ->
   unit
-(** Project row [slot] of [src] (stride d_in) into row [slot] of [dst]
-    (stride d_out) for every active slot, streaming each weight row past
-    all rows once. [acc] is a float64 accumulator of at least
-    [|active| * d_out]. Per-row results are bit-identical to the
-    matching rows of {!linear_fwd}. *)
+(** Project the d_in floats of [src] at [src_off] (default 0) into the
+    d_out floats of [dst] at [dst_off] (default 0). [acc] is a float64
+    accumulator of at least d_out floats. The result is bit-identical to
+    the matching row of {!linear_fwd}. *)
 
-type batch_scratch
-(** Reusable per-step scratch shared by all layers of one engine. *)
+type scratch
+(** Reusable per-step scratch shared by all layers of one decoder. *)
 
-val batch_scratch :
-  slots:int -> d_model:int -> d_ff:int -> capacity:int -> batch_scratch
-(** [capacity] bounds the longest KV run attention will scan (max of
-    self-attention capacity and encoder memory rows). *)
+val scratch : d_model:int -> d_ff:int -> capacity:int -> scratch
+(** [capacity] bounds the longest KV run attention will scan (self
+    positions and encoder memory rows). *)
 
-type batch_dec_cache
-(** Per-layer KV cache with [slots] independent request slots, each
-    holding its own self-attention run and preprojected encoder
-    memory. *)
+type dec_cache
+(** One decoder layer's KV cache for one request: its self-attention
+    run and its preprojected encoder memory. *)
 
-val batch_dec_cache :
-  dec_block -> slots:int -> capacity:int -> cross_capacity:int ->
-  batch_dec_cache
+val dec_cache : dec_block -> capacity:int -> memory:Tensor.t -> dec_cache
+(** An empty self-attention run of [capacity] positions, with the
+    encoder [memory] (at most [capacity] rows) projected into the cross
+    K/V rows. *)
 
-val batch_slot_load : batch_dec_cache -> slot:int -> memory:Tensor.t -> unit
-(** Reset [slot] and project the encoder memory into its cross K/V
-    region — the join half of the continuous-batching join/leave
-    protocol. A slot is free for reuse the moment its request finishes;
-    no explicit leave is needed at this layer. *)
-
-val batch_dec_step :
-  batch_dec_cache ->
-  batch_scratch ->
-  active:int array ->
-  x:Tensor.buf ->
-  out:Tensor.buf ->
-  unit
-(** Advance every active slot one position: row [slot] of [x]
-    (slots x d_model, flat) is this layer's input for that slot's next
-    position, row [slot] of [out] receives the layer output. *)
+val dec_step : dec_cache -> scratch -> x:Tensor.buf -> out:Tensor.buf -> unit
+(** Advance the request one position: [x] (d_model floats) is this
+    layer's input for the next position, [out] receives the layer
+    output. Raises [Fault (Tensor_fault _)] once [capacity] positions
+    are used. *)

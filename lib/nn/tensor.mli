@@ -11,9 +11,9 @@
     Numeric discipline: storage is float32, arithmetic is float64.
     Reads widen exactly; every op rounds each output element to float32
     exactly once per store point (reductions accumulate in float64
-    scratch first). The batched decode kernels in {!Layers} mirror those
-    store points with {!round32}, which makes the decode engine
-    bit-identical to these ops for any batch composition. Invariant violations raise
+    scratch first). The incremental decode kernels in {!Layers} mirror
+    those store points with {!round32}, which makes the incremental
+    decoder bit-identical to these ops. Invariant violations raise
     [Vega_robust.Fault.Fault (Tensor_fault _)] (decoder class) so the
     degradation ladder absorbs them instead of an [Assert_failure]
     killing the process. *)

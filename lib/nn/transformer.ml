@@ -108,336 +108,96 @@ let greedy (logits : T.buf) ~off ~n =
   done;
   (!best, !best_e /. !sum)
 
-(* {1 Batched decode engine}
+(* {1 Incremental decoder}
 
-   A fixed number of request slots share one set of preallocated
-   buffers; [batch_step] advances every fed slot one position through
-   all decoder layers at once over {!Layers.batch_dec_step}'s
-   zero-allocation kernels. Per-slot rows are accumulated independently
-   in the tensor path's order, so each slot's logits are bit-identical
-   to the last row of [decode_logits] over its prefix whatever the
-   batch composition — joins and leaves between steps never perturb
-   other requests (DESIGN.md "Continuous batched decode"). This engine
-   is the only incremental decoder; [generate] runs it with one slot. *)
+   One request's decode state: a KV cache per decoder layer and
+   preallocated buffers, so [feed] advances one position through all
+   layers over {!Layers.dec_step}'s zero-allocation kernels. Its logits
+   are bit-identical to the last row of [decode_logits] over the same
+   prefix (DESIGN.md "KV-cache bit-identity invariants"). This is the
+   only incremental decoder; [generate] runs it. *)
 
-type batch = {
-  bm : t;
-  bslots : int;
-  bcaches : Layers.batch_dec_cache array;  (* one per decoder layer *)
-  bscr : Layers.batch_scratch;
-  bx : T.buf;  (* slots x d_model ping *)
-  by : T.buf;  (* slots x d_model pong *)
-  blogits : T.buf;  (* slots x vocab *)
-  blacc : float array;  (* slots x vocab f64 accumulator *)
-  bpos : int array;
-  bfree : bool array;
+type decoder = {
+  dm : t;
+  caches : Layers.dec_cache array;  (* one per decoder layer *)
+  scr : Layers.scratch;
+  x : T.buf;  (* d_model ping *)
+  y : T.buf;  (* d_model pong *)
+  logits : T.buf;  (* vocab *)
+  lacc : float array;  (* vocab f64 accumulator *)
+  mutable pos : int;
 }
 
-let new_batch t ~slots =
-  if slots < 1 then fail "new_batch" (Printf.sprintf "%d slots" slots);
+(* the encoder runs off-tape: outside [with_tape] the tensor ops record
+   nothing, so a decoder can start on any domain *)
+let start t ~src =
+  let memory = encode t src in
   let cfg = t.cfg in
   {
-    bm = t;
-    bslots = slots;
-    bcaches =
+    dm = t;
+    caches =
       Array.map
-        (fun b ->
-          Layers.batch_dec_cache b ~slots ~capacity:cfg.max_len
-            ~cross_capacity:cfg.max_len)
+        (fun b -> Layers.dec_cache b ~capacity:cfg.max_len ~memory)
         t.dec;
-    bscr =
-      Layers.batch_scratch ~slots ~d_model:cfg.d_model ~d_ff:cfg.d_ff
-        ~capacity:cfg.max_len;
-    bx = T.buf_create (slots * cfg.d_model);
-    by = T.buf_create (slots * cfg.d_model);
-    blogits = T.buf_create (slots * cfg.vocab_size);
-    blacc = Array.make (slots * cfg.vocab_size) 0.0;
-    bpos = Array.make slots 0;
-    bfree = Array.make slots true;
+    scr =
+      Layers.scratch ~d_model:cfg.d_model ~d_ff:cfg.d_ff ~capacity:cfg.max_len;
+    x = T.buf_create cfg.d_model;
+    y = T.buf_create cfg.d_model;
+    logits = T.buf_create cfg.vocab_size;
+    lacc = Array.make cfg.vocab_size 0.0;
+    pos = 0;
   }
 
-let batch_free_slot b =
-  let free = ref (-1) in
-  for s = b.bslots - 1 downto 0 do
-    if b.bfree.(s) then free := s
-  done;
-  !free
-
-(* claim a free slot for an already-encoded source *)
-let batch_load b ~memory =
-  let slot = batch_free_slot b in
-  if slot < 0 then fail "batch_join" "no free request slot";
-  Array.iter (fun c -> Layers.batch_slot_load c ~slot ~memory) b.bcaches;
-  b.bpos.(slot) <- 0;
-  b.bfree.(slot) <- false;
-  slot
-
-(* the encoder runs off-tape: outside [with_tape] the tensor ops record
-   nothing, so encoding is safe from server worker domains *)
-let batch_join b ~src = batch_load b ~memory:(encode b.bm src)
-
-let batch_leave b ~slot =
-  if not (slot >= 0 && slot < b.bslots) then
-    fail "batch_leave" (Printf.sprintf "slot %d outside 0..%d" slot (b.bslots - 1));
-  b.bfree.(slot) <- true
-
-let batch_step b feeds =
-  let t = b.bm in
+let feed dec id =
+  let t = dec.dm in
   let d = t.cfg.d_model in
-  let n = Array.length feeds in
-  if n = 0 then fail "batch_step" "empty feed set";
-  let feeds = Array.copy feeds in
-  Array.sort (fun (a, _) (b, _) -> compare a b) feeds;
-  let active = Array.make n 0 in
-  Array.iteri
-    (fun i (slot, id) ->
-      if not (slot >= 0 && slot < b.bslots) || b.bfree.(slot) then
-        fail "batch_step" (Printf.sprintf "feed for unjoined slot %d" slot);
-      if not (id >= 0 && id < t.cfg.vocab_size) then
-        fail "batch_step"
-          (Printf.sprintf "token id %d outside vocabulary of %d" id
-             t.cfg.vocab_size);
-      if b.bpos.(slot) >= t.cfg.max_len then
-        fail "batch_step"
-          (Printf.sprintf "slot %d decode past max_len %d" slot t.cfg.max_len);
-      active.(i) <- slot;
-      let base = slot * d in
-      for j = 0 to d - 1 do
-        (* the float32 store rounds the f64 sum — add_rows_positional's
-           store point *)
-        A1.set b.bx (base + j)
-          (T.get_flat t.tok_emb ((id * d) + j)
-          +. T.get_flat t.pos_emb ((b.bpos.(slot) * d) + j))
-      done;
-      b.bpos.(slot) <- b.bpos.(slot) + 1)
-    feeds;
-  let cur = ref b.bx and nxt = ref b.by in
+  if not (id >= 0 && id < t.cfg.vocab_size) then
+    fail "feed"
+      (Printf.sprintf "token id %d outside vocabulary of %d" id
+         t.cfg.vocab_size);
+  if dec.pos >= t.cfg.max_len then
+    fail "feed" (Printf.sprintf "decode past max_len %d" t.cfg.max_len);
+  for j = 0 to d - 1 do
+    (* the float32 store rounds the f64 sum — add_rows_positional's
+       store point *)
+    A1.set dec.x j
+      (T.get_flat t.tok_emb ((id * d) + j)
+      +. T.get_flat t.pos_emb ((dec.pos * d) + j))
+  done;
+  dec.pos <- dec.pos + 1;
+  let cur = ref dec.x and nxt = ref dec.y in
   Array.iter
     (fun c ->
-      Layers.batch_dec_step c b.bscr ~active ~x:!cur ~out:!nxt;
+      Layers.dec_step c dec.scr ~x:!cur ~out:!nxt;
       let tmp = !cur in
       cur := !nxt;
       nxt := tmp)
-    b.bcaches;
-  Layers.batch_linear t.out_proj ~active ~src:!cur ~dst:b.blogits ~acc:b.blacc
+    dec.caches;
+  Layers.linear_row t.out_proj ~src:!cur ~dst:dec.logits ~acc:dec.lacc
 
-let batch_logits b ~slot =
-  let v = b.bm.cfg.vocab_size in
-  Array.init v (fun j -> A1.get b.blogits ((slot * v) + j))
+let logits dec = Array.init dec.dm.cfg.vocab_size (A1.get dec.logits)
+let pick dec = greedy dec.logits ~off:0 ~n:dec.dm.cfg.vocab_size
 
-(* greedy pick over [slot]'s logits from the last step, read in place *)
-let batch_greedy b ~slot =
-  let v = b.bm.cfg.vocab_size in
-  greedy b.blogits ~off:(slot * v) ~n:v
-
-(* Continuous batched greedy decode over a fixed source list: requests
-   are admitted in input order as slots free up, so results are
-   deterministic (and, per-request, bit-identical to
-   [generate_uncached]). *)
-let generate_batch t ?(slots = 4) ~srcs ?(max_out = 48) () =
+let generate t ~src ?(max_out = 48) () =
   let max_out = min max_out (t.cfg.max_len - 2) in
-  let n = Array.length srcs in
-  let outs = Array.make n [] and probs = Array.make n [] in
-  if max_out <= 0 || n = 0 then
-    Array.init n (fun _ -> ([||], [||]))
+  if max_out <= 0 then ([||], [||])
   else begin
-    let b = new_batch t ~slots in
-    let nout = Array.make n 0 in
-    let cur = Array.make n Vocab.e2d in
-    let slot_req = Array.make b.bslots (-1) in
-    let next = ref 0 in
-    let active_count = ref 0 in
-    let admit () =
-      while !next < n && batch_free_slot b >= 0 do
-        let slot = batch_join b ~src:srcs.(!next) in
-        slot_req.(slot) <- !next;
-        incr next;
-        incr active_count
-      done
-    in
-    let finish slot =
-      slot_req.(slot) <- -1;
-      batch_leave b ~slot;
-      decr active_count
-    in
-    admit ();
-    while !active_count > 0 do
-      let feeds =
-        Array.of_list
-          (List.filter_map
-             (fun slot ->
-               let req = slot_req.(slot) in
-               if req >= 0 then Some (slot, cur.(req)) else None)
-             (List.init b.bslots Fun.id))
-      in
-      batch_step b feeds;
-      Array.iter
-        (fun (slot, _) ->
-          let req = slot_req.(slot) in
-          let best, p = batch_greedy b ~slot in
-          if best = Vocab.eos then finish slot
-          else begin
-            outs.(req) <- best :: outs.(req);
-            probs.(req) <- p :: probs.(req);
-            cur.(req) <- best;
-            nout.(req) <- nout.(req) + 1;
-            if nout.(req) >= max_out then finish slot
-          end)
-        feeds;
-      admit ()
+    let dec = start t ~src in
+    let out = ref [] and probs = ref [] and cur = ref Vocab.e2d in
+    let n_out = ref 0 and stop = ref false in
+    while (not !stop) && !n_out < max_out do
+      feed dec !cur;
+      let best, p = pick dec in
+      if best = Vocab.eos then stop := true
+      else begin
+        out := best :: !out;
+        probs := p :: !probs;
+        cur := best;
+        incr n_out
+      end
     done;
-    Array.init n (fun i ->
-        ( Array.of_list (List.rev outs.(i)),
-          Array.of_list (List.rev probs.(i)) ))
+    (Array.of_list (List.rev !out), Array.of_list (List.rev !probs))
   end
-
-(* {1 Concurrent batcher}
-
-   Coalesces decode calls arriving from concurrent domains (the event
-   loop's decode slots, stepped on a [Par.Gang]) into shared
-   [batch_step]s. Each caller encodes its own
-   source before queueing it, so a malformed source faults its owner
-   and never the driver. One caller at a time elects itself driver
-   ([bt_driving]), admits queued requests into free slots under the
-   lock, releases the lock for the compute step, then applies the
-   results and broadcasts. Because per-slot results are
-   batch-composition-invariant, the nondeterministic interleaving of
-   arrivals never changes any request's output. *)
-
-type breq = {
-  q_memory : T.t;
-  q_max_out : int;
-  mutable q_slot : int;
-  mutable q_cur : int;
-  mutable q_nout : int;
-  mutable q_ids : int list;  (* reversed *)
-  mutable q_probs : float list;  (* reversed *)
-  mutable q_done : bool;
-}
-
-type batcher = {
-  bt_model : t;
-  bt_eng : batch;
-  bt_m : Mutex.t;
-  bt_cv : Condition.t;
-  bt_pending : breq Queue.t;
-  bt_slot_req : breq option array;
-  mutable bt_driving : bool;
-}
-
-let batcher t ~slots =
-  let eng = new_batch t ~slots in
-  {
-    bt_model = t;
-    bt_eng = eng;
-    bt_m = Mutex.create ();
-    bt_cv = Condition.create ();
-    bt_pending = Queue.create ();
-    bt_slot_req = Array.make eng.bslots None;
-    bt_driving = false;
-  }
-
-let batcher_slots bt = bt.bt_eng.bslots
-
-(* one engine step; called with [bt_m] held and [bt_driving] set,
-   returns with the lock held *)
-let drive bt =
-  let eng = bt.bt_eng in
-  (* admit in arrival order while slots are free *)
-  let continue_admit = ref true in
-  while !continue_admit && not (Queue.is_empty bt.bt_pending) do
-    if batch_free_slot eng < 0 then continue_admit := false
-    else begin
-      let q = Queue.pop bt.bt_pending in
-      let slot = batch_load eng ~memory:q.q_memory in
-      q.q_slot <- slot;
-      bt.bt_slot_req.(slot) <- Some q
-    end
-  done;
-  let feeds = ref [] in
-  Array.iteri
-    (fun slot req ->
-      match req with
-      | Some q when not q.q_done -> feeds := (slot, q.q_cur) :: !feeds
-      | _ -> ())
-    bt.bt_slot_req;
-  let feeds = Array.of_list !feeds in
-  if Array.length feeds > 0 then begin
-    Mutex.unlock bt.bt_m;
-    let result =
-      try
-        batch_step eng feeds;
-        Ok (Array.map (fun (slot, _) -> (slot, batch_greedy eng ~slot)) feeds)
-      with e -> Error e
-    in
-    Mutex.lock bt.bt_m;
-    match result with
-    | Error e -> raise e
-    | Ok picks ->
-        Array.iter
-          (fun (slot, (best, p)) ->
-            match bt.bt_slot_req.(slot) with
-            | None -> ()
-            | Some q ->
-                let finish () =
-                  q.q_done <- true;
-                  bt.bt_slot_req.(slot) <- None;
-                  batch_leave eng ~slot
-                in
-                if best = Vocab.eos then finish ()
-                else begin
-                  q.q_ids <- best :: q.q_ids;
-                  q.q_probs <- p :: q.q_probs;
-                  q.q_cur <- best;
-                  q.q_nout <- q.q_nout + 1;
-                  if q.q_nout >= q.q_max_out then finish ()
-                end)
-          picks
-  end
-
-let batcher_decode bt ~src ~max_out =
-  let max_out = min max_out (bt.bt_model.cfg.max_len - 2) in
-  let r =
-    {
-      q_memory = encode bt.bt_model src;
-      q_max_out = max_out;
-      q_slot = -1;
-      q_cur = Vocab.e2d;
-      q_nout = 0;
-      q_ids = [];
-      q_probs = [];
-      q_done = max_out <= 0;
-    }
-  in
-  if not r.q_done then begin
-    Mutex.lock bt.bt_m;
-    Queue.add r bt.bt_pending;
-    (try
-       while not r.q_done do
-         if bt.bt_driving then Condition.wait bt.bt_cv bt.bt_m
-         else begin
-           bt.bt_driving <- true;
-           Fun.protect
-             ~finally:(fun () ->
-               bt.bt_driving <- false;
-               Condition.broadcast bt.bt_cv)
-             (fun () -> drive bt)
-         end
-       done
-     with e ->
-       Mutex.unlock bt.bt_m;
-       raise e);
-    Mutex.unlock bt.bt_m
-  end;
-  (Array.of_list (List.rev r.q_ids), Array.of_list (List.rev r.q_probs))
-
-let generate t ~src ?(max_out = 48) ?batch () =
-  match batch with
-  | Some bt ->
-      if not (bt.bt_model == t) then
-        fail "generate" "batcher belongs to a different model";
-      batcher_decode bt ~src ~max_out
-  | None -> (generate_batch t ~slots:1 ~srcs:[| src |] ~max_out ()).(0)
 
 let generate_uncached t ~src ?(max_out = 48) () =
   let max_out = min max_out (t.cfg.max_len - 2) in

@@ -29,34 +29,22 @@ val train_step : t -> Adam.t -> (int array * int array) list -> float
 (** Accumulate gradients over the mini-batch, step the optimizer, return
     the mean loss. *)
 
-type batcher
-(** Coalesces decode calls from concurrent domains into shared batched
-    steps over one engine; see {!batcher}. *)
-
 val generate :
-  t ->
-  src:int array ->
-  ?max_out:int ->
-  ?batch:batcher ->
-  unit ->
-  int array * float array
+  t -> src:int array -> ?max_out:int -> unit -> int array * float array
 (** Greedy decode: output ids (without EOS) and per-token probabilities.
-    Runs the batched engine with one slot ([generate_batch ~slots:1]);
-    bit-identical to {!generate_uncached}. With [?batch] the call is
-    routed through the given concurrent batcher (which must belong to
-    this model): concurrent callers' steps coalesce into shared batched
-    decode steps, and each caller still gets the same bit-identical
-    result — per-slot rows are accumulated independently of the batch
-    composition. The source is encoded in the caller's domain, so an
-    out-of-vocabulary id raises [Fault (Tensor_fault _)] in the caller
-    alone. Do not call under {!Tensor.with_tape}: the encoder would
-    record onto the caller's tape. *)
+    Runs one {!decoder} over [src]; bit-identical to
+    {!generate_uncached}. Each call has its own decode state and only
+    reads the weights, so concurrent calls from several domains are
+    safe; an out-of-vocabulary id in [src] raises
+    [Fault (Tensor_fault _)] in its own caller. Do not call under
+    {!Tensor.with_tape}: the encoder would record onto the caller's
+    tape. *)
 
 val generate_uncached :
   t -> src:int array -> ?max_out:int -> unit -> int array * float array
 (** Reference greedy decode that re-runs [decode_logits] on the whole
     prefix every step (O(L²·layers) per token); kept for equivalence
-    testing and benchmarking against {!generate}. *)
+    testing against {!generate}. *)
 
 val encode : t -> int array -> Tensor.t
 (** Encoder memory for [src] (clipped to [max_len]). *)
@@ -65,47 +53,27 @@ val decode_logits : t -> memory:Tensor.t -> int array -> Tensor.t
 (** Full-prefix decoder forward: logits for every position of
     [dec_ids]. *)
 
-(** {1 Batched decode}
+(** {1 Incremental decoder}
 
-    A fixed pool of request slots advanced together: one [batch_step]
-    moves every fed slot one position through all decoder layers over
-    preallocated float32 buffers. Requests join and leave between steps
-    (continuous batching); each slot's logits are bit-identical to the
-    last row of {!decode_logits} over its prefix for any batch
-    composition. At most [max_len] positions per slot. *)
+    One request's decode, one position per {!feed}, over a KV cache per
+    decoder layer and preallocated float32 buffers. After each {!feed},
+    the logits are bit-identical to the last row of {!decode_logits}
+    over the prefix fed so far. At most [max_len] positions. *)
 
-type batch
+type decoder
 
-val new_batch : t -> slots:int -> batch
-val batch_join : batch -> src:int array -> int
-(** Encode [src] and claim a free slot for it; raises
-    [Fault (Tensor_fault _)] when all slots are busy. *)
+val start : t -> src:int array -> decoder
+(** Encode [src] and return a decoder at position 0. Raises
+    [Fault (Tensor_fault _)] for an out-of-vocabulary id. *)
 
-val batch_leave : batch -> slot:int -> unit
-(** Release a slot for reuse by a later {!batch_join}. *)
+val feed : decoder -> int -> unit
+(** Advance one position with the given token (the first is
+    [Vocab.e2d]). Raises [Fault (Tensor_fault _)] for an
+    out-of-vocabulary token or past [max_len] positions. *)
 
-val batch_step : batch -> (int * int) array -> unit
-(** [(slot, token)] feeds: advance each fed slot one position. Raises
-    [Fault (Tensor_fault _)] for a free slot, an out-of-vocabulary
-    token or a slot already [max_len] positions deep. *)
+val logits : decoder -> float array
+(** Logits of the last fed position, copied out. *)
 
-val batch_logits : batch -> slot:int -> float array
-(** Logits row for [slot] from the last {!batch_step} that fed it;
-    valid until the next step. *)
-
-val generate_batch :
-  t ->
-  ?slots:int ->
-  srcs:int array array ->
-  ?max_out:int ->
-  unit ->
-  (int array * float array) array
-(** Continuous batched greedy decode of [srcs] (admission in input
-    order as slots free up). Result [i] is bit-identical to
-    [generate_uncached t ~src:srcs.(i)]. *)
-
-val batcher : t -> slots:int -> batcher
-(** Thread-safe coalescing front-end over one {!batch} engine, for use
-    via [generate ~batch]. *)
-
-val batcher_slots : batcher -> int
+val pick : decoder -> int * float
+(** Greedy pick over the last fed position's logits, read in place: the
+    first id of highest logit and its softmax probability. *)

@@ -1,7 +1,11 @@
 module I = Vega_mc.Mcinst
 module B = Vega_backend
 
-type status = Finished of int option | Trap of string | Timeout of int
+type status =
+  | Finished of int option
+  | Trap of string
+  | Timeout of int
+  | Hook_timeout of int
 
 type result = { output : int list; cycles : int; retired : int; status : status }
 
@@ -102,7 +106,8 @@ let run ?(fuel = 4_000_000) ?(mem_words = 65_536) (conv : B.Conv.t)
       (* everything below runs inside the handler: an unplaceable data
          section, a convention register outside the file, a failing
          cycle-model hook or an unknown entry label each surface as a
-         Trap or Timeout status, not as an escaping exception *)
+         Trap, Timeout or Hook_timeout status, not as an escaping
+         exception *)
       let data = prog.B.Emitter.obj.I.data in
       let base = prog.B.Emitter.data_base / 4 in
       if base < 0 || base + Array.length data > mem_words then
@@ -289,7 +294,7 @@ let run ?(fuel = 4_000_000) ?(mem_words = 65_536) (conv : B.Conv.t)
     with
     | Trap_exc msg -> Trap msg
     | Fuel_exc f -> Timeout f
-    | Vega_srclang.Interp.Fuel_exhausted f -> Timeout f
+    | Vega_srclang.Interp.Fuel_exhausted f -> Hook_timeout f
     | B.Hooks.Hook_error (h, msg) -> Trap (Printf.sprintf "hook %s: %s" h msg)
   in
   { output = List.rev !output; cycles = !cycle; retired = !retired; status }

@@ -11,9 +11,12 @@ type status =
   | Finished of int option
   | Trap of string
   | Timeout of int
-      (** the retired-instruction fuel budget (the payload) ran out, or a
-          hook exhausted its interpreter fuel — distinct from [Trap] so
-          harnesses classify timeouts apart from wrong-code errors *)
+      (** the retired-instruction fuel budget (the payload) ran out —
+          distinct from [Trap] so harnesses classify timeouts apart from
+          wrong-code errors *)
+  | Hook_timeout of int
+      (** a cycle-model hook exhausted its interpreter fuel (the
+          payload): a timeout too, but not of the simulator's budget *)
 
 type result = {
   output : int list;  (** print stream; must match the VIR golden run *)

@@ -23,7 +23,9 @@ let check_case conv (case : P.case) opt =
   | Vega_sim.Machine.Finished _ -> ()
   | Vega_sim.Machine.Trap m -> Alcotest.failf "%s trapped: %s" case.P.name m
   | Vega_sim.Machine.Timeout f ->
-      Alcotest.failf "%s timed out (fuel %d)" case.P.name f);
+      Alcotest.failf "%s timed out (fuel %d)" case.P.name f
+  | Vega_sim.Machine.Hook_timeout f ->
+      Alcotest.failf "%s: a hook timed out (fuel %d)" case.P.name f);
   Alcotest.(check (list int)) (case.P.name ^ " output") (P.golden case)
     r.Vega_sim.Machine.output
 
@@ -143,7 +145,7 @@ let test_hook_error_propagates () =
   in
   let sources = ("selectOpcode", broken) :: List.remove_assoc "selectOpcode" sources in
   let hooks = B.Hooks.create corpus.C.vfs ~target:"RISCV" ~sources in
-  let conv = B.Conv.make corpus.C.vfs hooks in
+  let conv = B.Conv.make hooks in
   let c = Option.get (P.find "arith_basic") in
   match B.Compiler.compile conv ~opt:B.Compiler.O0 (P.modul_of c) with
   | exception B.Hooks.Hook_error ("selectOpcode", _) -> ()
@@ -355,7 +357,7 @@ let riscv_with_sched_hooks hooks =
         (fun (f, _) -> not (List.mem_assoc f replaced))
         (C.reference_sources Vega_target.Registry.riscv)
   in
-  B.Conv.make corpus.C.vfs (B.Hooks.create corpus.C.vfs ~target:"RISCV" ~sources)
+  B.Conv.make (B.Hooks.create corpus.C.vfs ~target:"RISCV" ~sources)
 
 (* Fusion fires on a third of opcode pairs, so partners are pulled
    forward, and latencies vary with the opcode. *)
@@ -540,6 +542,37 @@ let memo_prop =
          let shared = memo_hooks () in
          List.for_all (fun call -> outcome shared call = answer_alone call) calls))
 
+(* [Conv.make] reads the instruction table and the syntax records from
+   the hook set's catalog, which also holds the generic description
+   files; on every registered target that reads exactly what a catalog
+   of the target's own files gives. *)
+let test_conv_catalog () =
+  let module Cat = Vega_tdlang.Catalog in
+  let vfs = (Lazy.force corpus).C.vfs in
+  List.iter
+    (fun (p : Vega_target.Profile.t) ->
+      let name = p.Vega_target.Profile.name in
+      let own = Cat.build vfs (Vega_tdlang.Vfs.tgtdirs name) in
+      let shared = B.Hooks.catalog (B.Hooks.create vfs ~target:name ~sources:[]) in
+      let insns cat = B.Insntab.all (B.Insntab.build cat) in
+      Alcotest.(check bool) (name ^ ": has instructions") true (insns own <> []);
+      Alcotest.(check bool) (name ^ ": instruction table") true
+        (insns own = insns shared);
+      List.iter
+        (fun (record, field) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %s.%s" name record field)
+            true
+            (Cat.record_field own ~record ~field
+            = Cat.record_field shared ~record ~field))
+        [
+          ("GPR", "Prefix");
+          (name, "ImmMarker");
+          (name, "CommentChar");
+          (name, "Endianness");
+        ])
+    Vega_target.Registry.all
+
 let suite =
   [
     Alcotest.test_case "riscv full program matrix" `Slow test_riscv_all_programs;
@@ -555,4 +588,8 @@ let suite =
     Alcotest.test_case "relocations" `Quick test_relocations_emitted;
     Alcotest.test_case "hook errors propagate" `Quick test_hook_error_propagates;
   ]
-  @ sched_props @ [ memo_prop ]
+  @ sched_props
+  @ [
+      memo_prop;
+      Alcotest.test_case "conv catalog = target files" `Quick test_conv_catalog;
+    ]

@@ -69,6 +69,8 @@ let run_case conv source opt =
   match r.Vega_sim.Machine.status with
   | Vega_sim.Machine.Trap msg -> Error msg
   | Vega_sim.Machine.Timeout f -> Error (Printf.sprintf "timeout (fuel %d)" f)
+  | Vega_sim.Machine.Hook_timeout f ->
+      Error (Printf.sprintf "hook timeout (fuel %d)" f)
   | Vega_sim.Machine.Finished _ ->
       if r.Vega_sim.Machine.output = golden then Ok () else Error "output mismatch"
 

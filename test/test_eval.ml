@@ -110,7 +110,7 @@ let test_pass1_never_raises () =
     ("trap: hook getLoadLatency: expected integer, got void", false);
   generated "getMispredictPenalty"
     "unsigned getMispredictPenalty() { while (true) { } return 1; }"
-    ("timeout: simulator fuel (100000) exhausted", true);
+    ("timeout: interpreter fuel (100000) exhausted", true);
   generated "getFrameRegister" "unsigned getFrameRegister() { return 99; }"
     ("trap: bad register 99", false);
   generated "isRegisterName"

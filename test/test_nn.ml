@@ -1,6 +1,6 @@
 (* Tests for the from-scratch neural substrate: numerical gradient checks,
    optimizer behavior, vocabulary, transformer overfitting, and the
-   batched float32 decode engine. *)
+   incremental float32 decoder. *)
 
 module T = Vega_nn.Tensor
 module Rng = Vega_util.Rng
@@ -189,11 +189,10 @@ let test_gru_overfits () =
   let m = Vega.Codebe.train ~arch:Vega.Codebe.Rnn cfg pairs in
   Alcotest.(check (float 1e-9)) "rnn exact match" 1.0 (Vega.Codebe.exact_match m pairs)
 
-(* KV cache: stepping an engine of [slots] slots, each fed its own
-   source and tokens, must reproduce the last row of that slot's full
-   re-decode bit-for-bit, for every prefix length up to max_len; one
-   step more must fault. *)
-let test_kv_cache_bitident ~slots () =
+(* KV cache: feeding one decoder its own source and tokens must
+   reproduce the last row of the full re-decode bit-for-bit, for every
+   prefix length up to max_len; one step more must fault. *)
+let test_kv_cache_bitident () =
   let module NN = Vega_nn.Transformer in
   let cfg =
     {
@@ -206,40 +205,30 @@ let test_kv_cache_bitident ~slots () =
     }
   in
   let m = NN.create ~seed:42 cfg in
-  let src r =
-    Array.init 10 (fun i -> ((i * 5) + 1 + (3 * r)) mod cfg.vocab_size)
+  let src = Array.init 10 (fun i -> ((i * 5) + 1) mod cfg.vocab_size) in
+  let token k =
+    if k = 0 then Vega_nn.Vocab.e2d else ((k * 7) + 3) mod cfg.vocab_size
   in
-  let token r k =
-    if k = 0 then Vega_nn.Vocab.e2d
-    else ((k * 7) + 3 + (11 * r)) mod cfg.vocab_size
-  in
-  let memory = Array.init slots (fun r -> NN.encode m (src r)) in
-  let b = NN.new_batch m ~slots in
-  let slot = Array.init slots (fun r -> NN.batch_join b ~src:(src r)) in
+  let memory = NN.encode m src in
+  let dec = NN.start m ~src in
   for k = 0 to cfg.max_len - 1 do
-    NN.batch_step b (Array.mapi (fun r s -> (s, token r k)) slot);
+    NN.feed dec (token k);
+    let logits = NN.decode_logits m ~memory (Array.init (k + 1) token) in
     Array.iteri
-      (fun r s ->
-        let logits =
-          NN.decode_logits m ~memory:memory.(r) (Array.init (k + 1) (token r))
-        in
-        Array.iteri
-          (fun j v ->
-            let full = T.get logits k j in
-            if Int64.bits_of_float v <> Int64.bits_of_float full then
-              Alcotest.failf "source %d step %d col %d: cached %h <> full %h" r
-                k j v full)
-          (NN.batch_logits b ~slot:s))
-      slot
+      (fun j v ->
+        let full = T.get logits k j in
+        if Int64.bits_of_float v <> Int64.bits_of_float full then
+          Alcotest.failf "step %d col %d: cached %h <> full %h" k j v full)
+      (NN.logits dec)
   done;
-  match NN.batch_step b [| (slot.(0), 3) |] with
+  match NN.feed dec 3 with
   | () -> Alcotest.fail "step past max_len accepted"
   | exception Vega_robust.Fault.Fault (Vega_robust.Fault.Tensor_fault _) -> ()
 
 (* A forced max_len-deep decode (no EOS stop), the worst case the
-   engine sees, since full re-decode re-runs the whole prefix per
-   token: every one-slot engine row is bit-identical to the last row of
-   [decode_logits] over the same prefix, and the engine is at least 3x
+   decoder sees, since full re-decode re-runs the whole prefix per
+   token: every incremental row is bit-identical to the last row of
+   [decode_logits] over the same prefix, and the decoder is at least 3x
    faster, best of 3 runs a side. *)
 let test_decode_speedup_floor () =
   let module NN = Vega_nn.Transformer in
@@ -257,11 +246,10 @@ let test_decode_speedup_floor () =
   let src = Array.init 24 (fun k -> ((k * 5) + 1) mod cfg.vocab_size) in
   let forced k = ((k * 7) + 3) mod cfg.vocab_size in
   let engine () =
-    let b = NN.new_batch m ~slots:1 in
-    let slot = NN.batch_join b ~src in
+    let dec = NN.start m ~src in
     Array.init cfg.max_len (fun k ->
-        NN.batch_step b [| (slot, forced k) |];
-        NN.batch_logits b ~slot)
+        NN.feed dec (forced k);
+        NN.logits dec)
   in
   let full () =
     let memory = NN.encode m src in
@@ -297,8 +285,8 @@ let test_decode_speedup_floor () =
     Alcotest.failf "engine %.2fx full re-decode (%.4f s vs %.4f s), floor 3x"
       speedup engine_s full_s
 
-(* Shared small model for the batched-decode tests. *)
-let batch_cfg =
+(* Shared small model for the decode tests. *)
+let small_cfg =
   {
     Vega_nn.Transformer.d_model = 16;
     heads = 2;
@@ -308,17 +296,25 @@ let batch_cfg =
     vocab_size = 26;
   }
 
-let batch_model = lazy (Vega_nn.Transformer.create ~seed:5 batch_cfg)
+let small_model = lazy (Vega_nn.Transformer.create ~seed:5 small_cfg)
 
-(* [generate] runs the batch engine with one slot; for several sources
-   and output budgets (up to and past max_len) it must be bit-identical
-   to the uncached reference decode. *)
+(* Equal ids and, bit for bit, equal probabilities. *)
+let same_decode (eids, eprobs) (gids, gprobs) =
+  eids = gids
+  && Array.length eprobs = Array.length gprobs
+  && Array.for_all2
+       (fun e g -> Int64.bits_of_float e = Int64.bits_of_float g)
+       eprobs gprobs
+
+(* [generate] runs the incremental decoder; for several sources and
+   output budgets (up to and past max_len) it must be bit-identical to
+   the uncached reference decode. *)
 let test_generate_cached_equals_uncached () =
-  let m = Lazy.force batch_model in
+  let m = Lazy.force small_model in
   List.iter
     (fun (len, max_out) ->
       let src =
-        Array.init len (fun i -> ((i * 3) + len) mod batch_cfg.vocab_size)
+        Array.init len (fun i -> ((i * 3) + len) mod small_cfg.vocab_size)
       in
       let ids_u, probs_u =
         Vega_nn.Transformer.generate_uncached m ~src ~max_out ()
@@ -335,161 +331,95 @@ let test_generate_cached_equals_uncached () =
         probs_c)
     [ (1, 5); (8, 30); (12, 40) ]
 
-(* batch=1 through the batch engine must be bit-identical to the
-   uncached reference decode. *)
-let test_generate_batch1_bitident () =
-  let m = Lazy.force batch_model in
-  let src = Array.init 8 (fun i -> ((i * 3) + 2) mod batch_cfg.vocab_size) in
-  let ids_u, probs_u =
-    Vega_nn.Transformer.generate_uncached m ~src ~max_out:30 ()
+(* The decoder driven by hand, one request (feed, pick, stop at EOS or
+   the budget), must be bit-identical to the uncached reference
+   decode. *)
+let test_decoder_by_hand () =
+  let module NN = Vega_nn.Transformer in
+  let m = Lazy.force small_model in
+  let src = Array.init 8 (fun i -> ((i * 3) + 2) mod small_cfg.vocab_size) in
+  let ids_u, probs_u = NN.generate_uncached m ~src ~max_out:30 () in
+  let dec = NN.start m ~src in
+  let rec go tok n acc =
+    if n = 30 then List.rev acc
+    else begin
+      NN.feed dec tok;
+      let best, p = NN.pick dec in
+      if best = Vega_nn.Vocab.eos then List.rev acc
+      else go best (n + 1) ((best, p) :: acc)
+    end
   in
-  let res =
-    Vega_nn.Transformer.generate_batch m ~slots:1 ~srcs:[| src |] ~max_out:30 ()
-  in
-  let ids_b, probs_b = res.(0) in
+  let picks = go Vega_nn.Vocab.e2d 0 [] in
+  let ids_b = Array.of_list (List.map fst picks) in
+  let probs_b = Array.of_list (List.map snd picks) in
   Alcotest.(check (array int)) "same ids" ids_u ids_b;
   Alcotest.(check int) "same count" (Array.length probs_u) (Array.length probs_b);
   Array.iteri
     (fun i p ->
       if Int64.bits_of_float p <> Int64.bits_of_float probs_u.(i) then
-        Alcotest.failf "prob %d: batch=1 %h <> uncached %h" i p probs_u.(i))
+        Alcotest.failf "prob %d: decoder %h <> uncached %h" i p probs_u.(i))
     probs_b
 
-(* Property: for every batch composition (request count, slot count —
-   including fewer slots than requests, which forces join/leave churn),
-   continuous batched decode matches the per-request reference decode
-   bit for bit: ids and every token probability. *)
-let batch_composition_prop =
-  QCheck.Test.make ~name:"batched decode = sequential decode" ~count:60
+(* Property: over random sources (up to past max_len, which clips) and
+   output budgets (down to none, up to past max_len), [generate]
+   matches the uncached reference decode bit for bit: ids and every
+   token probability. *)
+let generate_prop =
+  QCheck.Test.make ~name:"generate = uncached over random sources" ~count:100
     QCheck.(
-      triple (int_range 1 6) (int_range 1 4) (int_range 0 999))
-    (fun (n, slots, seed) ->
-      let m = Lazy.force batch_model in
-      let srcs =
-        Array.init n (fun i ->
-            let len = 1 + ((seed + (3 * i)) mod 8) in
-            Array.init len (fun j ->
-                (seed + (13 * i) + (7 * j)) mod batch_cfg.vocab_size))
-      in
-      let max_out = 6 + (seed mod 20) in
-      let expected =
-        Array.map
-          (fun src -> Vega_nn.Transformer.generate_uncached m ~src ~max_out ())
-          srcs
-      in
-      let got = Vega_nn.Transformer.generate_batch m ~slots ~srcs ~max_out () in
-      Array.for_all2
-        (fun (eids, eprobs) (gids, gprobs) ->
-          eids = gids
-          && Array.length eprobs = Array.length gprobs
-          && Array.for_all2
-               (fun e g -> Int64.bits_of_float e = Int64.bits_of_float g)
-               eprobs gprobs)
-        expected got)
+      pair
+        (array_of_size
+           Gen.(int_range 1 40)
+           (int_range 0 (small_cfg.vocab_size - 1)))
+        (int_range 0 40))
+    (fun (src, max_out) ->
+      let m = Lazy.force small_model in
+      same_decode
+        (Vega_nn.Transformer.generate_uncached m ~src ~max_out ())
+        (Vega_nn.Transformer.generate m ~src ~max_out ()))
 
-(* Concurrent callers through one batcher coalesce into shared steps
-   and must each still get the reference decode's exact result. *)
-let test_batcher_concurrent () =
-  let m = Lazy.force batch_model in
+(* Four domains decode at once, as a daemon's decode slots do: every
+   result is bit-identical to the uncached reference, and an
+   out-of-vocabulary source faults its own caller only. *)
+let test_generate_concurrent () =
+  let module NN = Vega_nn.Transformer in
+  let m = Lazy.force small_model in
   let srcs =
-    Array.init 6 (fun i ->
+    Array.init 4 (fun i ->
         Array.init
-          (3 + (i mod 5))
-          (fun j -> ((i * 7) + (j * 3) + 2) mod batch_cfg.vocab_size))
+          (3 + (2 * i))
+          (fun j -> ((i * 7) + (j * 3) + 2) mod small_cfg.vocab_size))
   in
   let expected =
-    Array.map
-      (fun src -> Vega_nn.Transformer.generate_uncached m ~src ~max_out:24 ())
-      srcs
+    Array.map (fun src -> NN.generate_uncached m ~src ~max_out:24 ()) srcs
   in
-  let bt = Vega_nn.Transformer.batcher m ~slots:3 in
-  Alcotest.(check int) "batcher slots" 3 (Vega_nn.Transformer.batcher_slots bt);
-  let doms =
-    Array.map
-      (fun src ->
-        Domain.spawn (fun () ->
-            Vega_nn.Transformer.generate m ~src ~max_out:24 ~batch:bt ()))
-      srcs
-  in
-  let got = Array.map Domain.join doms in
-  Array.iteri
-    (fun i (gids, gprobs) ->
-      let eids, eprobs = expected.(i) in
-      Alcotest.(check (array int)) (Printf.sprintf "req %d ids" i) eids gids;
-      Array.iteri
-        (fun k p ->
-          if Int64.bits_of_float p <> Int64.bits_of_float eprobs.(k) then
-            Alcotest.failf "req %d prob %d: batched %h <> reference %h" i k p
-              eprobs.(k))
-        gprobs)
-    got
-
-(* A bad source from one batcher caller faults that caller only: a
-   second caller looping on a valid source keeps getting the reference
-   result, and the batcher stays usable afterwards. Every wait is
-   bounded, so a wedged batcher fails the test instead of hanging it. *)
-let test_batcher_bad_source () =
-  let module NN = Vega_nn.Transformer in
-  let m = Lazy.force batch_model in
-  let bt = NN.batcher m ~slots:2 in
-  let good = Array.init 6 (fun j -> ((j * 5) + 1) mod batch_cfg.vocab_size) in
-  let expected = NN.generate_uncached m ~src:good ~max_out:24 () in
-  let bits (ids, probs) = (ids, Array.map Int64.bits_of_float probs) in
-  let decode () =
-    match NN.generate m ~src:good ~max_out:24 ~batch:bt () with
-    | got when bits got = bits expected -> None
-    | _ -> Some "output differs from generate_uncached"
-    | exception e -> Some (Printexc.to_string e)
-  in
-  let within_10s ready =
-    let deadline = Unix.gettimeofday () +. 10.0 in
-    while (not (ready ())) && Unix.gettimeofday () < deadline do
-      Unix.sleepf 0.005
-    done;
-    ready ()
-  in
-  let stop = Atomic.make false and a_runs = Atomic.make 0 in
-  let a_error = Atomic.make None in
-  let a =
-    Domain.spawn (fun () ->
-        while not (Atomic.get stop) do
-          (match decode () with
-          | Some e -> ignore (Atomic.compare_and_set a_error None (Some e))
-          | None -> ());
-          Atomic.incr a_runs
-        done)
-  in
-  if not (within_10s (fun () -> Atomic.get a_runs > 0)) then
-    Alcotest.fail "valid caller never completed a decode";
-  (* several submissions, so at least one is queued while the valid
-     caller is driving the engine *)
-  let b_result = Atomic.make None in
-  let b =
-    Domain.spawn (fun () ->
-        let outcome () =
-          match NN.generate m ~src:[| 1; 2; 999 |] ~max_out:24 ~batch:bt () with
-          | _ -> "returned"
+  let rounds = 20 in
+  let run i () =
+    List.init rounds (fun _ ->
+        let good =
+          let got = NN.generate m ~src:srcs.(i) ~max_out:24 () in
+          if same_decode expected.(i) got then "same"
+          else "differs"
+        in
+        (* domain 0 also submits a bad source every round *)
+        if i > 0 then good
+        else
+          match NN.generate m ~src:[| 1; 2; 999 |] ~max_out:24 () with
+          | _ -> good ^ ", bad source returned"
           | exception Vega_robust.Fault.Fault (Vega_robust.Fault.Tensor_fault _)
             ->
-              "tensor fault"
-          | exception e -> Printexc.to_string e
-        in
-        Atomic.set b_result (Some (List.init 5 (fun _ -> outcome ()))))
+              good ^ ", tensor fault"
+          | exception e -> good ^ ", " ^ Printexc.to_string e)
   in
-  if not (within_10s (fun () -> Atomic.get b_result <> None)) then
-    Alcotest.fail "bad-source caller did not return within 10 s";
-  let runs = Atomic.get a_runs in
-  if not (within_10s (fun () -> Atomic.get a_runs > runs)) then
-    Alcotest.fail "valid caller stalled after the bad source";
-  Atomic.set stop true;
-  Domain.join a;
-  Domain.join b;
-  Alcotest.(check (option string)) "valid caller unaffected" None
-    (Atomic.get a_error);
-  Alcotest.(check (list string)) "bad caller gets its own fault"
-    (List.init 5 (fun _ -> "tensor fault"))
-    (Option.get (Atomic.get b_result));
-  Alcotest.(check (option string)) "batcher usable afterwards" None (decode ())
+  let doms = Array.init 4 (fun i -> Domain.spawn (run i)) in
+  Array.iteri
+    (fun i d ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "domain %d" i)
+        (List.init rounds (fun _ ->
+             if i = 0 then "same, tensor fault" else "same"))
+        (Domain.join d))
+    doms
 
 (* Concurrent with_tape calls in separate domains must not interleave:
    each domain's losses and accumulated gradients must match the
@@ -536,20 +466,15 @@ let suite =
     Alcotest.test_case "tensor faults are typed" `Quick test_tensor_faults;
     Alcotest.test_case "gru gradcheck" `Quick test_gru_gradcheck;
     Alcotest.test_case "gru overfits" `Slow test_gru_overfits;
-    Alcotest.test_case "kv cache bit-identical" `Quick
-      (test_kv_cache_bitident ~slots:1);
+    Alcotest.test_case "kv cache bit-identical" `Quick test_kv_cache_bitident;
     Alcotest.test_case "decode engine >= 3x full re-decode" `Quick
       test_decode_speedup_floor;
     Alcotest.test_case "generate cached = uncached" `Quick
       test_generate_cached_equals_uncached;
     Alcotest.test_case "batch=1 bit-identical to uncached" `Quick
-      test_generate_batch1_bitident;
-    QCheck_alcotest.to_alcotest batch_composition_prop;
-    Alcotest.test_case "kv cache bit-identical, 4 slots" `Quick
-      (test_kv_cache_bitident ~slots:4);
-    Alcotest.test_case "batcher coalesces concurrent decodes" `Quick
-      test_batcher_concurrent;
-    Alcotest.test_case "batcher bad source faults only its caller" `Quick
-      test_batcher_bad_source;
+      test_decoder_by_hand;
+    QCheck_alcotest.to_alcotest generate_prop;
+    Alcotest.test_case "concurrent generate = uncached" `Quick
+      test_generate_concurrent;
     Alcotest.test_case "tape domain-safe" `Quick test_tape_domain_safety;
   ]

@@ -1197,6 +1197,53 @@ let test_killed_server_admits_nothing () =
       | () -> Alcotest.fail "drain must re-raise the crash"
       | exception R.Journal.Killed _ -> ()
 
+(* A socket daemon with two slots streams two functions at once
+   through the untrained model decoder, each slot decoding its own
+   request on its own domain: each Done equals the function generated
+   in process. *)
+let test_model_streams_on_two_slots () =
+  let t = Lazy.force pipeline in
+  let decoder = V.Pipeline.model_decoder t in
+  let fns = [ snd (Lazy.force busiest_fname); Lazy.force second_fname ] in
+  let expected =
+    let srv = mk_server ~decoder () in
+    let replies = List.map (fun f -> S.Server.request srv (mk f)) fns in
+    S.Server.drain srv;
+    replies
+  in
+  let srv = mk_server ~decoder () in
+  let socket = sock_path () in
+  let cfg = { Ev.default_config with Ev.ev_slots = 2; ev_steps_per_tick = 1 } in
+  let h = Ev.start ~cfg srv ~path:socket in
+  let streams =
+    List.map
+      (fun f ->
+        Domain.spawn (fun () -> S.Sock.stream ~timeout_s:60.0 ~socket (mk f)))
+      fns
+  in
+  let finals =
+    List.map
+      (fun d ->
+        match Domain.join d with
+        | Ok frames -> (
+            match List.rev frames with
+            | S.Proto.Ffinal r :: _ -> r
+            | _ -> Alcotest.fail "stream ended without a final frame")
+        | Error e -> Alcotest.failf "stream failed: %s" e)
+      streams
+  in
+  Ev.stop h;
+  List.iter2
+    (fun f (want, got) ->
+      (match want with
+      | S.Proto.Done _ -> ()
+      | r -> Alcotest.failf "%s in process: %s" f (S.Proto.encode_reply r));
+      Alcotest.(check string)
+        (f ^ " over the socket = in process")
+        (S.Proto.encode_reply want) (S.Proto.encode_reply got))
+    fns
+    (List.combine expected finals)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest test_frame_roundtrip;
@@ -1243,4 +1290,6 @@ let suite =
       test_stream_deadline_hits_in_health;
     Alcotest.test_case "killed server admits nothing" `Quick
       test_killed_server_admits_nothing;
+    Alcotest.test_case "model streams on two slots" `Quick
+      test_model_streams_on_two_slots;
   ]
